@@ -11,13 +11,19 @@ from __future__ import annotations
 
 import glob
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
 
 import numpy as np
 
-from .conv import ConvVariant, conv_direct, conv_projected_blocked
+from .conv import (
+    ConvVariant,
+    conv_direct,
+    conv_projected_blocked,
+    conv_projected_peaks,
+    project_kernel_bank,
+)
 from .errors import (
     ConvergenceFailure,
     DimensionMismatch,
@@ -324,15 +330,52 @@ def ingest_images(pattern, crop=None, fmt=ImageFormat.PGM):
     return TrainingSet(images=stack, labels=tuple(labels))
 
 
+def _checked_signal(x, name):
+    """``x`` as a contiguous float64 array, checked to be a nonempty, finite,
+    real 1-D signal."""
+    x = np.asarray(x)
+    if np.iscomplexobj(x):
+        raise DomainError(f"{name} is complex; only real signals are supported")
+    if x.ndim != 1 or x.shape[0] == 0:
+        raise DimensionMismatch(f"{name} must be a nonempty 1-D signal, got shape {x.shape}")
+    x = np.ascontiguousarray(x, dtype=np.float64)
+    if not np.all(np.isfinite(x)):
+        raise DomainError(f"{name} contains non-finite values")
+    return x
+
+
+@dataclass(frozen=True)
+class _LengthGroup:
+    """The nonzero-energy entries of one length, ready for batched scoring."""
+
+    length: int
+    ids: tuple
+    energies: np.ndarray
+    bank: np.ndarray          # project_kernel_bank of the reversed entries
+
+
 @dataclass(frozen=True)
 class FeatureDb:
-    """Reference signals to correlate queries against."""
+    """Reference signals to correlate queries against.
+
+    Entries are checked once, here: each must be a nonempty, finite, real
+    1-D signal, and is stored as a read-only float64 copy. Projected matching
+    keeps one bank of entry projections per (pair, projections used), built
+    on first use; the copies keep it in step with the entries.
+    """
 
     entries: tuple            # of (id, 1-D float array)
+    _banks: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.entries:
             raise EmptyDb("feature database has no entries")
+        entries = []
+        for entry_id, sig in self.entries:
+            sig = _checked_signal(sig, f"entry {entry_id!r}").copy()
+            sig.setflags(write=False)
+            entries.append((entry_id, sig))
+        object.__setattr__(self, "entries", tuple(entries))
 
     @classmethod
     def from_manifest(cls, path):
@@ -344,9 +387,34 @@ class FeatureDb:
 
     @classmethod
     def from_arrays(cls, pairs):
-        return cls(entries=tuple(
-            (str(entry_id), np.asarray(sig, dtype=np.float64))
-            for entry_id, sig in pairs))
+        return cls(entries=tuple((str(entry_id), sig) for entry_id, sig in pairs))
+
+    def _projected(self, pair, projections, counter=None):
+        """(ids of zero-energy entries, the other entries grouped by length).
+
+        Built once per (pair, projections) and kept; the counter of the call
+        that builds it is charged for the entry projections.
+        """
+        key = (pair.size, pair.forward.tobytes(), projections)
+        cached = self._banks.get(key)
+        if cached is None:
+            energies = [float(np.sum(sig * sig)) for _, sig in self.entries]
+            dead = tuple(entry_id for (entry_id, _), energy
+                         in zip(self.entries, energies) if energy == 0.0)
+            live = [(entry_id, sig, energy) for (entry_id, sig), energy
+                    in zip(self.entries, energies) if energy != 0.0]
+            groups = []
+            for length in dict.fromkeys(sig.shape[0] for _, sig, _ in live):
+                members = [m for m in live if m[1].shape[0] == length]
+                stack = np.stack([sig for _, sig, _ in members])
+                groups.append(_LengthGroup(
+                    length=length,
+                    ids=tuple(entry_id for entry_id, _, _ in members),
+                    energies=np.array([energy for _, _, energy in members]),
+                    bank=project_kernel_bank(stack[:, ::-1], pair, projections,
+                                             counter=counter)))
+            cached = self._banks[key] = (dead, tuple(groups))
+        return cached
 
 
 def xcorr_match(query, db, mode=ConvMode(), counter=None):
@@ -354,11 +422,20 @@ def xcorr_match(query, db, mode=ConvMode(), counter=None):
 
     Each entry is scored by the peak absolute cross-correlation against the
     query, normalized by the entry's energy so a query equal to the entry
-    scores 1. Returns (entry id, score); ties go to the lowest id.
+    scores 1. Returns (entry id, score); ties go to the lowest id. Entries of
+    zero energy are skipped with a :class:`ZeroEnergyEntry` warning; a query
+    shorter than an entry is zero-padded to the entry's length.
+
+    The conventional mode correlates the query with each entry in turn and is
+    the reference for the decisions. The projected mode scores the query
+    against all entries of one length at once with
+    :func:`conv_projected_peaks`, using the database's bank of entry
+    projections; its scores are those of :meth:`ConvMode.correlate` up to
+    rounding.
     """
-    query = np.asarray(query, dtype=np.float64)
-    if query.ndim != 1:
-        raise DimensionMismatch(f"query must be 1-D, got shape {query.shape}")
+    query = _checked_signal(query, "query")
+    if mode.is_projected:
+        return _xcorr_match_projected(query, db, mode, counter)
     best_id = None
     best_score = -np.inf
     for entry_id, signal in db.entries:
@@ -368,10 +445,7 @@ def xcorr_match(query, db, mode=ConvMode(), counter=None):
             warnings.warn(f"entry {entry_id!r} has zero energy, skipped",
                           ZeroEnergyEntry, stacklevel=2)
             continue
-        padded = query
-        if query.shape[0] < signal.shape[0]:
-            padded = np.concatenate(
-                [query, np.zeros(signal.shape[0] - query.shape[0])])
+        padded = _pad_to(query, signal.shape[0])
         corr = mode.correlate(padded, signal, counter=counter)
         score = float(np.max(np.abs(corr))) / energy
         if score > best_score or (score == best_score and
@@ -381,3 +455,30 @@ def xcorr_match(query, db, mode=ConvMode(), counter=None):
     if best_id is None:
         raise EmptyDb("every database entry was skipped as zero-energy")
     return best_id, best_score
+
+
+def _pad_to(query, length):
+    if query.shape[0] >= length:
+        return query
+    return np.concatenate([query, np.zeros(length - query.shape[0])])
+
+
+def _xcorr_match_projected(query, db, mode, counter):
+    dead, groups = db._projected(mode.pair, mode.config.projections_used,
+                                 counter=counter)
+    for entry_id in dead:
+        warnings.warn(f"entry {entry_id!r} has zero energy, skipped",
+                      ZeroEnergyEntry, stacklevel=3)
+    if not groups:
+        raise EmptyDb("every database entry was skipped as zero-energy")
+    ids = []
+    scores = []
+    for group in groups:
+        peaks = conv_projected_peaks(_pad_to(query, group.length), group.bank,
+                                     group.length, mode.pair, mode.config,
+                                     counter=counter)
+        ids.extend(group.ids)
+        scores.append(peaks / group.energies)
+    scores = np.concatenate(scores)
+    best = scores.max()
+    return min(ids[i] for i in np.flatnonzero(scores == best)), float(best)

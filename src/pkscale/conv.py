@@ -20,6 +20,13 @@ Projection paths come in two flavors:
   exact even with all projections kept (the cross-phase delay terms are
   dropped); expect roughly 20 dB output SNR on low-frequency data with one
   projection at size 2.
+
+* :func:`conv_projected_peaks` runs the same path for one signal against a
+  bank of equal-length kernels whose projections
+  :func:`project_kernel_bank` computed once. It returns only each output's
+  peak magnitude: every kernel's compact stream comes from one matrix
+  product of the compact signal's sliding windows with the bank, and
+  nothing is placed or interpolated into a full-length output.
 """
 
 from __future__ import annotations
@@ -29,10 +36,11 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.fft
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .config import SampleMode
 from .errors import CalibrationFailed, DimensionMismatch, DomainError, IndexOutOfRange
-from .projection import project_signal, project_signal_dual
+from .projection import _grouped, project_signal, project_signal_dual
 
 
 class ConvVariant(enum.Enum):
@@ -281,6 +289,16 @@ def alignment_calibrate(pair):
     direct convolution's peak. Raises :class:`CalibrationFailed` when the
     response has no unique peak, which flags a pair unusable in blocked mode.
     The result is deterministic, so recalibration always reproduces it.
+
+    Every pair that calibrates gets offsets ``(0, 1, ..., L-1)``. Grouped
+    from ``phase``, the probe's only nonzero sample ``probe[phase + L]``
+    opens group 1, so the compact probe is ``forward[0, 0]`` at index 1 and
+    zero elsewhere; the kernel compacts to the single sample
+    ``inverse[0, 0]``. The response is therefore nonzero at index 1 alone
+    (or nowhere, when ``forward[0, 0] * inverse[0, 0] == 0``, which fails),
+    the direct peak sits at ``phase + L``, and the offset is
+    ``(phase + L) - L * 1 = phase``. :func:`conv_projected_peaks` relies on
+    the offsets being nonnegative.
     """
     size = pair.size
     kernel = np.zeros(size)
@@ -406,3 +424,87 @@ def conv_projected_blocked(s, k, pair, cfg, counter=None):
         keep = (positions >= 0) & (positions < out_len)
         out[positions[keep]] = stream[keep]
     return out
+
+
+def project_kernel_bank(kernels, pair, projections, counter=None):
+    """Synthesis projections of equal-length kernels, stacked for
+    :func:`conv_projected_peaks`.
+
+    ``kernels`` is (E, N) with N divisible by the pair size; with M = N / L,
+    the result is the (projections * M, E) matrix whose row ``l * M + q``
+    holds every kernel's projection ``l`` at compact index ``M - 1 - q``
+    (each projection reversed, so a window of the compact signal times the
+    bank is a convolution). Computed once per bank, so the counter is charged
+    N per kernel per projection here, as :func:`conv_projected_blocked`
+    charges its kernel pass on every call.
+    """
+    k = np.asarray(kernels, dtype=np.float64)
+    if k.ndim != 2:
+        raise DimensionMismatch(f"expected a stack of kernels, got shape {k.shape}")
+    count, klen = k.shape
+    size = pair.size
+    if klen % size:
+        raise DimensionMismatch(
+            f"kernel length {klen} not divisible by projection size {size}")
+    compact = k.reshape(count, klen // size, size) @ pair.inverse[:projections].T
+    if counter is not None:
+        counter.add(count * klen * projections)
+    # (E, M, p) -> rows l * M + q, reversed along q
+    return np.ascontiguousarray(
+        compact[:, ::-1, :].transpose(2, 1, 0).reshape(-1, count))
+
+
+def conv_projected_peaks(s, bank, kernel_len, pair, cfg, counter=None):
+    """``max(abs(conv_projected_blocked(s, k)))`` for every kernel of a bank.
+
+    ``bank`` comes from :func:`project_kernel_bank` with
+    ``cfg.projections_used`` projections of kernels of length ``kernel_len``;
+    the result has one peak per bank column. Grouping, projection, phases
+    and placement follow :func:`conv_projected_blocked`. Each computed
+    phase projects the signal once, then one product of the compact
+    signal's sliding windows with the bank gives every kernel's compact
+    stream, restricted to the samples placement keeps inside the output.
+    Nothing else is needed for the peak: placement offsets are nonnegative
+    (see :func:`alignment_calibrate`), so every kept sample lands in the
+    output, and the remaining output samples are zero, copies of kept ones,
+    or linear interpolations between two kept ones, which never exceed the
+    larger of their magnitudes.
+
+    The counter is charged as :func:`conv_projected_blocked` charges one
+    call per kernel, less the kernel projections, which the bank paid for
+    once: one count per real signal sample per projection pass, plus the
+    full compact convolution products of every kernel. The count is that
+    convention, not a trace of the windowed product, which also multiplies
+    the window's zero padding.
+    """
+    cfg.check_pair(pair)
+    s = _as_signal(s, "signal")
+    size = pair.size
+    used = cfg.projections_used
+    compact_len = kernel_len // size
+    if kernel_len % size or bank.ndim != 2 or bank.shape[0] != used * compact_len:
+        raise DimensionMismatch(
+            f"bank of shape {bank.shape} does not hold {used} projections of "
+            f"length-{kernel_len} kernels at projection size {size}")
+    if not 1 <= kernel_len <= s.shape[0]:
+        raise DimensionMismatch(
+            f"need 1 <= kernel length <= signal length, got {kernel_len} and {s.shape[0]}")
+    out_len = s.shape[0] + kernel_len - 1
+    offsets = _calibrated_offsets(pair)
+    phases = range(size) if cfg.sample_mode is SampleMode.ALL_PHASES else (0,)
+    forward = pair.forward[:, :used].astype(s.dtype, copy=False)
+    peaks = np.zeros(bank.shape[1])
+    for phase in phases:
+        sc = _grouped(s, size, phase) @ forward
+        groups = sc.shape[0]
+        if counter is not None:
+            counter.add(used * (s.shape[0] - phase))
+            counter.add(used * groups * compact_len * bank.shape[1])
+        kept = min(-(-(out_len - offsets[phase]) // size), groups + compact_len - 1)
+        padded = np.zeros((used, groups + 2 * (compact_len - 1)), dtype=sc.dtype)
+        padded[:, compact_len - 1:compact_len - 1 + groups] = sc.T
+        # windows[j, l * M + q] = padded[l, j + q]
+        windows = sliding_window_view(padded, compact_len, axis=1)[:, :kept]
+        windows = windows.transpose(1, 0, 2).reshape(kept, -1)
+        np.maximum(peaks, np.abs(windows @ bank).max(axis=0), out=peaks)
+    return peaks

@@ -310,3 +310,139 @@ def test_xcorr_match_rejects_matrix_query():
     db = FeatureDb.from_arrays([("a", np.ones(4))])
     with pytest.raises(DimensionMismatch):
         xcorr_match(np.ones((2, 2)), db)
+
+
+HALF = SampleMode.HALF_INTERPOLATE
+
+
+def _projected_mode(pair, used=1, sample_mode=HALF):
+    return ConvMode(pair=pair, config=PrecisionConfig(pair.size, used,
+                                                      sample_mode=sample_mode))
+
+
+def _per_pair_match(query, db, mode):
+    """Reference: one ConvMode.correlate call per entry, the loop
+    xcorr_match's conventional mode runs."""
+    best_id, best_score = None, -np.inf
+    for entry_id, signal in db.entries:
+        energy = float(np.sum(signal * signal))
+        if energy == 0.0:
+            continue
+        padded = np.concatenate(
+            [query, np.zeros(max(0, signal.shape[0] - query.shape[0]))])
+        score = float(np.max(np.abs(mode.correlate(padded, signal)))) / energy
+        if score > best_score or (score == best_score and entry_id < best_id):
+            best_id, best_score = entry_id, score
+    return best_id, best_score
+
+
+@pytest.mark.parametrize("size", [2, 4, 8])
+@pytest.mark.parametrize("family,make", [("dct", make_dct_pair),
+                                         ("haar", make_haar_pair)])
+def test_projected_xcorr_match_equals_per_pair_reference(family, make, size):
+    rng = np.random.default_rng(size)
+    pair = make(size)
+    # two entry lengths, interleaved in the database
+    db = FeatureDb.from_arrays(
+        (f"e{i}", synth.ar_signal(4 * size if i % 2 else 6 * size, rng))
+        for i in range(7))
+    for used in sorted({1, size // 2, size}):
+        for sample_mode in SampleMode:
+            mode = _projected_mode(pair, used, sample_mode)
+            for qlen in (3 * size + 1, 4 * size, 6 * size, 9 * size + 3):
+                query = synth.ar_signal(qlen, rng)
+                want_id, want_score = _per_pair_match(query, db, mode)
+                got_id, got_score = xcorr_match(query, db, mode)
+                assert got_id == want_id
+                assert got_score == pytest.approx(want_score, rel=1e-12, abs=0)
+
+
+def test_projected_xcorr_match_tie_goes_to_lowest_id():
+    sig = np.ones(8)
+    db = FeatureDb.from_arrays([("zz", sig), ("mm", -sig), ("aa", sig.copy())])
+    matched, _ = xcorr_match(sig, db, _projected_mode(make_haar_pair(2)))
+    assert matched == "aa"
+
+
+def test_projected_xcorr_match_skips_zero_energy_entries():
+    mode = _projected_mode(make_haar_pair(2))
+    db = FeatureDb.from_arrays([("dead", np.zeros(8)), ("live", np.ones(8))])
+    for _ in range(2):    # the second call reuses the database's bank
+        with pytest.warns(ZeroEnergyEntry, match="dead"):
+            matched, _ = xcorr_match(np.ones(8), db, mode)
+        assert matched == "live"
+    all_dead = FeatureDb.from_arrays([("d1", np.zeros(4)), ("d2", np.zeros(4))])
+    with pytest.warns(ZeroEnergyEntry):
+        with pytest.raises(EmptyDb):
+            xcorr_match(np.ones(4), all_dead, mode)
+
+
+def test_projected_xcorr_match_rejects_matrix_query():
+    db = FeatureDb.from_arrays([("a", np.ones(4))])
+    with pytest.raises(DimensionMismatch):
+        xcorr_match(np.ones((2, 2)), db, _projected_mode(make_haar_pair(2)))
+
+
+def test_projected_xcorr_match_rejects_indivisible_entry_length():
+    db = FeatureDb.from_arrays([("a", np.ones(8)), ("odd", np.ones(7))])
+    with pytest.raises(DimensionMismatch, match="not divisible"):
+        xcorr_match(np.ones(16), db, _projected_mode(make_haar_pair(2)))
+
+
+def test_projected_xcorr_match_counts_bank_once():
+    pair = make_haar_pair(2)
+    used, size = 2, 2
+    mode = _projected_mode(pair, used, SampleMode.ALL_PHASES)
+    db = FeatureDb.from_arrays([("a", np.arange(1.0, 9.0)), ("b", np.ones(8)),
+                                ("c", np.arange(4.0)), ("z", np.zeros(6))])
+    qlen = 11
+
+    def per_query(length, entries):
+        # conv_projected_blocked's charges, per computed phase and projection:
+        # the signal pass plus each entry's compact product
+        total = 0
+        for phase in range(size):
+            groups = -(-(qlen - phase) // size)
+            total += used * ((qlen - phase) + entries * groups * (length // size))
+        return total
+
+    bank = used * (8 + 8 + 4)
+    query_macs = per_query(8, 2) + per_query(4, 1)
+    counter = MacCounter()
+    with pytest.warns(ZeroEnergyEntry):
+        xcorr_match(np.ones(qlen), db, mode, counter=counter)
+    assert counter.count == bank + query_macs
+    counter = MacCounter()
+    with pytest.warns(ZeroEnergyEntry):
+        xcorr_match(np.ones(qlen), db, mode, counter=counter)
+    assert counter.count == query_macs
+
+
+@pytest.mark.parametrize("bad,error", [
+    (np.ones(4) + 1j, DomainError),
+    (np.ones((2, 4)), DimensionMismatch),
+    (np.ones(0), DimensionMismatch),
+    (np.array([1.0, np.nan, 2.0]), DomainError),
+    (np.array([1.0, np.inf]), DomainError),
+], ids=["complex", "2-d", "empty", "nan", "inf"])
+def test_feature_db_rejects_bad_entries(bad, error):
+    with pytest.raises(error, match="entry 'bad'"):
+        FeatureDb.from_arrays([("ok", np.ones(4)), ("bad", bad)])
+    with pytest.raises(error):
+        FeatureDb(entries=(("bad", bad),))
+
+
+def test_feature_db_keeps_read_only_copies():
+    source = np.ones(8)
+    db = FeatureDb.from_arrays([("a", source)])
+    source[0] = 5.0
+    assert db.entries[0][1][0] == 1.0
+    with pytest.raises(ValueError):
+        db.entries[0][1][0] = 5.0
+
+
+def test_xcorr_match_rejects_complex_query():
+    db = FeatureDb.from_arrays([("a", np.ones(4))])
+    for mode in (ConvMode(), _projected_mode(make_haar_pair(2))):
+        with pytest.raises(DomainError, match="complex"):
+            xcorr_match(np.ones(4) + 1j, db, mode)

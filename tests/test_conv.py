@@ -16,9 +16,11 @@ from pkscale.conv import (
     conv_fft,
     conv_overlap_save,
     conv_projected_blocked,
+    conv_projected_peaks,
     conv_translate_project,
     cyclic_translate,
     permutation_matrix,
+    project_kernel_bank,
 )
 from pkscale.costs import MacCounter
 from pkscale.errors import (
@@ -183,6 +185,15 @@ def test_calibration_offsets_are_identity_ramp(family, make, size):
     assert alignment_calibrate(make(size)) == tuple(range(size))
 
 
+def test_calibration_offsets_are_identity_ramp_for_random_pairs():
+    # conv_projected_peaks relies on every placement offset being >= 0
+    rng = np.random.default_rng(2024)
+    for _ in range(50):
+        size = int(rng.integers(2, 17))
+        pair = make_custom_pair(rng.standard_normal((size, size)))
+        assert alignment_calibrate(pair) == tuple(range(size))
+
+
 def test_calibration_rejects_swap_pair():
     swap = make_custom_pair(np.array([[0.0, 1.0], [1.0, 0.0]]))
     with pytest.raises(CalibrationFailed):
@@ -259,3 +270,34 @@ def test_blocked_preserves_float32():
     k = np.ones(4, dtype=np.float32)
     out = conv_projected_blocked(s, k, pair, PrecisionConfig(2, 1))
     assert out.dtype == np.float32
+
+
+@pytest.mark.parametrize("mode", list(SampleMode))
+@pytest.mark.parametrize("family,make", [("dct", make_dct_pair),
+                                         ("haar", make_haar_pair)])
+def test_peaks_match_blocked_kernel_per_kernel(mode, family, make):
+    rng = np.random.default_rng(31)
+    pair = make(4)
+    cfg = PrecisionConfig(4, 2, sample_mode=mode)
+    kernels = rng.standard_normal((5, 12))
+    bank = project_kernel_bank(kernels, pair, 2)
+    assert bank.shape == (2 * 3, 5)
+    for slen in (12, 13, 30):
+        s = rng.standard_normal(slen)
+        want = [np.abs(conv_projected_blocked(s, k, pair, cfg)).max() for k in kernels]
+        assert_allclose(conv_projected_peaks(s, bank, 12, pair, cfg), want,
+                        rtol=1e-12, atol=0)
+
+
+def test_peaks_validate_bank_and_lengths():
+    pair = make_haar_pair(2)
+    cfg = PrecisionConfig(2, 1)
+    with pytest.raises(DimensionMismatch):
+        project_kernel_bank(np.ones((2, 5)), pair, 1)
+    bank = project_kernel_bank(np.ones((2, 8)), pair, 1)
+    with pytest.raises(DimensionMismatch):
+        conv_projected_peaks(np.ones(16), bank, 8, pair, PrecisionConfig(2, 2))
+    with pytest.raises(DimensionMismatch):
+        conv_projected_peaks(np.ones(6), bank, 8, pair, cfg)
+    with pytest.raises(DomainError):
+        conv_projected_peaks(np.ones(16), bank, 8, pair, PrecisionConfig(4, 1))
