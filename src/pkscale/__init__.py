@@ -14,14 +14,12 @@ from .conv import (
     ConvDomain,
     ConvPlan,
     ConvVariant,
-    alignment_calibrate,
     conv_direct,
     conv_fft,
     conv_overlap_save,
     conv_projected_blocked,
     conv_translate_project,
     cyclic_translate,
-    permutation_matrix,
 )
 from .costs import (
     Domain,
@@ -40,7 +38,6 @@ from .costs import (
 )
 from .gemm import (
     BlockedOperand,
-    GemmPlan,
     Orientation,
     gemm_conventional,
     gemm_partial,
@@ -70,14 +67,12 @@ __all__ = [
     "ConvDomain",
     "ConvPlan",
     "ConvVariant",
-    "alignment_calibrate",
     "conv_direct",
     "conv_fft",
     "conv_overlap_save",
     "conv_projected_blocked",
     "conv_translate_project",
     "cyclic_translate",
-    "permutation_matrix",
     "Domain",
     "MacCounter",
     "MemoryEstimate",
@@ -92,7 +87,6 @@ __all__ = [
     "mem_transfer",
     "ratio_table",
     "BlockedOperand",
-    "GemmPlan",
     "Orientation",
     "gemm_conventional",
     "gemm_partial",

@@ -36,6 +36,7 @@ from .errors import (
 )
 from .gemm import gemm_projected, project_right_operand
 from .io import load_manifest, load_matrix, load_signal, read_pgm
+from .projection import _as_real
 
 JACOBI_TOL_FACTOR = 1e-10
 JACOBI_MAX_SWEEPS = 100
@@ -333,12 +334,9 @@ def ingest_images(pattern, crop=None, fmt=ImageFormat.PGM):
 def _checked_signal(x, name):
     """``x`` as a contiguous float64 array, checked to be a nonempty, finite,
     real 1-D signal."""
-    x = np.asarray(x)
-    if np.iscomplexobj(x):
-        raise DomainError(f"{name} is complex; only real signals are supported")
-    if x.ndim != 1 or x.shape[0] == 0:
-        raise DimensionMismatch(f"{name} must be a nonempty 1-D signal, got shape {x.shape}")
-    x = np.ascontiguousarray(x, dtype=np.float64)
+    x = _as_real(x, 1, name).astype(np.float64, copy=False)
+    if x.shape[0] == 0:
+        raise DimensionMismatch(f"{name} must be a nonempty 1-D signal")
     if not np.all(np.isfinite(x)):
         raise DomainError(f"{name} contains non-finite values")
     return x
@@ -346,12 +344,12 @@ def _checked_signal(x, name):
 
 @dataclass(frozen=True)
 class _LengthGroup:
-    """The nonzero-energy entries of one length, ready for batched scoring."""
+    """The nonzero-energy entries of one length, scored together."""
 
     length: int
     ids: tuple
     energies: np.ndarray
-    bank: np.ndarray          # project_kernel_bank of the reversed entries
+    signals: tuple
 
 
 @dataclass(frozen=True)
@@ -360,11 +358,14 @@ class FeatureDb:
 
     Entries are checked once, here: each must be a nonempty, finite, real
     1-D signal, and is stored as a read-only float64 copy. Projected matching
-    keeps one bank of entry projections per (pair, projections used), built
-    on first use; the copies keep it in step with the entries.
+    scores the nonzero-energy entries of one length together, against a bank
+    of their projections built on first use and kept per (pair, projections
+    used, phase); the copies keep the banks in step with the entries.
     """
 
     entries: tuple            # of (id, 1-D float array)
+    _dead: tuple = field(init=False, repr=False, compare=False)
+    _groups: tuple = field(init=False, repr=False, compare=False)
     _banks: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -376,6 +377,20 @@ class FeatureDb:
             sig.setflags(write=False)
             entries.append((entry_id, sig))
         object.__setattr__(self, "entries", tuple(entries))
+        energies = [float(np.sum(sig * sig)) for _, sig in entries]
+        object.__setattr__(self, "_dead", tuple(
+            entry_id for (entry_id, _), energy in zip(entries, energies) if energy == 0.0))
+        live = [(entry_id, sig, energy) for (entry_id, sig), energy
+                in zip(entries, energies) if energy != 0.0]
+        groups = []
+        for length in dict.fromkeys(sig.shape[0] for _, sig, _ in live):
+            members = [m for m in live if m[1].shape[0] == length]
+            groups.append(_LengthGroup(
+                length=length,
+                ids=tuple(entry_id for entry_id, _, _ in members),
+                energies=np.array([energy for _, _, energy in members]),
+                signals=tuple(sig for _, sig, _ in members)))
+        object.__setattr__(self, "_groups", tuple(groups))
 
     @classmethod
     def from_manifest(cls, path):
@@ -389,32 +404,19 @@ class FeatureDb:
     def from_arrays(cls, pairs):
         return cls(entries=tuple((str(entry_id), sig) for entry_id, sig in pairs))
 
-    def _projected(self, pair, projections, counter=None):
-        """(ids of zero-energy entries, the other entries grouped by length).
+    def _bank(self, group, pair, projections, phase, counter=None):
+        """:func:`project_kernel_bank` of a group's reversed entries.
 
-        Built once per (pair, projections) and kept; the counter of the call
-        that builds it is charged for the entry projections.
+        Built once per (group, pair, projections, phase) and kept; the
+        counter of the call that builds it is charged for the projections.
         """
-        key = (pair.size, pair.forward.tobytes(), projections)
-        cached = self._banks.get(key)
-        if cached is None:
-            energies = [float(np.sum(sig * sig)) for _, sig in self.entries]
-            dead = tuple(entry_id for (entry_id, _), energy
-                         in zip(self.entries, energies) if energy == 0.0)
-            live = [(entry_id, sig, energy) for (entry_id, sig), energy
-                    in zip(self.entries, energies) if energy != 0.0]
-            groups = []
-            for length in dict.fromkeys(sig.shape[0] for _, sig, _ in live):
-                members = [m for m in live if m[1].shape[0] == length]
-                stack = np.stack([sig for _, sig, _ in members])
-                groups.append(_LengthGroup(
-                    length=length,
-                    ids=tuple(entry_id for entry_id, _, _ in members),
-                    energies=np.array([energy for _, _, energy in members]),
-                    bank=project_kernel_bank(stack[:, ::-1], pair, projections,
-                                             counter=counter)))
-            cached = self._banks[key] = (dead, tuple(groups))
-        return cached
+        key = (group.length, pair.size, pair.forward.tobytes(), projections, phase)
+        bank = self._banks.get(key)
+        if bank is None:
+            bank = self._banks[key] = project_kernel_bank(
+                np.stack(group.signals)[:, ::-1], pair, projections, phase,
+                counter=counter)
+        return bank
 
 
 def xcorr_match(query, db, mode=ConvMode(), counter=None):
@@ -464,19 +466,19 @@ def _pad_to(query, length):
 
 
 def _xcorr_match_projected(query, db, mode, counter):
-    dead, groups = db._projected(mode.pair, mode.config.projections_used,
-                                 counter=counter)
-    for entry_id in dead:
+    pair, cfg = mode.pair, mode.config
+    for entry_id in db._dead:
         warnings.warn(f"entry {entry_id!r} has zero energy, skipped",
                       ZeroEnergyEntry, stacklevel=3)
-    if not groups:
+    if not db._groups:
         raise EmptyDb("every database entry was skipped as zero-energy")
     ids = []
     scores = []
-    for group in groups:
-        peaks = conv_projected_peaks(_pad_to(query, group.length), group.bank,
-                                     group.length, mode.pair, mode.config,
-                                     counter=counter)
+    for group in db._groups:
+        banks = [db._bank(group, pair, cfg.projections_used, phase, counter=counter)
+                 for phase in cfg.phases()]
+        peaks = conv_projected_peaks(_pad_to(query, group.length), banks,
+                                     group.length, pair, cfg, counter=counter)
         ids.extend(group.ids)
         scores.append(peaks / group.energies)
     scores = np.concatenate(scores)

@@ -48,7 +48,6 @@ from .costs import (
     ratio_table,
 )
 from .errors import (
-    CalibrationFailed,
     ConfigError,
     ConvergenceFailure,
     DimensionMismatch,
@@ -77,7 +76,6 @@ _DATA_ERRORS = (
     SingularMatrix,
     DimensionMismatch,
     DomainError,
-    CalibrationFailed,
     ConvergenceFailure,
     OSError,
 )
@@ -174,8 +172,6 @@ def cmd_bench_conv(args):
     _check_positive(args.reps, "--reps")
     if args.n > args.w:
         raise ConfigError(f"kernel length {args.n} exceeds block length {args.w}")
-    if args.n % args.L:
-        raise ConfigError(f"kernel length {args.n} is not a multiple of L={args.L}")
     pair = _build_pair(args.family, args.L)
     rng = np.random.default_rng(args.seed)
     s = _cast(synth.ar_signal(args.w, rng), args.precision)

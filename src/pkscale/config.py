@@ -40,6 +40,13 @@ class PrecisionConfig:
             raise DomainError(
                 f"projections_used {self.projections_used} outside [1, {self.projection_size}]")
 
+    def phases(self):
+        """The output phases a projected convolution computes: all L for
+        ALL_PHASES, phase 0 alone for HALF_INTERPOLATE."""
+        if self.sample_mode is SampleMode.ALL_PHASES:
+            return range(self.projection_size)
+        return range(1)
+
     def check_pair(self, pair):
         if pair.size != self.projection_size:
             raise DomainError(

@@ -14,15 +14,17 @@ Projection paths come in two flavors:
   every index reproduces the direct result exactly. Circular variants
   translate cyclically; linear variants zero-extend instead.
 
-* :func:`conv_projected_blocked` is the fast approximate path: it convolves
-  compacted (projected) sequences at 1/L the rate and places the partial
-  results at output stride L using calibrated integer offsets. It is not
-  exact even with all projections kept (the cross-phase delay terms are
-  dropped); expect roughly 20 dB output SNR on low-frequency data with one
-  projection at size 2.
+* :func:`conv_projected_blocked` is the fast path, the polyphase
+  decomposition of the convolution with the pair inserted into every
+  polyphase inner product. The signal is projected once, in groups of L
+  from sample 0; for each computed output phase r the kernel's reversed
+  groups are projected; convolving the compact sequences at 1/L the rate
+  gives output samples r, r + L, r + 2L, ... directly. Keeping the first p
+  projections is the graceful approximation, keeping all L reproduces
+  :func:`conv_direct` to rounding, and any kernel length works.
 
 * :func:`conv_projected_peaks` runs the same path for one signal against a
-  bank of equal-length kernels whose projections
+  bank of equal-length kernels whose per-phase projections
   :func:`project_kernel_bank` computed once. It returns only each output's
   peak magnitude: every kernel's compact stream comes from one matrix
   product of the compact signal's sliding windows with the bank, and
@@ -39,8 +41,8 @@ import scipy.fft
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .config import SampleMode
-from .errors import CalibrationFailed, DimensionMismatch, DomainError, IndexOutOfRange
-from .projection import _grouped, project_signal, project_signal_dual
+from .errors import DimensionMismatch, DomainError, IndexOutOfRange
+from .projection import _as_real, _grouped, project_signal, project_signal_dual
 
 
 class ConvVariant(enum.Enum):
@@ -77,40 +79,15 @@ class ConvPlan:
         return cls(3 * kernel_len + 1, kernel_len, domain)
 
 
-def _as_signal(x, name):
-    x = np.asarray(x)
-    if x.dtype not in (np.float32, np.float64):
-        x = x.astype(np.float64)
-    if x.ndim != 1:
-        raise DimensionMismatch(f"{name} must be 1-D, got shape {x.shape}")
-    return np.ascontiguousarray(x)
-
-
 def _check_linear(s, k):
     if not (1 <= k.shape[0] <= s.shape[0]):
         raise DimensionMismatch(
             f"need 1 <= kernel length <= signal length, got {k.shape[0]} and {s.shape[0]}")
 
 
-def permutation_matrix(n, size):
-    """Cyclic translation matrix: identity blocks swapped about position n.
-
-    Right-multiplying a row vector by it rotates the vector left by ``n``;
-    ``n = 0`` is the identity and composition adds translation indices mod
-    ``size``.
-    """
-    if not (0 <= n < size):
-        raise IndexOutOfRange(f"translation {n} outside [0, {size})")
-    p = np.zeros((size, size))
-    if n:
-        p[np.arange(n), size - n + np.arange(n)] = 1.0
-    p[n + np.arange(size - n), np.arange(size - n)] = 1.0
-    return p
-
-
 def cyclic_translate(v, n):
     """Rotate left by ``n``: out[j] = v[(j + n) mod len(v)]."""
-    v = _as_signal(v, "vector")
+    v = _as_real(v, 1, "vector")
     if not (0 <= n < v.shape[0]):
         raise IndexOutOfRange(f"translation {n} outside [0, {v.shape[0]})")
     return np.roll(v, -n)
@@ -124,8 +101,8 @@ def conv_direct(s, k, variant=ConvVariant.CONV, counter=None):
     with ``k[m + n]``, so output index ``m`` holds lag ``m - (len(k) - 1)``.
     Circular variants need equal lengths N and wrap the kernel index mod N.
     """
-    s = _as_signal(s, "signal")
-    k = _as_signal(k, "kernel")
+    s = _as_real(s, 1, "signal")
+    k = _as_real(k, 1, "kernel")
     if variant in (ConvVariant.CONV, ConvVariant.XCORR):
         _check_linear(s, k)
         if counter is not None:
@@ -158,8 +135,8 @@ def _fft_linear(s, k, out_len):
 
 def conv_fft(s, k):
     """Linear convolution through an FFT zero-padded to the next power of two."""
-    s = _as_signal(s, "signal")
-    k = _as_signal(k, "kernel")
+    s = _as_real(s, 1, "signal")
+    k = _as_real(k, 1, "kernel")
     _check_linear(s, k)
     return _fft_linear(s, k, s.shape[0] + k.shape[0] - 1)
 
@@ -172,8 +149,8 @@ def conv_overlap_save(s, k, plan, counter=None):
     aliasing-free tail of every block is kept. The assembled output equals
     :func:`conv_direct` for any legal segmentation.
     """
-    s = _as_signal(s, "signal")
-    k = _as_signal(k, "kernel")
+    s = _as_real(s, 1, "signal")
+    k = _as_real(k, 1, "kernel")
     _check_linear(s, k)
     if plan.kernel_len != k.shape[0]:
         raise DimensionMismatch(
@@ -240,8 +217,8 @@ def conv_translate_project(a, b, pair, cfg, variant=ConvVariant.CIRC_XCORR):
     at ``(n - 1) mod N`` for circular convolution.
     """
     cfg.check_pair(pair)
-    a = _as_signal(a, "signal")
-    b = _as_signal(b, "kernel")
+    a = _as_real(a, 1, "signal")
+    b = _as_real(b, 1, "kernel")
     used = cfg.projections_used
     size = pair.size
     forward = pair.forward[:, :used]
@@ -280,231 +257,171 @@ def conv_translate_project(a, b, pair, cfg, variant=ConvVariant.CIRC_XCORR):
     return out
 
 
-def alignment_calibrate(pair):
-    """Per-phase output offsets for :func:`conv_projected_blocked`.
+def _compact_kernel_len(kernel_len, size):
+    """Q = ceil((N + L - 1) / L), the compact kernel length of every phase."""
+    return -(-(kernel_len + size - 1) // size)
 
-    Sends group-aligned unit impulses (signal impulse at the start of the
-    phase's second group, kernel impulse at position zero) through the
-    first-projection compact path and locates the response peak against the
-    direct convolution's peak. Raises :class:`CalibrationFailed` when the
-    response has no unique peak, which flags a pair unusable in blocked mode.
-    The result is deterministic, so recalibration always reproduces it.
 
-    Every pair that calibrates gets offsets ``(0, 1, ..., L-1)``. Grouped
-    from ``phase``, the probe's only nonzero sample ``probe[phase + L]``
-    opens group 1, so the compact probe is ``forward[0, 0]`` at index 1 and
-    zero elsewhere; the kernel compacts to the single sample
-    ``inverse[0, 0]``. The response is therefore nonzero at index 1 alone
-    (or nowhere, when ``forward[0, 0] * inverse[0, 0] == 0``, which fails),
-    the direct peak sits at ``phase + L``, and the offset is
-    ``(phase + L) - L * 1 = phase``. :func:`conv_projected_peaks` relies on
-    the offsets being nonnegative.
+def _reversed_kernel(k, size):
+    """The kernels along the last axis of ``k``, reversed into zero buffers
+    of Q*L + L - 1 samples: ``buf[m] = k[Q*L - 1 - m]``.
+
+    Grouped from phase L - 1 - r, group g of a buffer holds
+    ``k[(Q-1-g)*L + r - t]`` at position t, so its synthesis projection l is
+    ``kd_{r,l}[Q-1-g]``, the phase-r kernel projection in reverse order.
     """
-    size = pair.size
-    kernel = np.zeros(size)
-    kernel[0] = 1.0
-    kd = project_signal_dual(kernel, pair, 0, 0)
-    offsets = []
-    for phase in range(size):
-        probe = np.zeros(4 * size)
-        probe[phase + size] = 1.0
-        sc = project_signal(probe, pair, 0, phase)
-        response = np.convolve(sc, kd)
-        mag = np.abs(response)
-        peak = mag.max()
-        if peak <= 0.0 or int((mag == peak).sum()) > 1:
-            raise CalibrationFailed(
-                f"no unique first-projection impulse response peak for phase {phase}")
-        direct = np.abs(np.convolve(probe, kernel))
-        offsets.append(int(np.argmax(direct)) - size * int(np.argmax(mag)))
-    return tuple(offsets)
+    n = k.shape[-1]
+    length = _compact_kernel_len(n, size) * size
+    buf = np.zeros(k.shape[:-1] + (length + size - 1,), dtype=k.dtype)
+    buf[..., length - n:length] = k[..., ::-1]
+    return buf
 
 
-_OFFSET_CACHE = {}
-
-
-def _calibrated_offsets(pair):
-    """Calibration result memoized on the pair's coefficient bytes."""
-    key = (pair.size, pair.forward.tobytes())
-    offsets = _OFFSET_CACHE.get(key)
-    if offsets is None:
-        offsets = alignment_calibrate(pair)
-        _OFFSET_CACHE[key] = offsets
-    return offsets
-
-
-def _interp_uniform(out_len, offset, stride, stream, dtype):
-    """Linear interpolation from the uniform grid offset + stride*j onto
-    integer targets 0..out_len-1, clamping targets outside the grid to the
-    end values. Works one stride-residue class at a time so every class is a
-    strided slice assignment instead of a gather."""
-    m = stream.shape[0]
+def _interp_uniform(out_len, stride, stream, dtype):
+    """Linear interpolation from the grid stride*j onto integer targets
+    0..out_len-1, holding the last value past the grid's end. Works one
+    stride-residue class at a time so every class is a strided slice
+    assignment instead of a gather."""
     out = np.empty(out_len, dtype=dtype)
-    if m == 1:
-        out[:] = stream[0]
-        return out
-    top = offset + stride * (m - 1)          # last target computed exactly
-    lo = max(0, min(offset, out_len))
-    hi = max(lo, min(top + 1, out_len))
-    out[:lo] = stream[0]
+    hi = min(stride * (stream.shape[0] - 1) + 1, out_len)
     out[hi:] = stream[-1]
     diff = stream[1:] - stream[:-1]
-    for rem in range(stride):
-        start = offset + rem
-        jlo = 0
-        if start < 0:
-            jlo = -(-(-start) // stride)
-            start += stride * jlo
-        if start >= hi:
-            continue
-        count = (hi - 1 - start) // stride + 1
-        target = slice(start, start + stride * count, stride)
+    for rem in range(min(stride, hi)):
+        count = (hi - 1 - rem) // stride + 1
+        target = slice(rem, rem + stride * count, stride)
         if rem == 0:
-            out[target] = stream[jlo:jlo + count]
+            out[target] = stream[:count]
         else:
-            out[target] = stream[jlo:jlo + count] \
-                + (rem / stride) * diff[jlo:jlo + count]
+            out[target] = stream[:count] + (rem / stride) * diff[:count]
     return out
 
 
 def conv_projected_blocked(s, k, pair, cfg, counter=None):
-    """Fast approximate convolution on compacted sequences.
+    """Convolution on compacted sequences, exact with every projection kept.
 
-    For each kept projection ``l`` and computed phase, the phase-shifted
-    signal projection is convolved against the kernel's synthesis projection
-    at 1/L rate; the summed partial stream is placed at output stride L using
-    the calibrated per-phase offset. HALF_INTERPOLATE computes phase 0 only
-    and fills the other positions by linear interpolation between computed
-    neighbors (border positions take the nearest computed value); ALL_PHASES
-    computes every phase and leaves never-written border positions zero.
+    With ``C = pair.forward``, ``D = pair.inverse`` and L the pair size, the
+    signal is projected once in groups from sample 0,
+    ``sc_l[i] = sum_t s[i*L + t] C[t, l]``, and for each computed output
+    phase r the kernel's reversed groups are projected,
+    ``kd_{r,l}[q] = sum_t D[l, t] k[q*L + r - t]`` for q < Q =
+    ceil((N + L - 1) / L). Since ``C @ D == I``, summing the compact
+    convolutions over every l gives ``y[j*L + r] = sum_l (sc_l * kd_{r,l})[j]``
+    exactly; the first ``cfg.projections_used`` terms are the approximation.
+    Any kernel length from 1 to ``len(s)`` works. ALL_PHASES computes every
+    phase; HALF_INTERPOLATE computes phase 0 only and fills the other
+    positions by linear interpolation between computed neighbors (positions
+    past the last computed sample take its value).
 
-    Output length is ``len(s) + len(k) - 1``. This path is approximate even
-    with all projections kept; :func:`conv_translate_project` is the exact
-    reference. The counter charges one count per real signal sample per
-    projection pass, plus the full compact convolution products; partial-sum
-    additions and interpolation are not charged.
+    Output length is ``len(s) + len(k) - 1``. The counter charges p * len(s)
+    for the signal pass, and per computed phase p * N for the kernel pass plus
+    p * G * Q for the compact convolutions (G = ceil(len(s) / L) compact
+    signal samples); partial-sum additions and interpolation are not charged.
     """
     cfg.check_pair(pair)
-    s = _as_signal(s, "signal")
-    k = _as_signal(k, "kernel")
+    s = _as_real(s, 1, "signal")
+    k = _as_real(k, 1, "kernel")
     _check_linear(s, k)
     size = pair.size
-    if k.shape[0] % size:
-        raise DimensionMismatch(
-            f"kernel length {k.shape[0]} not divisible by projection size {size}")
     used = cfg.projections_used
     out_len = s.shape[0] + k.shape[0] - 1
-    offsets = _calibrated_offsets(pair)
-    kd = []
-    for l in range(used):
-        kd.append(project_signal_dual(k, pair, l, 0))
-        if counter is not None:
-            counter.add(k.shape[0])
-    phases = range(size) if cfg.sample_mode is SampleMode.ALL_PHASES else (0,)
+    compact_len = _compact_kernel_len(k.shape[0], size)
+    sc = [project_signal(s, pair, l) for l in range(used)]
+    buffer = _reversed_kernel(k, size)
+    if counter is not None:
+        counter.add(used * s.shape[0])
     out = np.zeros(out_len, dtype=_dtype_of(s, k))
-    for phase in phases:
-        stream = None
+    for phase in cfg.phases():
+        stream = 0
         for l in range(used):
-            sc = project_signal(s, pair, l, phase)
-            if counter is not None:
-                counter.add(s.shape[0] - phase)
-                counter.add(sc.shape[0] * kd[l].shape[0])
-            part = np.convolve(sc, kd[l])
-            stream = part if stream is None else stream + part
+            kd = project_signal_dual(buffer, pair, l, size - 1 - phase)[compact_len - 1::-1]
+            stream = stream + np.convolve(sc[l], kd)
+        if counter is not None:
+            counter.add(used * k.shape[0])
+            counter.add(used * sc[0].shape[0] * compact_len)
+        kept = -(-(out_len - phase) // size)
         if cfg.sample_mode is SampleMode.HALF_INTERPOLATE:
-            in_range = -(-(out_len - offsets[phase]) // size)
-            if in_range < 1:
-                raise DomainError(
-                    f"calibrated offset {offsets[phase]} places no computed "
-                    f"sample inside the {out_len}-sample output")
-            return _interp_uniform(out_len, offsets[phase], size,
-                                   stream[:min(in_range, stream.shape[0])],
-                                   out.dtype)
-        positions = offsets[phase] + size * np.arange(stream.shape[0])
-        keep = (positions >= 0) & (positions < out_len)
-        out[positions[keep]] = stream[keep]
+            return _interp_uniform(out_len, size, stream[:kept], out.dtype)
+        out[phase::size] = stream[:kept]
     return out
 
 
-def project_kernel_bank(kernels, pair, projections, counter=None):
-    """Synthesis projections of equal-length kernels, stacked for
-    :func:`conv_projected_peaks`.
+def project_kernel_bank(kernels, pair, projections, phase, counter=None):
+    """Phase-``phase`` synthesis projections of equal-length kernels, stacked
+    for :func:`conv_projected_peaks`.
 
-    ``kernels`` is (E, N) with N divisible by the pair size; with M = N / L,
-    the result is the (projections * M, E) matrix whose row ``l * M + q``
-    holds every kernel's projection ``l`` at compact index ``M - 1 - q``
-    (each projection reversed, so a window of the compact signal times the
-    bank is a convolution). Computed once per bank, so the counter is charged
-    N per kernel per projection here, as :func:`conv_projected_blocked`
-    charges its kernel pass on every call.
+    ``kernels`` is (E, N); with Q = ceil((N + L - 1) / L), the result is the
+    (projections * Q, E) matrix whose row ``l * Q + q`` holds every kernel's
+    ``kd_{phase,l}[Q - 1 - q]`` (see :func:`conv_projected_blocked`; each
+    projection reversed, so a window of the compact signal times the bank is
+    a convolution). Computed once per bank, so the counter is charged N per
+    kernel per projection here, as :func:`conv_projected_blocked` charges its
+    kernel pass for each phase on every call.
     """
-    k = np.asarray(kernels, dtype=np.float64)
-    if k.ndim != 2:
-        raise DimensionMismatch(f"expected a stack of kernels, got shape {k.shape}")
-    count, klen = k.shape
+    k = _as_real(kernels, 2, "kernel stack")
     size = pair.size
-    if klen % size:
-        raise DimensionMismatch(
-            f"kernel length {klen} not divisible by projection size {size}")
-    compact = k.reshape(count, klen // size, size) @ pair.inverse[:projections].T
+    if not 0 <= phase < size:
+        raise IndexOutOfRange(f"phase {phase} outside [0, {size})")
+    count, klen = k.shape
+    compact_len = _compact_kernel_len(klen, size)
+    start = size - 1 - phase
+    groups = _reversed_kernel(k, size)[:, start:start + compact_len * size]
+    compact = groups.reshape(count, compact_len, size) @ pair.inverse[:projections].T
     if counter is not None:
         counter.add(count * klen * projections)
-    # (E, M, p) -> rows l * M + q, reversed along q
-    return np.ascontiguousarray(
-        compact[:, ::-1, :].transpose(2, 1, 0).reshape(-1, count))
+    # (E, Q, p) -> rows l * Q + q
+    return np.ascontiguousarray(compact.transpose(2, 1, 0).reshape(-1, count))
 
 
-def conv_projected_peaks(s, bank, kernel_len, pair, cfg, counter=None):
+def conv_projected_peaks(s, banks, kernel_len, pair, cfg, counter=None):
     """``max(abs(conv_projected_blocked(s, k)))`` for every kernel of a bank.
 
-    ``bank`` comes from :func:`project_kernel_bank` with
-    ``cfg.projections_used`` projections of kernels of length ``kernel_len``;
-    the result has one peak per bank column. Grouping, projection, phases
-    and placement follow :func:`conv_projected_blocked`. Each computed
-    phase projects the signal once, then one product of the compact
-    signal's sliding windows with the bank gives every kernel's compact
-    stream, restricted to the samples placement keeps inside the output.
-    Nothing else is needed for the peak: placement offsets are nonnegative
-    (see :func:`alignment_calibrate`), so every kept sample lands in the
-    output, and the remaining output samples are zero, copies of kept ones,
-    or linear interpolations between two kept ones, which never exceed the
-    larger of their magnitudes.
+    ``banks`` holds one :func:`project_kernel_bank` result per phase of
+    ``cfg.phases()``, in that order, each with ``cfg.projections_used``
+    projections of the same kernels of length ``kernel_len``; the result has
+    one peak per bank column. The signal is projected once, as in
+    :func:`conv_projected_blocked`; then, per computed phase, one product of
+    the compact signal's sliding windows with that phase's bank gives every
+    kernel's compact stream, restricted to the samples that land inside the
+    output. Nothing else is needed for the peak: the remaining output samples
+    are zero, copies of computed ones, or linear interpolations between two
+    computed ones, which never exceed the larger of their magnitudes.
 
     The counter is charged as :func:`conv_projected_blocked` charges one
-    call per kernel, less the kernel projections, which the bank paid for
-    once: one count per real signal sample per projection pass, plus the
-    full compact convolution products of every kernel. The count is that
+    call per kernel, less the kernel projections, which the banks paid for
+    once, and with the signal pass charged once for all kernels: p * len(s),
+    plus p * G * Q per kernel and computed phase. The count is that
     convention, not a trace of the windowed product, which also multiplies
     the window's zero padding.
     """
     cfg.check_pair(pair)
-    s = _as_signal(s, "signal")
+    s = _as_real(s, 1, "signal")
     size = pair.size
     used = cfg.projections_used
-    compact_len = kernel_len // size
-    if kernel_len % size or bank.ndim != 2 or bank.shape[0] != used * compact_len:
+    phases = cfg.phases()
+    compact_len = _compact_kernel_len(kernel_len, size)
+    if len(banks) != len(phases) or any(
+            np.shape(b) != (used * compact_len, np.shape(banks[0])[-1]) for b in banks):
         raise DimensionMismatch(
-            f"bank of shape {bank.shape} does not hold {used} projections of "
+            f"banks do not hold {len(phases)} phases of {used} projections of "
             f"length-{kernel_len} kernels at projection size {size}")
     if not 1 <= kernel_len <= s.shape[0]:
         raise DimensionMismatch(
             f"need 1 <= kernel length <= signal length, got {kernel_len} and {s.shape[0]}")
     out_len = s.shape[0] + kernel_len - 1
-    offsets = _calibrated_offsets(pair)
-    phases = range(size) if cfg.sample_mode is SampleMode.ALL_PHASES else (0,)
-    forward = pair.forward[:, :used].astype(s.dtype, copy=False)
-    peaks = np.zeros(bank.shape[1])
-    for phase in phases:
-        sc = _grouped(s, size, phase) @ forward
-        groups = sc.shape[0]
+    sc = _grouped(s, size, 0) @ pair.forward[:, :used].astype(s.dtype, copy=False)
+    groups = sc.shape[0]
+    if counter is not None:
+        counter.add(used * s.shape[0])
+    padded = np.zeros((used, groups + 2 * (compact_len - 1)), dtype=sc.dtype)
+    padded[:, compact_len - 1:compact_len - 1 + groups] = sc.T
+    # windows[j, l * Q + q] = padded[l, j + q]; phase 0 keeps the most samples
+    kept = -(-out_len // size)
+    windows = sliding_window_view(padded, compact_len, axis=1)[:, :kept]
+    windows = windows.transpose(1, 0, 2).reshape(kept, -1)
+    peaks = np.zeros(banks[0].shape[1])
+    for phase, bank in zip(phases, banks):
         if counter is not None:
-            counter.add(used * (s.shape[0] - phase))
             counter.add(used * groups * compact_len * bank.shape[1])
-        kept = min(-(-(out_len - offsets[phase]) // size), groups + compact_len - 1)
-        padded = np.zeros((used, groups + 2 * (compact_len - 1)), dtype=sc.dtype)
-        padded[:, compact_len - 1:compact_len - 1 + groups] = sc.T
-        # windows[j, l * M + q] = padded[l, j + q]
-        windows = sliding_window_view(padded, compact_len, axis=1)[:, :kept]
-        windows = windows.transpose(1, 0, 2).reshape(kept, -1)
-        np.maximum(peaks, np.abs(windows @ bank).max(axis=0), out=peaks)
+        stream = windows[:-(-(out_len - phase) // size)] @ bank
+        np.maximum(peaks, np.abs(stream).max(axis=0), out=peaks)
     return peaks

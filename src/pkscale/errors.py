@@ -21,10 +21,6 @@ class SingularMatrix(ValueError):
     """A projection matrix is singular or too ill-conditioned to invert."""
 
 
-class CalibrationFailed(RuntimeError):
-    """Blocked-path alignment calibration found no unambiguous response peak."""
-
-
 class CounterMismatch(RuntimeError):
     """An instrumented operation counter disagrees with the analytic model."""
 

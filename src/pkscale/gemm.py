@@ -18,15 +18,12 @@ result charges one count per output element.
 from __future__ import annotations
 
 import enum
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DimensionMismatch, DomainError
-from .projection import project_cols, project_rows
-
-DEFAULT_SIMD_BITS = 128
+from .projection import _as_real, project_cols, project_rows
 
 
 class Orientation(enum.Enum):
@@ -34,59 +31,8 @@ class Orientation(enum.Enum):
     COL_WISE = "col"     # blocks scanned column-by-column, column-major inside
 
 
-def _as_float_2d(a, name):
-    a = np.asarray(a)
-    if a.dtype not in (np.float32, np.float64):
-        a = a.astype(np.float64)
-    if a.ndim != 2:
-        raise DimensionMismatch(f"{name} must be 2-D, got shape {a.shape}")
-    return np.ascontiguousarray(a)
-
-
 def _result_dtype(a, b):
     return np.float32 if (a.dtype == np.float32 and b.dtype == np.float32) else np.float64
-
-
-@dataclass(frozen=True)
-class GemmPlan:
-    """Geometry of a blocked product: (m x k) by (k x w) in block x block tiles.
-
-    ``simd_bits`` and ``repr_bits`` only feed the block-size advice: efficient
-    vectorized inner kernels want ``block`` to be a positive multiple of
-    ``2 * simd_bits / repr_bits``. Violating that is legal and merely warns.
-    """
-
-    m: int
-    k: int
-    w: int
-    block: int
-    simd_bits: int = DEFAULT_SIMD_BITS
-    repr_bits: int = 32
-
-    def __post_init__(self):
-        if min(self.m, self.k, self.w) < 1:
-            raise DomainError(f"matrix dims must be positive, got {self.m}x{self.k}x{self.w}")
-        if self.block < 1:
-            raise DomainError(f"block size must be positive, got {self.block}")
-        if self.repr_bits not in (32, 64):
-            raise DomainError(f"repr_bits must be 32 or 64, got {self.repr_bits}")
-        step = 2 * self.simd_bits // self.repr_bits
-        if self.block % step:
-            warnings.warn(
-                f"block size {self.block} is not a multiple of {step} "
-                f"(= 2 * {self.simd_bits} SIMD bits / {self.repr_bits}-bit words); "
-                "vectorized inner kernels prefer aligned blocks", stacklevel=2)
-
-    def borders(self):
-        """Leftover (rows, inner, cols) outside the full-block grid."""
-        return (self.m % self.block, self.k % self.block, self.w % self.block)
-
-    def describe(self):
-        bm, bk, bw = self.borders()
-        full = f"{self.m // self.block}x{self.k // self.block}x{self.w // self.block} full blocks of {self.block}"
-        if bm or bk or bw:
-            return f"{full}, cleanup borders {bm}x{bk}x{bw}"
-        return full
 
 
 @dataclass
@@ -97,8 +43,6 @@ class BlockedOperand:
     grid for ROW_WISE, column-by-column for COL_WISE); inside a block the
     elements are row-major for ROW_WISE and column-major for COL_WISE.
     ``index`` lists (row0, col0, height, width, offset) per stored block.
-    ``projected`` optionally holds per-projection compacted blocks, in the
-    same scan order, produced by the fused reorder-and-project path.
     """
 
     rows: int
@@ -108,7 +52,6 @@ class BlockedOperand:
     data: np.ndarray
     index: list
     grid: tuple
-    projected: list | None = None
 
     def _slot(self, bi, bj):
         if self.orientation is Orientation.ROW_WISE:
@@ -121,41 +64,23 @@ class BlockedOperand:
         order = "C" if self.orientation is Orientation.ROW_WISE else "F"
         return self.data[off:off + h * w].reshape((h, w), order=order)
 
-    def projected_block(self, l, bi, bj):
-        if self.projected is None:
-            raise DomainError("operand was reordered without fused projection")
-        return self.projected[l][self._slot(bi, bj)]
-
 
 def _block_ranges(total, block):
     starts = range(0, total, block)
     return [(s, min(block, total - s)) for s in starts]
 
 
-def reorder_block_major(matrix, block, orientation, pair=None, projections=0):
-    """Copy ``matrix`` into block-major storage; optionally fuse projection.
-
-    With ``pair`` given and ``projections >= 1``, the same pass also emits
-    per-projection compacted blocks (rows projected for ROW_WISE operands,
-    columns for COL_WISE). The fused path requires a grid without cleanup
-    borders and a block size divisible by the pair size.
-    """
-    a = _as_float_2d(matrix, "operand")
+def reorder_block_major(matrix, block, orientation):
+    """Copy ``matrix`` into block-major storage."""
+    a = _as_real(matrix, 2, "operand")
     if block < 1:
         raise DomainError(f"block size must be positive, got {block}")
     rows, cols = a.shape
-    fused = pair is not None and projections >= 1
-    if fused:
-        if rows % block or cols % block or block % pair.size:
-            raise DomainError(
-                "fused reorder-and-project needs border-free blocking and a block "
-                f"size divisible by {pair.size}; got {rows}x{cols} in blocks of {block}")
     row_ranges = _block_ranges(rows, block)
     col_ranges = _block_ranges(cols, block)
     grid = (len(row_ranges), len(col_ranges))
     data = np.empty(rows * cols, dtype=a.dtype)
     index = []
-    proj = [[] for _ in range(projections)] if fused else None
     if orientation is Orientation.ROW_WISE:
         scan = [(i, j) for i in range(grid[0]) for j in range(grid[1])]
     else:
@@ -164,18 +89,11 @@ def reorder_block_major(matrix, block, orientation, pair=None, projections=0):
     for bi, bj in scan:
         r0, h = row_ranges[bi]
         c0, w = col_ranges[bj]
-        blk = a[r0:r0 + h, c0:c0 + w]
-        flat = blk.ravel(order="C" if orientation is Orientation.ROW_WISE else "F")
+        flat = a[r0:r0 + h, c0:c0 + w].ravel(order="C" if orientation is Orientation.ROW_WISE else "F")
         data[off:off + h * w] = flat
         index.append((r0, c0, h, w, off))
         off += h * w
-        if fused:
-            for l in range(projections):
-                if orientation is Orientation.ROW_WISE:
-                    proj[l].append(project_rows(blk, pair, l))
-                else:
-                    proj[l].append(project_cols(blk, pair, l))
-    return BlockedOperand(rows, cols, block, orientation, data, index, grid, proj)
+    return BlockedOperand(rows, cols, block, orientation, data, index, grid)
 
 
 def restore_block_major(operand):
@@ -194,8 +112,8 @@ def gemm_conventional(a, b, block, counter=None):
     ``b`` column-wise) and each output tile accumulates its chain of inner
     block products in ascending inner-index order.
     """
-    a = _as_float_2d(a, "left operand")
-    b = _as_float_2d(b, "right operand")
+    a = _as_real(a, 2, "left operand")
+    b = _as_real(b, 2, "right operand")
     if a.shape[1] != b.shape[0]:
         raise DimensionMismatch(f"inner dims disagree: {a.shape} x {b.shape}")
     ra = reorder_block_major(a, block, Orientation.ROW_WISE)
@@ -224,8 +142,8 @@ def gemm_partial(a, b, pair, l, counter=None):
 
     The inner dimension must be divisible by the pair size.
     """
-    a = _as_float_2d(a, "left operand")
-    b = _as_float_2d(b, "right operand")
+    a = _as_real(a, 2, "left operand")
+    b = _as_real(b, 2, "right operand")
     if a.shape[1] != b.shape[0]:
         raise DimensionMismatch(f"inner dims disagree: {a.shape} x {b.shape}")
     ac = project_rows(a, pair, l)
@@ -257,7 +175,7 @@ def project_right_operand(b, pair, projections, counter=None):
     across many products. Pads the row count to a multiple of the pair size,
     mirroring what :func:`gemm_projected` does internally.
     """
-    b = _as_float_2d(b, "right operand")
+    b = _as_real(b, 2, "right operand")
     rows = b.shape[0]
     if rows % pair.size:
         rp = ((rows + pair.size - 1) // pair.size) * pair.size
@@ -281,8 +199,8 @@ def gemm_projected(a, b, pair, cfg, right_cache=None, counter=None):
     Exact when every projection index is used.
     """
     cfg.check_pair(pair)
-    a = _as_float_2d(a, "left operand")
-    b = _as_float_2d(b, "right operand")
+    a = _as_real(a, 2, "left operand")
+    b = _as_real(b, 2, "right operand")
     if a.shape[1] != b.shape[0]:
         raise DimensionMismatch(f"inner dims disagree: {a.shape} x {b.shape}")
     a, b, _ = _pad_inner(a, b, pair.size)

@@ -161,10 +161,17 @@ def _check_index(pair, l):
         raise IndexOutOfRange(f"projection index {l} outside [0, {pair.size})")
 
 
-def _as_float(a):
+def _as_real(a, ndim, name):
+    """``a`` as a contiguous ``ndim``-D float array: float32 stays float32,
+    other real dtypes become float64, and complex input is refused rather
+    than cut to its real part."""
     a = np.asarray(a)
+    if np.iscomplexobj(a):
+        raise DomainError(f"{name} is complex; only real input is supported")
     if a.dtype not in (np.float32, np.float64):
         a = a.astype(np.float64)
+    if a.ndim != ndim:
+        raise DimensionMismatch(f"{name} must be {ndim}-D, got shape {a.shape}")
     return np.ascontiguousarray(a)
 
 
@@ -177,9 +184,7 @@ def project_rows(matrix, pair, l):
     Rows are consumed in plain sequential order, which keeps the access
     pattern streaming-friendly.
     """
-    a = _as_float(matrix)
-    if a.ndim != 2:
-        raise DimensionMismatch(f"expected a 2-D array, got shape {a.shape}")
+    a = _as_real(matrix, 2, "matrix")
     _check_index(pair, l)
     rows, cols = a.shape
     if cols % pair.size:
@@ -195,9 +200,7 @@ def project_cols(matrix, pair, l):
     shape (rows / size, cols) with
     ``out[g, j] = sum_t inverse[l, t] * matrix[g*L + t, j]``.
     """
-    b = _as_float(matrix)
-    if b.ndim != 2:
-        raise DimensionMismatch(f"expected a 2-D array, got shape {b.shape}")
+    b = _as_real(matrix, 2, "matrix")
     _check_index(pair, l)
     rows, cols = b.shape
     if rows % pair.size:
@@ -208,9 +211,7 @@ def project_cols(matrix, pair, l):
 
 def _grouped(signal, size, phase):
     """Group signal[phase:] into rows of length ``size``, zero-padding the tail."""
-    s = _as_float(signal)
-    if s.ndim != 1:
-        raise DimensionMismatch(f"expected a 1-D signal, got shape {s.shape}")
+    s = _as_real(signal, 1, "signal")
     if not (0 <= phase < size):
         raise IndexOutOfRange(f"phase {phase} outside [0, {size})")
     avail = s.shape[0] - phase

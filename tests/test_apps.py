@@ -383,39 +383,51 @@ def test_projected_xcorr_match_rejects_matrix_query():
         xcorr_match(np.ones((2, 2)), db, _projected_mode(make_haar_pair(2)))
 
 
-def test_projected_xcorr_match_rejects_indivisible_entry_length():
-    db = FeatureDb.from_arrays([("a", np.ones(8)), ("odd", np.ones(7))])
-    with pytest.raises(DimensionMismatch, match="not divisible"):
-        xcorr_match(np.ones(16), db, _projected_mode(make_haar_pair(2)))
+def test_projected_xcorr_match_accepts_any_entry_length():
+    rng = np.random.default_rng(12)
+    db = FeatureDb.from_arrays([("a", synth.ar_signal(8, rng)),
+                                ("odd", synth.ar_signal(7, rng))])
+    query = synth.ar_signal(16, rng)
+    for sample_mode in SampleMode:
+        for used in (1, 2):
+            mode = _projected_mode(make_haar_pair(2), used, sample_mode)
+            want_id, want_score = _per_pair_match(query, db, mode)
+            got_id, got_score = xcorr_match(query, db, mode)
+            assert got_id == want_id
+            assert got_score == pytest.approx(want_score, rel=1e-12, abs=0)
+    # every projection kept scores exactly as the conventional pipeline
+    full = _projected_mode(make_haar_pair(2), 2, SampleMode.ALL_PHASES)
+    assert xcorr_match(query, db, full)[1] == pytest.approx(
+        xcorr_match(query, db)[1], rel=1e-12, abs=0)
 
 
 def test_projected_xcorr_match_counts_bank_once():
     pair = make_haar_pair(2)
     used, size = 2, 2
-    mode = _projected_mode(pair, used, SampleMode.ALL_PHASES)
-    db = FeatureDb.from_arrays([("a", np.arange(1.0, 9.0)), ("b", np.ones(8)),
-                                ("c", np.arange(4.0)), ("z", np.zeros(6))])
+    entries = [("a", np.arange(1.0, 9.0)), ("b", np.ones(8)),
+               ("c", np.arange(4.0)), ("z", np.zeros(6))]
     qlen = 11
 
-    def per_query(length, entries):
-        # conv_projected_blocked's charges, per computed phase and projection:
-        # the signal pass plus each entry's compact product
-        total = 0
-        for phase in range(size):
-            groups = -(-(qlen - phase) // size)
-            total += used * ((qlen - phase) + entries * groups * (length // size))
-        return total
+    def per_query(phases):
+        # conv_projected_blocked's charges less the kernel pass: the signal
+        # pass once per length group, then each entry's compact product
+        # (G = 6 compact query samples, Q = 5 or 3 compact entry samples)
+        # per computed phase
+        return 2 * used * qlen + phases * used * 6 * (2 * 5 + 1 * 3)
 
+    # each entry's kernel pass, once per phase bank
     bank = used * (8 + 8 + 4)
-    query_macs = per_query(8, 2) + per_query(4, 1)
-    counter = MacCounter()
-    with pytest.warns(ZeroEnergyEntry):
-        xcorr_match(np.ones(qlen), db, mode, counter=counter)
-    assert counter.count == bank + query_macs
-    counter = MacCounter()
-    with pytest.warns(ZeroEnergyEntry):
-        xcorr_match(np.ones(qlen), db, mode, counter=counter)
-    assert counter.count == query_macs
+    for sample_mode, phases in ((SampleMode.ALL_PHASES, size), (HALF, 1)):
+        mode = _projected_mode(pair, used, sample_mode)
+        db = FeatureDb.from_arrays(entries)
+        counter = MacCounter()
+        with pytest.warns(ZeroEnergyEntry):
+            xcorr_match(np.ones(qlen), db, mode, counter=counter)
+        assert counter.count == phases * bank + per_query(phases)
+        counter = MacCounter()
+        with pytest.warns(ZeroEnergyEntry):
+            xcorr_match(np.ones(qlen), db, mode, counter=counter)
+        assert counter.count == per_query(phases)
 
 
 @pytest.mark.parametrize("bad,error", [

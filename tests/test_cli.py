@@ -93,10 +93,18 @@ def test_bench_conv_small_run(tmp_path):
 
 
 def test_bench_conv_validates_geometry():
-    assert main(["bench-conv", "--w", "64", "--n", "9", "--L", "2",
-                 "--reps", "1"]) == 2
     assert main(["bench-conv", "--w", "8", "--n", "16", "--L", "2",
                  "--reps", "1"]) == 2
+
+
+def test_bench_conv_takes_any_kernel_length(tmp_path):
+    out = tmp_path / "conv.csv"
+    rc = main(["bench-conv", "--n", "601", "--L", "2", "--reps", "1",
+               "--out", str(out)])
+    assert rc == 0
+    rows = _rows(out.read_text(), METRIC_HEADER)
+    assert [r[1] for r in rows[:2]] == ["W20000.N601.L2.p1.half",
+                                        "W20000.N601.L2.p1.all"]
 
 
 def test_bench_gemm_rejects_bad_family_size():

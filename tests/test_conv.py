@@ -11,7 +11,6 @@ from pkscale.conv import (
     ConvPlan,
     ConvVariant,
     _interp_uniform,
-    alignment_calibrate,
     conv_direct,
     conv_fft,
     conv_overlap_save,
@@ -19,12 +18,10 @@ from pkscale.conv import (
     conv_projected_peaks,
     conv_translate_project,
     cyclic_translate,
-    permutation_matrix,
     project_kernel_bank,
 )
 from pkscale.costs import MacCounter
 from pkscale.errors import (
-    CalibrationFailed,
     DimensionMismatch,
     DomainError,
     IndexOutOfRange,
@@ -112,27 +109,9 @@ def test_overlap_save_validates_plan():
         conv_overlap_save(np.ones(20), np.ones(5), plan)
 
 
-def test_permutation_matrix_rotates_left():
-    v = np.array([1.0, 2.0, 3.0, 4.0, 5.0])
-    assert_allclose(v @ permutation_matrix(2, 5), [3.0, 4.0, 5.0, 1.0, 2.0])
-    assert_allclose(permutation_matrix(0, 4), np.eye(4))
-    assert_allclose(v @ permutation_matrix(2, 5), cyclic_translate(v, 2))
-
-
 def test_translate_bounds():
     with pytest.raises(IndexOutOfRange):
-        permutation_matrix(5, 5)
-    with pytest.raises(IndexOutOfRange):
         cyclic_translate(np.ones(4), -1)
-
-
-@settings(max_examples=25, deadline=None)
-@given(st.integers(2, 12), st.integers(0, 11), st.integers(0, 11))
-def test_permutation_composition_adds_indices(size, m, n):
-    m %= size
-    n %= size
-    composed = permutation_matrix(m, size) @ permutation_matrix(n, size)
-    assert_allclose(composed, permutation_matrix((m + n) % size, size))
 
 
 @pytest.mark.parametrize("variant", ALL_VARIANTS)
@@ -178,62 +157,131 @@ def test_translate_project_circular_needs_pair_size():
                                PrecisionConfig(4, 4), ConvVariant.CIRC_CONV)
 
 
+def _full_rank_error(s, k, pair):
+    """Max relative error of ALL_PHASES at p = L against np.convolve."""
+    out = conv_projected_blocked(s, k, pair, PrecisionConfig(pair.size, pair.size))
+    ref = np.convolve(s.astype(np.float64), k.astype(np.float64))
+    return float(np.abs(out - ref).max() / np.abs(ref).max())
+
+
 @pytest.mark.parametrize("family,make", [("dct", make_dct_pair),
                                          ("haar", make_haar_pair)])
 @pytest.mark.parametrize("size", [2, 4, 8])
-def test_calibration_offsets_are_identity_ramp(family, make, size):
-    assert alignment_calibrate(make(size)) == tuple(range(size))
+def test_blocked_full_projections_equal_direct(family, make, size):
+    rng = np.random.default_rng(size)
+    pair = make(size)
+    s = rng.standard_normal(200)
+    for klen in (1, size, 3 * size + 1, 37):
+        assert _full_rank_error(s, rng.standard_normal(klen), pair) < EXACT_ATOL
 
 
-def test_calibration_offsets_are_identity_ramp_for_random_pairs():
-    # conv_projected_peaks relies on every placement offset being >= 0
+def test_blocked_full_projections_equal_direct_for_random_pairs():
     rng = np.random.default_rng(2024)
     for _ in range(50):
         size = int(rng.integers(2, 17))
         pair = make_custom_pair(rng.standard_normal((size, size)))
-        assert alignment_calibrate(pair) == tuple(range(size))
+        s = rng.standard_normal(int(rng.integers(size, 120)))
+        k = rng.standard_normal(int(rng.integers(1, s.shape[0] + 1)))
+        assert _full_rank_error(s, k, pair) < EXACT_ATOL
 
 
-def test_calibration_rejects_swap_pair():
+def test_blocked_full_projections_equal_direct_for_swap_pair():
     swap = make_custom_pair(np.array([[0.0, 1.0], [1.0, 0.0]]))
-    with pytest.raises(CalibrationFailed):
-        alignment_calibrate(swap)
+    rng = np.random.default_rng(3)
+    assert _full_rank_error(rng.standard_normal(30), rng.standard_normal(7),
+                            swap) < EXACT_ATOL
+
+
+def _random_pair(family, size, seed):
+    if family == "dct":
+        return make_dct_pair(size)
+    if family == "haar":
+        return make_haar_pair(size)
+    # an orthogonal matrix with rescaled columns: general, and well conditioned
+    rng = np.random.default_rng(seed)
+    q, _ = np.linalg.qr(rng.standard_normal((size, size)))
+    return make_custom_pair(q * rng.uniform(0.5, 2.0, size))
+
+
+conv_geometry = st.tuples(
+    st.sampled_from(["dct", "haar", "custom"]),
+    st.sampled_from([2, 3, 4, 5, 6, 7, 8]),
+    st.integers(0, 2**16),
+    st.sampled_from([np.float32, np.float64]),
+).filter(lambda g: g[0] != "haar" or g[1] in (2, 4, 8))
+
+
+@settings(max_examples=60, deadline=None)
+@given(conv_geometry, st.data())
+def test_blocked_full_projections_exact_property(geometry, data):
+    family, size, seed, dtype = geometry
+    pair = _random_pair(family, size, seed)
+    slen = data.draw(st.integers(size, 90))
+    klen = data.draw(st.integers(1, slen))
+    rng = np.random.default_rng(seed)
+    s = rng.standard_normal(slen).astype(dtype)
+    k = rng.standard_normal(klen).astype(dtype)
+    # float32 rounds every stage at about 6e-8
+    assert _full_rank_error(s, k, pair) < (EXACT_ATOL if dtype == np.float64 else 1e-5)
+
+
+@settings(max_examples=60, deadline=None)
+@given(conv_geometry, st.sampled_from(list(SampleMode)), st.data())
+def test_peaks_equal_blocked_peaks_property(geometry, mode, data):
+    family, size, seed, dtype = geometry
+    pair = _random_pair(family, size, seed)
+    cfg = PrecisionConfig(size, data.draw(st.integers(1, size)), sample_mode=mode)
+    slen = data.draw(st.integers(size, 90))
+    klen = data.draw(st.integers(1, slen))
+    rng = np.random.default_rng(seed)
+    s = rng.standard_normal(slen).astype(dtype)
+    kernels = rng.standard_normal((3, klen)).astype(dtype)
+    banks = [project_kernel_bank(kernels, pair, cfg.projections_used, phase)
+             for phase in cfg.phases()]
+    want = [np.abs(conv_projected_blocked(s, k, pair, cfg)).max() for k in kernels]
+    assert_allclose(conv_projected_peaks(s, banks, klen, pair, cfg), want,
+                    rtol=1e-12 if dtype == np.float64 else 1e-5, atol=0)
 
 
 def test_interp_matches_numpy_interp():
     rng = np.random.default_rng(0)
     grid = np.arange(40)
-    for offset in (-5, -1, 0, 2, 7):
-        for stride in (2, 3, 5):
-            for m in (1, 2, 9):
-                stream = rng.uniform(-1, 1, m)
-                got = _interp_uniform(40, offset, stride, stream, np.float64)
-                want = np.interp(grid, offset + stride * np.arange(m), stream)
-                assert_allclose(got, want, atol=EXACT_ATOL)
+    for stride in (2, 3, 5):
+        for m in (1, 2, 9, 30):
+            stream = rng.uniform(-1, 1, m)
+            got = _interp_uniform(40, stride, stream, np.float64)
+            want = np.interp(grid, stride * np.arange(m), stream)
+            assert_allclose(got, want, atol=EXACT_ATOL)
 
 
-def test_blocked_requires_divisible_kernel():
+def test_blocked_accepts_any_kernel_length():
     pair = make_haar_pair(2)
-    with pytest.raises(DimensionMismatch):
-        conv_projected_blocked(np.ones(20), np.ones(5), pair, PrecisionConfig(2, 1))
+    s = np.ones(20)
+    for klen in (1, 5, 20):
+        k = np.arange(1.0, klen + 1.0)
+        for mode in SampleMode:
+            out = conv_projected_blocked(s, k, pair, PrecisionConfig(2, 1, mode))
+            assert out.shape == (20 + klen - 1,)
+        assert_allclose(conv_projected_blocked(s, k, pair, PrecisionConfig(2, 2)),
+                        np.convolve(s, k), rtol=0, atol=EXACT_ATOL)
 
 
 def test_blocked_output_snr_on_smooth_data():
-    # frozen seed: both sampling modes recover the low-frequency reference
-    # well, and neither is exact even with every projection kept
+    # frozen seed: one projection recovers the low-frequency reference well
+    # in both sampling modes, and every projection recovers it exactly
     pair = make_haar_pair(2)
     rng = np.random.default_rng(1)
     s = synth.ar_signal(600, rng)
     k = synth.ar_signal(40, rng)
     ref = np.convolve(s, k)
-    for used in (1, 2):
-        for mode in (SampleMode.HALF_INTERPOLATE, SampleMode.ALL_PHASES):
-            cfg = PrecisionConfig(2, used, sample_mode=mode)
-            out = conv_projected_blocked(s, k, pair, cfg)
-            assert out.shape == ref.shape
-            report = snr(ref, out)
-            assert 20.0 < report.snr_db < 60.0
-            assert not report.exact
+    for mode in (SampleMode.HALF_INTERPOLATE, SampleMode.ALL_PHASES):
+        out = conv_projected_blocked(s, k, pair, PrecisionConfig(2, 1, sample_mode=mode))
+        assert out.shape == ref.shape
+        report = snr(ref, out)
+        assert 20.0 < report.snr_db < 60.0
+        assert not report.exact
+    out = conv_projected_blocked(s, k, pair, PrecisionConfig(2, 2))
+    assert_allclose(out, ref, rtol=0, atol=EXACT_ATOL * np.abs(ref).max())
 
 
 def test_blocked_all_phases_covers_more_positions_than_one_phase():
@@ -242,7 +290,7 @@ def test_blocked_all_phases_covers_more_positions_than_one_phase():
     s = synth.ar_signal(200, rng)
     k = synth.ar_signal(20, rng)
     all_out = conv_projected_blocked(s, k, pair, PrecisionConfig(2, 1))
-    # stride-2 placement with per-phase offsets 0 and 1 fills the whole range
+    # phases 0 and 1 at stride 2 fill the whole range
     assert np.count_nonzero(all_out) > 200
 
 
@@ -254,14 +302,14 @@ def test_blocked_counter_convention():
     conv_projected_blocked(s, k, pair,
                            PrecisionConfig(2, 1, SampleMode.HALF_INTERPOLATE),
                            counter=counter)
-    # kernel projection: 4; phase-0 signal projection: 20; products: 10 * 2
-    assert counter.count == 4 + 20 + 20
+    # signal pass: 20; phase-0 kernel pass: 4; products: G * Q = 10 * 3
+    assert counter.count == 20 + 4 + 30
     counter = MacCounter()
     conv_projected_blocked(s, k, pair,
-                           PrecisionConfig(2, 1, SampleMode.ALL_PHASES),
+                           PrecisionConfig(2, 2, SampleMode.ALL_PHASES),
                            counter=counter)
-    # phase 1 sees 19 real samples and the same compact product
-    assert counter.count == 4 + (20 + 20) + (19 + 20)
+    # two projections: one signal pass, then a kernel pass and products per phase
+    assert counter.count == 2 * 20 + 2 * (2 * 4 + 2 * 30)
 
 
 def test_blocked_preserves_float32():
@@ -279,13 +327,13 @@ def test_peaks_match_blocked_kernel_per_kernel(mode, family, make):
     rng = np.random.default_rng(31)
     pair = make(4)
     cfg = PrecisionConfig(4, 2, sample_mode=mode)
-    kernels = rng.standard_normal((5, 12))
-    bank = project_kernel_bank(kernels, pair, 2)
-    assert bank.shape == (2 * 3, 5)
-    for slen in (12, 13, 30):
+    kernels = rng.standard_normal((5, 13))
+    banks = [project_kernel_bank(kernels, pair, 2, phase) for phase in cfg.phases()]
+    assert banks[0].shape == (2 * 4, 5)
+    for slen in (13, 14, 30):
         s = rng.standard_normal(slen)
         want = [np.abs(conv_projected_blocked(s, k, pair, cfg)).max() for k in kernels]
-        assert_allclose(conv_projected_peaks(s, bank, 12, pair, cfg), want,
+        assert_allclose(conv_projected_peaks(s, banks, 13, pair, cfg), want,
                         rtol=1e-12, atol=0)
 
 
@@ -293,11 +341,17 @@ def test_peaks_validate_bank_and_lengths():
     pair = make_haar_pair(2)
     cfg = PrecisionConfig(2, 1)
     with pytest.raises(DimensionMismatch):
-        project_kernel_bank(np.ones((2, 5)), pair, 1)
-    bank = project_kernel_bank(np.ones((2, 8)), pair, 1)
+        project_kernel_bank(np.ones(8), pair, 1, 0)
+    with pytest.raises(IndexOutOfRange):
+        project_kernel_bank(np.ones((2, 8)), pair, 1, 2)
+    banks = [project_kernel_bank(np.ones((2, 8)), pair, 1, phase) for phase in (0, 1)]
     with pytest.raises(DimensionMismatch):
-        conv_projected_peaks(np.ones(16), bank, 8, pair, PrecisionConfig(2, 2))
+        conv_projected_peaks(np.ones(16), banks, 8, pair, PrecisionConfig(2, 2))
     with pytest.raises(DimensionMismatch):
-        conv_projected_peaks(np.ones(6), bank, 8, pair, cfg)
+        conv_projected_peaks(np.ones(16), banks[:1], 8, pair, cfg)
+    with pytest.raises(DimensionMismatch):
+        conv_projected_peaks(np.ones(16), banks, 11, pair, cfg)
+    with pytest.raises(DimensionMismatch):
+        conv_projected_peaks(np.ones(6), banks, 8, pair, cfg)
     with pytest.raises(DomainError):
-        conv_projected_peaks(np.ones(16), bank, 8, pair, PrecisionConfig(4, 1))
+        conv_projected_peaks(np.ones(16), banks, 8, pair, PrecisionConfig(4, 1))

@@ -8,7 +8,6 @@ from pkscale.config import PrecisionConfig
 from pkscale.costs import MacCounter
 from pkscale.errors import DimensionMismatch, DomainError
 from pkscale.gemm import (
-    GemmPlan,
     Orientation,
     gemm_conventional,
     gemm_partial,
@@ -40,24 +39,6 @@ def test_conventional_rejects_mismatched_inner():
         gemm_conventional(np.ones((2, 3)), np.ones((4, 2)), 2)
 
 
-def test_plan_describe_and_borders():
-    with pytest.warns(UserWarning):
-        plan = GemmPlan(10, 12, 8, 5)
-    assert plan.borders() == (0, 2, 3)
-    assert "cleanup borders 0x2x3" in plan.describe()
-    plan8 = GemmPlan(16, 16, 16, 8)
-    assert plan8.borders() == (0, 0, 0)
-
-
-def test_plan_rejects_bad_geometry():
-    with pytest.raises(DomainError):
-        GemmPlan(0, 4, 4, 2)
-    with pytest.raises(DomainError):
-        GemmPlan(4, 4, 4, 0)
-    with pytest.raises(DomainError):
-        GemmPlan(4, 4, 4, 4, repr_bits=16)
-
-
 def test_reorder_round_trip_row_wise():
     rng = np.random.default_rng(7)
     m = rng.uniform(-1, 1, (6, 10))
@@ -80,33 +61,6 @@ def test_reorder_data_layout_hand_value():
     co = reorder_block_major(m, 2, Orientation.COL_WISE)
     # first block is the same 2x2 but column-major
     assert_allclose(co.data[:4], [0.0, 4.0, 1.0, 5.0])
-
-
-def test_fused_reorder_projects_blocks():
-    rng = np.random.default_rng(9)
-    pair = make_haar_pair(2)
-    m = rng.uniform(-1, 1, (4, 4))
-    ro = reorder_block_major(m, 4, Orientation.ROW_WISE, pair=pair, projections=2)
-    from pkscale.projection import project_rows
-
-    for l in range(2):
-        assert_allclose(ro.projected_block(l, 0, 0), project_rows(m, pair, l))
-
-
-def test_fused_reorder_requires_clean_blocking():
-    pair = make_haar_pair(2)
-    with pytest.raises(DomainError):
-        reorder_block_major(np.ones((5, 4)), 4, Orientation.ROW_WISE,
-                            pair=pair, projections=1)
-    with pytest.raises(DomainError):
-        reorder_block_major(np.ones((4, 4)), 3, Orientation.ROW_WISE,
-                            pair=pair, projections=1)
-
-
-def test_projected_block_requires_fused_path():
-    ro = reorder_block_major(np.ones((4, 4)), 2, Orientation.ROW_WISE)
-    with pytest.raises(DomainError):
-        ro.projected_block(0, 0, 0)
 
 
 def test_full_projection_equals_plain():
