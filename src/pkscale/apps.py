@@ -364,6 +364,7 @@ class FeatureDb:
     """
 
     entries: tuple            # of (id, 1-D float array)
+    _energies: tuple = field(init=False, repr=False, compare=False)   # per entry
     _dead: tuple = field(init=False, repr=False, compare=False)
     _groups: tuple = field(init=False, repr=False, compare=False)
     _banks: dict = field(default_factory=dict, init=False, repr=False, compare=False)
@@ -377,7 +378,8 @@ class FeatureDb:
             sig.setflags(write=False)
             entries.append((entry_id, sig))
         object.__setattr__(self, "entries", tuple(entries))
-        energies = [float(np.sum(sig * sig)) for _, sig in entries]
+        energies = tuple(float(np.sum(sig * sig)) for _, sig in entries)
+        object.__setattr__(self, "_energies", energies)
         object.__setattr__(self, "_dead", tuple(
             entry_id for (entry_id, _), energy in zip(entries, energies) if energy == 0.0))
         live = [(entry_id, sig, energy) for (entry_id, sig), energy
@@ -440,9 +442,7 @@ def xcorr_match(query, db, mode=ConvMode(), counter=None):
         return _xcorr_match_projected(query, db, mode, counter)
     best_id = None
     best_score = -np.inf
-    for entry_id, signal in db.entries:
-        signal = np.asarray(signal, dtype=np.float64)
-        energy = float(np.sum(signal * signal))
+    for (entry_id, signal), energy in zip(db.entries, db._energies):
         if energy == 0.0:
             warnings.warn(f"entry {entry_id!r} has zero energy, skipped",
                           ZeroEnergyEntry, stacklevel=2)

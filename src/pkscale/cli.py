@@ -152,16 +152,20 @@ def cmd_bench_gemm(args):
                                  model, counter.count))
         timing.append(_timing_comment("gemm-projected", config, thr))
 
-    counter = MacCounter()
-    base = gemm_conventional(a, b, args.n, counter=counter)
-    rep = snr(reference, base)
-    thr = measure_throughput(lambda: gemm_conventional(a, b, args.n),
-                             repetitions=args.reps)
+    # exact baselines: the in-repo blocked kernel, and bare BLAS `a @ b`
     model = mac_gemm_plain_general(args.n, args.inner, args.n)
     config = f"N{args.n}.K{args.inner}"
-    lines.append(_metric_row("gemm-conventional", config, rep, thr,
-                             model, counter.count))
-    timing.append(_timing_comment("gemm-conventional", config, thr))
+    baselines = (
+        ("gemm-conventional",
+         lambda counter=None: gemm_conventional(a, b, args.n, counter=counter)),
+        ("gemm-blas", lambda counter=None: GemmMode().multiply(a, b, counter=counter)),
+    )
+    for kernel, run in baselines:
+        counter = MacCounter()
+        rep = snr(reference, run(counter))
+        thr = measure_throughput(run, repetitions=args.reps)
+        lines.append(_metric_row(kernel, config, rep, thr, model, counter.count))
+        timing.append(_timing_comment(kernel, config, thr))
     _emit(lines + timing, args.out)
     return 0
 

@@ -6,13 +6,19 @@ compact the contracted dimension: projecting the left operand's rows and the
 right operand's columns onto projection index ``l`` shrinks the inner
 dimension by the projection size, and summing the partial products of the
 first ``projections_used`` indices gives a result whose accuracy scales with
-the number of indices kept (exact when all are kept).
+the number of indices kept (exact when all are kept). :func:`gemm_projected`
+computes that sum as one product of rank-stacked operands: each operand's
+projections onto the kept indices are stacked index-major along the inner
+dimension, so one matmul contracts all of them at once.
 
 Counters: functions accept an optional ``counter`` with an ``add(n)`` method
 (see :class:`pkscale.costs.MacCounter`). One count is one multiply-accumulate.
 Matrix projection passes charge every element of the (possibly padded)
 operand; block products charge ``h*c*w``; accumulating an additional partial
-result charges one count per output element.
+result charges one count per output element. The projected product charges
+its per-slice formulation (one projection pass per operand and kept index,
+one compact product per index, one accumulation per index after the first):
+a convention, not a trace of the single stacked product that runs.
 """
 
 from __future__ import annotations
@@ -170,10 +176,14 @@ def _pad_inner(a, b, size):
 def project_right_operand(b, pair, projections, counter=None):
     """Precompute the right operand's column projections for reuse.
 
-    Returns one compacted matrix per projection index; feed the list to
-    :func:`gemm_projected` as ``right_cache`` when the right operand is fixed
-    across many products. Pads the row count to a multiple of the pair size,
-    mirroring what :func:`gemm_projected` does internally.
+    Returns one ``(projections*G, w)`` matrix, G = rows / size after padding:
+    the column projections onto indices ``0 .. projections-1`` stacked
+    index-major, as ``project_cols(b, pair, range(projections))`` gives. Feed
+    it to :func:`gemm_projected` as ``right_cache`` when the right operand is
+    fixed across many products; because the layout is index-major, a cache
+    built for P projections serves any p <= P through its first p*G rows.
+    Pads the row count to a multiple of the pair size, mirroring what
+    :func:`gemm_projected` does internally.
     """
     b = _as_real(b, 2, "right operand")
     rows = b.shape[0]
@@ -182,53 +192,60 @@ def project_right_operand(b, pair, projections, counter=None):
         bp = np.zeros((rp, b.shape[1]), dtype=b.dtype)
         bp[:rows, :] = b
         b = bp
-    cache = []
-    for l in range(projections):
-        cache.append(project_cols(b, pair, l))
-        if counter is not None:
-            counter.add(b.size)
+    cache = project_cols(b, pair, range(projections))
+    if counter is not None:
+        counter.add(projections * b.size)
     return cache
 
 
 def gemm_projected(a, b, pair, cfg, right_cache=None, counter=None):
-    """Approximate product accumulating ``cfg.projections_used`` rank slices.
+    """Approximate product keeping the first ``cfg.projections_used`` rank slices.
 
-    Partial products are accumulated in ascending projection order. An inner
-    dimension not divisible by the pair size is zero-padded (the padding stays
-    confined to the contracted dimension, so the result needs no cropping).
-    Exact when every projection index is used.
+    With p = ``cfg.projections_used``, the sum of the p slice products
+    ``sum_{l<p} (A C_l)(D_l B)`` is computed as one product of the stacked
+    projections, ``[A C_0 ... A C_{p-1}] @ [D_0 B; ...; D_{p-1} B]``: each
+    operand is projected once (:func:`project_rows` and :func:`project_cols`
+    over ``range(p)``) and a single matmul contracts the p*K/L inner
+    dimension. ``right_cache`` (from :func:`project_right_operand`, built for
+    at least p projections) replaces the right projection; its first p*G rows
+    are used. An inner dimension not divisible by the pair size is zero-padded
+    (the padding stays confined to the contracted dimension, so the result
+    needs no cropping). Exact when every projection index is used.
+
+    The counter charges the per-slice formulation, a convention rather than a
+    trace of the single product that runs: p*|A| for the left projection,
+    p*|B| for the right one unless ``right_cache`` is given,
+    m*(p*K/L)*w for the compact product and (p-1)*m*w for accumulating the
+    slices, all on the padded geometry
+    (:func:`pkscale.costs.mac_gemm_proj_general`).
     """
     cfg.check_pair(pair)
     a = _as_real(a, 2, "left operand")
     b = _as_real(b, 2, "right operand")
     if a.shape[1] != b.shape[0]:
         raise DimensionMismatch(f"inner dims disagree: {a.shape} x {b.shape}")
-    a, b, _ = _pad_inner(a, b, pair.size)
-    if right_cache is not None and len(right_cache) < cfg.projections_used:
-        raise DomainError(
-            f"right_cache holds {len(right_cache)} projections, need {cfg.projections_used}")
-    acc = None
-    for l in range(cfg.projections_used):
-        ac = project_rows(a, pair, l)
-        if counter is not None:
-            counter.add(a.size)
-        if right_cache is not None:
-            bd = right_cache[l]
-            if bd.shape != (a.shape[1] // pair.size, b.shape[1]):
-                raise DimensionMismatch(
-                    f"cached projection {l} has shape {bd.shape}, "
-                    f"expected {(a.shape[1] // pair.size, b.shape[1])}")
-        else:
-            bd = project_cols(b, pair, l)
-            if counter is not None:
-                counter.add(b.size)
-        if counter is not None:
-            counter.add(ac.shape[0] * ac.shape[1] * bd.shape[1])
-        part = ac @ bd
-        if acc is None:
-            acc = part
-        else:
-            acc += part
-            if counter is not None:
-                counter.add(acc.size)
-    return acc
+    a, b, k = _pad_inner(a, b, pair.size)
+    used = cfg.projections_used
+    groups = k // pair.size
+    if right_cache is not None:
+        bd = _as_real(right_cache, 2, "right_cache")
+        # max(): an empty inner dimension has no groups, and any row count fits
+        if bd.shape[1] != b.shape[1] or bd.shape[0] % max(groups, 1):
+            raise DimensionMismatch(
+                f"right_cache has shape {bd.shape}, expected a multiple of "
+                f"{groups} rows and {b.shape[1]} columns")
+        if bd.shape[0] < used * groups:
+            raise DomainError(
+                f"right_cache holds {bd.shape[0]} rows, need {used * groups} "
+                f"for {used} projections")
+        bd = bd[:used * groups]
+    else:
+        bd = project_cols(b, pair, range(used))
+    ac = project_rows(a, pair, range(used))
+    if counter is not None:
+        counter.add(used * a.size)
+        if right_cache is None:
+            counter.add(used * b.size)
+        counter.add(ac.shape[0] * ac.shape[1] * bd.shape[1])
+        counter.add((used - 1) * a.shape[0] * b.shape[1])
+    return ac @ bd

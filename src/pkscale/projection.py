@@ -19,6 +19,7 @@ Two stock constructions are provided:
 from __future__ import annotations
 
 import enum
+import operator
 import warnings
 from dataclasses import dataclass
 
@@ -175,38 +176,69 @@ def _as_real(a, ndim, name):
     return np.ascontiguousarray(a)
 
 
+def _check_indices(pair, l):
+    """Check ``l``, one projection index or a nonempty sequence of them, each
+    in [0, size). Return one index, or a sequence of one, as an ``int``, and a
+    longer sequence as a list of ints. An ``int`` selects the strided
+    column/row view that the single-index projections multiply by, so a
+    one-index stack is bit for bit the single-index result."""
+    if isinstance(l, (int, np.integer)):
+        _check_index(pair, l)
+        return l
+    try:
+        idx = [operator.index(i) for i in l]
+    except TypeError:
+        idx = None
+    if not idx or min(idx) < 0 or max(idx) >= pair.size:
+        raise IndexOutOfRange(
+            f"projection indices must be a nonempty sequence of ints in [0, {pair.size}), got {l!r}")
+    return idx[0] if len(idx) == 1 else idx
+
+
 def project_rows(matrix, pair, l):
     """Project each row of ``matrix`` onto analysis vector ``l``, group-wise.
 
-    ``matrix.shape[1]`` must be divisible by ``pair.size``; the result has
-    shape (rows, cols / size) with
-    ``out[i, g] = sum_t matrix[i, g*L + t] * forward[t, l]``.
+    ``l`` is one projection index or a sequence of them.
+    ``matrix.shape[1]`` must be divisible by ``pair.size``; with
+    G = cols / size, one index gives shape (rows, G) with
+    ``out[i, g] = sum_t matrix[i, g*L + t] * forward[t, l]``, and a sequence
+    ``idx`` stacks the projections index-major into shape (rows, len(idx)*G)
+    with ``out[i, j*G + g] = sum_t matrix[i, g*L + t] * forward[t, idx[j]]``.
     Rows are consumed in plain sequential order, which keeps the access
     pattern streaming-friendly.
     """
     a = _as_real(matrix, 2, "matrix")
-    _check_index(pair, l)
+    idx = _check_indices(pair, l)
     rows, cols = a.shape
     if cols % pair.size:
         raise DimensionMismatch(f"column count {cols} not divisible by projection size {pair.size}")
-    coeff = pair.forward[:, l].astype(a.dtype, copy=False)
-    return a.reshape(rows, cols // pair.size, pair.size) @ coeff
+    groups = cols // pair.size
+    coeff = pair.forward[:, idx].astype(a.dtype, copy=False)
+    out = a.reshape(rows, groups, pair.size) @ coeff
+    # (rows, G, P) -> (rows, P, G): index-major; a no-op for one index
+    return out.swapaxes(-1, 1).reshape(rows, coeff.size // pair.size * groups)
 
 
 def project_cols(matrix, pair, l):
     """Project each column of ``matrix`` with synthesis row ``l``, group-wise.
 
-    ``matrix.shape[0]`` must be divisible by ``pair.size``; the result has
-    shape (rows / size, cols) with
-    ``out[g, j] = sum_t inverse[l, t] * matrix[g*L + t, j]``.
+    ``l`` is one projection index or a sequence of them.
+    ``matrix.shape[0]`` must be divisible by ``pair.size``; with
+    G = rows / size, one index gives shape (G, cols) with
+    ``out[g, j] = sum_t inverse[l, t] * matrix[g*L + t, j]``, and a sequence
+    ``idx`` stacks the projections index-major into shape (len(idx)*G, cols)
+    with ``out[k*G + g, j] = sum_t inverse[idx[k], t] * matrix[g*L + t, j]``,
+    the rows that match :func:`project_rows`' columns.
     """
     b = _as_real(matrix, 2, "matrix")
-    _check_index(pair, l)
+    idx = _check_indices(pair, l)
     rows, cols = b.shape
     if rows % pair.size:
         raise DimensionMismatch(f"row count {rows} not divisible by projection size {pair.size}")
-    coeff = pair.inverse[l].astype(b.dtype, copy=False)
-    return np.tensordot(coeff, b.reshape(rows // pair.size, pair.size, cols), axes=(0, 1))
+    groups = rows // pair.size
+    coeff = pair.inverse[idx].astype(b.dtype, copy=False)
+    grouped = b.reshape(groups, pair.size, cols)
+    return np.tensordot(coeff, grouped, axes=(-1, 1)).reshape(coeff.size // pair.size * groups, cols)
 
 
 def _grouped(signal, size, phase):

@@ -78,7 +78,7 @@ def test_gemm_mode_projected_multiply_matches_kernel():
     b = rng.uniform(-1, 1, (8, 5))
     assert_allclose(mode.multiply(a, b), gemm_projected(a, b, pair, cfg))
     cache = mode.cache_right(b)
-    assert len(cache) == 2
+    assert cache.shape == (2 * 8 // 4, 5)     # p*G stacked rows, w columns
     assert_allclose(mode.multiply(a, b, right_cache=cache),
                     gemm_projected(a, b, pair, cfg))
 
@@ -334,6 +334,19 @@ def _per_pair_match(query, db, mode):
         if score > best_score or (score == best_score and entry_id < best_id):
             best_id, best_score = entry_id, score
     return best_id, best_score
+
+
+def test_conventional_xcorr_match_equals_per_pair_reference():
+    # the energies FeatureDb computes once give the scores the per-query
+    # energy sums gave, bit for bit
+    rng = np.random.default_rng(40)
+    db = FeatureDb.from_arrays(
+        [("dead", np.zeros(12))] +
+        [(f"e{i}", synth.ar_signal(12 if i % 2 else 20, rng)) for i in range(6)])
+    for qlen in (5, 12, 20, 33):
+        query = synth.ar_signal(qlen, rng)
+        with pytest.warns(ZeroEnergyEntry):
+            assert xcorr_match(query, db) == _per_pair_match(query, db, ConvMode())
 
 
 @pytest.mark.parametrize("size", [2, 4, 8])

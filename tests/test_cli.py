@@ -49,9 +49,9 @@ def test_bench_gemm_small_run(tmp_path):
     text = out.read_text()
     assert "zero-padded 6 -> 8" in text
     rows = _rows(text, METRIC_HEADER)
-    assert len(rows) == 5
+    assert len(rows) == 6
     kernels = [r[0] for r in rows]
-    assert kernels == ["gemm-projected"] * 4 + ["gemm-conventional"]
+    assert kernels == ["gemm-projected"] * 4 + ["gemm-conventional", "gemm-blas"]
     for row in rows:
         assert row[5] == row[6]          # model MACs == instrumented MACs
     assert rows[0][1] == "N8.K6.L4.p1"
@@ -61,6 +61,11 @@ def test_bench_gemm_small_run(tmp_path):
     assert float(rows[4][2]) == 300.0
     assert int(rows[4][5]) == 8 * 6 * 8
     assert "# timing gemm-conventional" in text
+    # bare `a @ b` is charged m*k*w on the unpadded geometry, like the model
+    assert rows[5][1] == "N8.K6"
+    assert float(rows[5][2]) == 300.0
+    assert int(rows[5][5]) == 8 * 6 * 8
+    assert "# timing gemm-blas" in text
 
 
 def test_bench_gemm_snr_improves_with_projections(tmp_path):

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
@@ -28,6 +28,8 @@ from pkscale.errors import (
 )
 from pkscale.metrics import snr
 from pkscale.projection import make_custom_pair, make_dct_pair, make_haar_pair
+
+from pair_cases import pair_geometry, random_pair
 
 EXACT_ATOL = 1e-12
 
@@ -192,30 +194,11 @@ def test_blocked_full_projections_equal_direct_for_swap_pair():
                             swap) < EXACT_ATOL
 
 
-def _random_pair(family, size, seed):
-    if family == "dct":
-        return make_dct_pair(size)
-    if family == "haar":
-        return make_haar_pair(size)
-    # an orthogonal matrix with rescaled columns: general, and well conditioned
-    rng = np.random.default_rng(seed)
-    q, _ = np.linalg.qr(rng.standard_normal((size, size)))
-    return make_custom_pair(q * rng.uniform(0.5, 2.0, size))
-
-
-conv_geometry = st.tuples(
-    st.sampled_from(["dct", "haar", "custom"]),
-    st.sampled_from([2, 3, 4, 5, 6, 7, 8]),
-    st.integers(0, 2**16),
-    st.sampled_from([np.float32, np.float64]),
-).filter(lambda g: g[0] != "haar" or g[1] in (2, 4, 8))
-
-
 @settings(max_examples=60, deadline=None)
-@given(conv_geometry, st.data())
+@given(pair_geometry, st.data())
 def test_blocked_full_projections_exact_property(geometry, data):
     family, size, seed, dtype = geometry
-    pair = _random_pair(family, size, seed)
+    pair = random_pair(family, size, seed)
     slen = data.draw(st.integers(size, 90))
     klen = data.draw(st.integers(1, slen))
     rng = np.random.default_rng(seed)
@@ -225,22 +208,39 @@ def test_blocked_full_projections_exact_property(geometry, data):
     assert _full_rank_error(s, k, pair) < (EXACT_ATOL if dtype == np.float64 else 1e-5)
 
 
+@st.composite
+def peaks_case(draw):
+    family, size, seed, dtype = draw(pair_geometry)
+    used = draw(st.integers(1, size))
+    slen = draw(st.integers(size, 90))
+    klen = draw(st.integers(1, slen))
+    return family, size, seed, dtype, used, slen, klen
+
+
 @settings(max_examples=60, deadline=None)
-@given(conv_geometry, st.sampled_from(list(SampleMode)), st.data())
-def test_peaks_equal_blocked_peaks_property(geometry, mode, data):
-    family, size, seed, dtype = geometry
-    pair = _random_pair(family, size, seed)
-    cfg = PrecisionConfig(size, data.draw(st.integers(1, size)), sample_mode=mode)
-    slen = data.draw(st.integers(size, 90))
-    klen = data.draw(st.integers(1, slen))
+@given(peaks_case(), st.sampled_from(list(SampleMode)))
+# float32 peak of about 1.1e-3 left by cancellation of terms near 0.27
+@example(("dct", 2, 7, np.float32, 2, 2, 1), SampleMode.HALF_INTERPOLATE)
+def test_peaks_equal_blocked_peaks_property(case, mode):
+    family, size, seed, dtype, used, slen, klen = case
+    pair = random_pair(family, size, seed)
+    cfg = PrecisionConfig(size, used, sample_mode=mode)
     rng = np.random.default_rng(seed)
     s = rng.standard_normal(slen).astype(dtype)
     kernels = rng.standard_normal((3, klen)).astype(dtype)
     banks = [project_kernel_bank(kernels, pair, cfg.projections_used, phase)
              for phase in cfg.phases()]
-    want = [np.abs(conv_projected_blocked(s, k, pair, cfg)).max() for k in kernels]
-    assert_allclose(conv_projected_peaks(s, banks, klen, pair, cfg), want,
-                    rtol=1e-12 if dtype == np.float64 else 1e-5, atol=0)
+    want = np.array([np.abs(conv_projected_blocked(s, k, pair, cfg)).max() for k in kernels],
+                    dtype=np.float64)
+    got = conv_projected_peaks(s, banks, klen, pair, cfg).astype(np.float64)
+    if dtype == np.float64:
+        assert_allclose(got, want, rtol=1e-12, atol=0)
+    else:
+        # float32 rounds every stage at about 6e-8 of the operands, and both
+        # paths round differently, so a peak that cancels far below its
+        # operands is bounded by their scale, not by its own size
+        atol = 1e-5 * np.abs(s).max() * np.abs(kernels.astype(np.float64)).sum(axis=1)
+        assert np.all(np.abs(got - want) <= 1e-5 * np.abs(want) + atol), (got, want)
 
 
 def test_interp_matches_numpy_interp():

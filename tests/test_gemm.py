@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from pkscale.config import PrecisionConfig
-from pkscale.costs import MacCounter
+from pkscale.costs import MacCounter, mac_gemm_proj_general
 from pkscale.errors import DimensionMismatch, DomainError
 from pkscale.gemm import (
     Orientation,
@@ -16,7 +16,9 @@ from pkscale.gemm import (
     reorder_block_major,
     restore_block_major,
 )
-from pkscale.projection import make_dct_pair, make_haar_pair
+from pkscale.projection import make_dct_pair, make_haar_pair, project_cols, project_rows
+
+from pair_cases import pair_geometry, random_pair
 
 EXACT_REL = 1e-12
 
@@ -124,9 +126,22 @@ def test_projected_right_cache_validated():
     short = project_right_operand(b, pair, 1)
     with pytest.raises(DomainError):
         gemm_projected(a, b, pair, PrecisionConfig(4, 2), right_cache=short)
-    wrong = [np.ones((5, 2))]
-    with pytest.raises(DimensionMismatch):
-        gemm_projected(a, b, pair, PrecisionConfig(4, 1), right_cache=wrong)
+    for wrong in (np.ones((5, 2)),      # 5 rows: not a multiple of G = 2
+                  np.ones((4, 3)),      # 3 columns: b has 2
+                  [np.ones((2, 2))]):   # a list of per-index matrices
+        with pytest.raises(DimensionMismatch):
+            gemm_projected(a, b, pair, PrecisionConfig(4, 1), right_cache=wrong)
+
+
+def test_projected_empty_dimensions():
+    pair = make_dct_pair(4)
+    cfg = PrecisionConfig(4, 2)
+    for m, k, w in ((2, 0, 3), (0, 8, 3), (2, 8, 0)):
+        a, b = np.ones((m, k)), np.ones((k, w))
+        cache = project_right_operand(b, pair, 2)
+        for out in (gemm_projected(a, b, pair, cfg),
+                    gemm_projected(a, b, pair, cfg, right_cache=cache)):
+            assert_allclose(out, np.zeros((m, w)))
 
 
 def test_projected_config_pair_size_must_match():
@@ -179,3 +194,67 @@ def test_conventional_any_blocking_matches_numpy(m, k, w, block):
     b = rng.uniform(-1, 1, (k, w))
     assert_allclose(gemm_conventional(a, b, block), a @ b,
                     rtol=0, atol=1e-12 * max(1.0, np.abs(a @ b).max()))
+
+
+def _operands(data, seed, dtype, k):
+    m = data.draw(st.integers(1, 9))
+    w = data.draw(st.integers(1, 9))
+    rng = np.random.default_rng(seed)
+    return (rng.standard_normal((m, k)).astype(dtype),
+            rng.standard_normal((k, w)).astype(dtype))
+
+
+@settings(max_examples=60, deadline=None)
+@given(pair_geometry, st.data())
+def test_stacked_projections_are_index_major_single_projections(geometry, data):
+    family, size, seed, dtype = geometry
+    pair = random_pair(family, size, seed)
+    used = data.draw(st.integers(1, size))
+    groups = data.draw(st.integers(1, 5))
+    a, b = _operands(data, seed, dtype, groups * size)
+    rows = project_rows(a, pair, range(used))
+    cols = project_cols(b, pair, range(used))
+    assert rows.shape == (a.shape[0], used * groups) and rows.dtype == dtype
+    assert cols.shape == (used * groups, b.shape[1]) and cols.dtype == dtype
+    # each entry is an L-term sum, rounded at about L * eps of its operands
+    tol = 1e-14 if dtype == np.float64 else 1e-6
+    scale_a = np.abs(a).max() * np.abs(pair.forward).sum(axis=0).max()
+    scale_b = np.abs(b).max() * np.abs(pair.inverse).sum(axis=1).max()
+    assert_allclose(rows, np.hstack([project_rows(a, pair, l) for l in range(used)]),
+                    rtol=0, atol=tol * scale_a)
+    assert_allclose(cols, np.vstack([project_cols(b, pair, l) for l in range(used)]),
+                    rtol=0, atol=tol * scale_b)
+
+
+@settings(max_examples=60, deadline=None)
+@given(pair_geometry, st.data())
+def test_stacked_gemm_matches_partial_sums_cache_and_counter(geometry, data):
+    family, size, seed, dtype = geometry
+    pair = random_pair(family, size, seed)
+    used = data.draw(st.integers(1, size))
+    cached = data.draw(st.integers(used, size))
+    k = data.draw(st.integers(1, 5 * size))          # any inner dimension
+    a, b = _operands(data, seed, dtype, k)
+    m, w = a.shape[0], b.shape[1]
+    cfg = PrecisionConfig(size, used)
+    counter = MacCounter()
+    got = gemm_projected(a, b, pair, cfg, counter=counter)
+    assert got.shape == (m, w) and got.dtype == dtype
+    padded = -(-k // size) * size
+    assert counter.count == mac_gemm_proj_general(m, padded, w, used - 1, size)
+    ap = np.zeros((m, padded))
+    ap[:, :k] = a
+    bp = np.zeros((padded, w))
+    bp[:k] = b
+    # bound by the size of the summed slice terms, not of the result, which
+    # can cancel far below them
+    terms = sum(np.abs(project_rows(ap, pair, l)) @ np.abs(project_cols(bp, pair, l))
+                for l in range(used))
+    atol = (1e-12 if dtype == np.float64 else 1e-5) * terms.max()
+    cache = project_right_operand(b, pair, cached)
+    assert cache.shape == (cached * padded // size, w)
+    assert_allclose(gemm_projected(a, b, pair, cfg, right_cache=cache), got,
+                    rtol=0, atol=atol)
+    if dtype == np.float64:
+        want = sum(gemm_partial(ap, bp, pair, l) for l in range(used))
+        assert_allclose(got, want, rtol=0, atol=atol)

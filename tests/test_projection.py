@@ -124,6 +124,10 @@ def test_project_rows_grouping_haar():
     r = 1.0 / np.sqrt(2.0)
     assert_allclose(project_rows(m, pair, 0), [[4.0 * r, 12.0 * r]])
     assert_allclose(project_rows(m, pair, 1), [[-2.0 * r, -2.0 * r]])
+    # a sequence of indices stacks them index-major, in the order given
+    assert_allclose(project_rows(m, pair, [1, 0]),
+                    [[-2.0 * r, -2.0 * r, 4.0 * r, 12.0 * r]])
+    assert np.array_equal(project_rows(m, pair, [1]), project_rows(m, pair, 1))
 
 
 def test_project_cols_uses_inverse_rows():
@@ -132,6 +136,7 @@ def test_project_cols_uses_inverse_rows():
     r = 1.0 / np.sqrt(2.0)
     assert_allclose(project_cols(m, pair, 0), [[4.0 * r]])
     assert_allclose(project_cols(m, pair, 1), [[-2.0 * r]])
+    assert_allclose(project_cols(m, pair, range(2)), [[4.0 * r], [-2.0 * r]])
 
 
 def test_projection_divisibility_required():
@@ -146,6 +151,9 @@ def test_projection_index_bounds():
     pair = make_dct_pair(4)
     with pytest.raises(IndexOutOfRange):
         project_rows(np.ones((1, 4)), pair, 4)
+    for bad in ([0, 4], [], [[0, 1]], [0.5]):
+        with pytest.raises(IndexOutOfRange):
+            project_cols(np.ones((4, 1)), pair, bad)
     with pytest.raises(IndexOutOfRange):
         project_signal(np.ones(4), pair, -1)
 
