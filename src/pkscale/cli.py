@@ -42,7 +42,7 @@ from .costs import (
     MacCounter,
     mac_conv_plain_freq,
     mac_conv_plain_time,
-    mac_conv_proj_time,
+    mac_conv_proj_general,
     mac_gemm_plain_general,
     mac_gemm_proj_general,
     ratio_table,
@@ -196,7 +196,7 @@ def cmd_bench_conv(args):
         rep = snr(reference, approx)
         thr = measure_throughput(lambda: conv_projected_blocked(s, k, pair, cfg),
                                  repetitions=args.reps)
-        model = mac_conv_proj_time(args.n, args.proj - 1, args.L)
+        model = mac_conv_proj_general(args.w, args.n, args.L, args.proj, len(cfg.phases()))
         config = f"{geometry}.L{args.L}.p{args.proj}.{tag}"
         lines.append(_metric_row("conv-projected", config, rep, thr,
                                  model, counter.count))
@@ -210,12 +210,15 @@ def cmd_bench_conv(args):
                              mac_conv_plain_time(args.n), counter.count))
     timing.append(_timing_comment("conv-time", geometry, thr))
 
-    fast = conv_fft(s, k)
-    rep = snr(reference, fast)
-    thr = measure_throughput(lambda: conv_fft(s, k), repetitions=args.reps)
-    lines.append(_metric_row("conv-fft", geometry, rep, thr,
-                             mac_conv_plain_freq(args.n), 0))
-    timing.append(_timing_comment("conv-fft", geometry, thr))
+    # imported here: scipy.signal is slow to import and only this row needs it
+    from scipy.signal import oaconvolve
+
+    for kernel, run in (("conv-fft", conv_fft), ("conv-oaconvolve", oaconvolve)):
+        rep = snr(reference, run(s, k))
+        thr = measure_throughput(lambda: run(s, k), repetitions=args.reps)
+        lines.append(_metric_row(kernel, geometry, rep, thr,
+                                 mac_conv_plain_freq(args.n), 0))
+        timing.append(_timing_comment(kernel, geometry, thr))
     lines.append("# macs_measured=0 means the kernel is not instrumented "
                  "(library FFT)")
     _emit(lines + timing, args.out)

@@ -21,7 +21,10 @@ Projection paths come in two flavors:
   groups are projected; convolving the compact sequences at 1/L the rate
   gives output samples r, r + L, r + 2L, ... directly. Keeping the first p
   projections is the graceful approximation, keeping all L reproduces
-  :func:`conv_direct` to rounding, and any kernel length works.
+  :func:`conv_direct` to rounding, and any kernel length works. All the
+  compact convolutions run as matrix products of the compact signal's
+  windows with a block-Toeplitz matrix of the projected kernel taps, whose
+  output rows, flattened, are the phases already interleaved.
 
 * :func:`conv_projected_peaks` runs the same path for one signal against a
   bank of equal-length kernels whose per-phase projections
@@ -38,11 +41,20 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.fft
-from numpy.lib.stride_tricks import sliding_window_view
+from numpy.lib.stride_tricks import as_strided, sliding_window_view
 
 from .config import SampleMode
 from .errors import DimensionMismatch, DomainError, IndexOutOfRange
-from .projection import _as_real, _grouped, project_signal, project_signal_dual
+# project_signal_dual is unused here; perfbench/tracing.py wraps it under
+# this module's name, so the name must resolve.
+from .projection import _as_real, project_signal, project_signal_dual  # noqa: F401
+
+# Block-Toeplitz products of conv_projected_blocked: output samples per row
+# of the product, most compact kernel taps per Toeplitz segment, and most
+# window elements copied for one product.
+CONV_ROW_OUTPUTS = 64
+CONV_SEGMENT_TAPS = 512
+CONV_CHUNK_ELEMENTS = 1 << 16
 
 
 class ConvVariant(enum.Enum):
@@ -296,6 +308,28 @@ def _interp_uniform(out_len, stride, stream, dtype):
     return out
 
 
+def _toeplitz_segment(taps, block):
+    """Block-Toeplitz right operand of one tap segment.
+
+    ``taps`` is (P, p, w): per computed phase r and projection l, w
+    consecutive compact kernel taps in reversed order, ``g[r, l, m] =
+    kd_{r,l}[o + w - 1 - m]`` for the segment's first tap o. The result is
+    the (p * (block + w - 1), block * P) matrix ``T[l*(block+w-1) + a, i*P + r]
+    = g[r, l, a - i]`` for 0 <= a - i < w, else 0, so a window of block + w - 1
+    compact signal samples per projection times T gives block output rows of
+    every phase, interleaved.
+    """
+    phases, used, width = taps.shape
+    span = block + width - 1
+    padded = np.zeros((phases, used, span + block - 1), dtype=taps.dtype)
+    padded[..., block - 1:span] = taps
+    # view[r, l, a, i] = padded[r, l, block - 1 + a - i]: indices 0 .. span + block - 2
+    s_r, s_l, step = padded.strides
+    view = as_strided(padded[..., block - 1:], (phases, used, span, block),
+                      (s_r, s_l, step, -step), writeable=False)
+    return view.transpose(1, 2, 3, 0).reshape(used * span, block * phases)
+
+
 def conv_projected_blocked(s, k, pair, cfg, counter=None):
     """Convolution on compacted sequences, exact with every projection kept.
 
@@ -304,18 +338,42 @@ def conv_projected_blocked(s, k, pair, cfg, counter=None):
     ``sc_l[i] = sum_t s[i*L + t] C[t, l]``, and for each computed output
     phase r the kernel's reversed groups are projected,
     ``kd_{r,l}[q] = sum_t D[l, t] k[q*L + r - t]`` for q < Q =
-    ceil((N + L - 1) / L). Since ``C @ D == I``, summing the compact
-    convolutions over every l gives ``y[j*L + r] = sum_l (sc_l * kd_{r,l})[j]``
-    exactly; the first ``cfg.projections_used`` terms are the approximation.
-    Any kernel length from 1 to ``len(s)`` works. ALL_PHASES computes every
-    phase; HALF_INTERPOLATE computes phase 0 only and fills the other
-    positions by linear interpolation between computed neighbors (positions
-    past the last computed sample take its value).
+    ceil((N + L - 1) / L) (:func:`project_kernel_bank`). Since
+    ``C @ D == I``, summing the compact convolutions over every l gives
+    ``y[j*L + r] = sum_l (sc_l * kd_{r,l})[j]`` exactly; the first
+    ``cfg.projections_used`` terms are the approximation. Any kernel length
+    from 1 to ``len(s)`` works. ALL_PHASES computes every phase;
+    HALF_INTERPOLATE computes phase 0 only and fills the other positions by
+    linear interpolation between computed neighbors (positions past the last
+    computed sample take its value).
+
+    All compact convolutions of the p kept projections and the P computed
+    phases run as matrix products. The output is held as a matrix Y of
+    B = ceil(CONV_ROW_OUTPUTS / P) compact samples per row,
+    ``Y[j, i*P + r] = y[(j*B + i)*L + r]``, so its rows, flattened, are the
+    interleaved output. Row j of Y is the window of the zero-padded compact
+    signal starting at j*B, all p projections side by side, times the
+    block-Toeplitz matrix of the projected kernel taps
+    (:func:`_toeplitz_segment`).
+
+    * B: a product row of CONV_ROW_OUTPUTS output samples is wide enough
+      for an efficient BLAS product, while each window is only B - 1
+      samples longer than the taps it meets.
+    * S: the taps are cut into segments of at most S = CONV_SEGMENT_TAPS,
+      each a product of its own added into Y. A segment's Toeplitz matrix
+      has p * (B + S - 1) rows, so its size does not grow with the kernel;
+      unsegmented it would hold B copies of the whole compact kernel.
+    * Chunks: the windows overlap, so BLAS needs them copied; the rows go
+      in chunks of about CONV_CHUNK_ELEMENTS window elements, which bounds
+      the copy.
 
     Output length is ``len(s) + len(k) - 1``. The counter charges p * len(s)
     for the signal pass, and per computed phase p * N for the kernel pass plus
     p * G * Q for the compact convolutions (G = ceil(len(s) / L) compact
     signal samples); partial-sum additions and interpolation are not charged.
+    The count is that per-slice convention, not a trace of the products,
+    which also multiply the Toeplitz matrix's zeros (a factor of about
+    (B + S - 1) / S for a segment of S taps).
     """
     cfg.check_pair(pair)
     s = _as_real(s, 1, "signal")
@@ -323,26 +381,48 @@ def conv_projected_blocked(s, k, pair, cfg, counter=None):
     _check_linear(s, k)
     size = pair.size
     used = cfg.projections_used
+    phases = cfg.phases()
     out_len = s.shape[0] + k.shape[0] - 1
     compact_len = _compact_kernel_len(k.shape[0], size)
-    sc = [project_signal(s, pair, l) for l in range(used)]
-    buffer = _reversed_kernel(k, size)
+    dtype = _dtype_of(s, k)
+    sc = project_signal(s, pair, range(used))
     if counter is not None:
         counter.add(used * s.shape[0])
-    out = np.zeros(out_len, dtype=_dtype_of(s, k))
-    for phase in cfg.phases():
-        stream = 0
-        for l in range(used):
-            kd = project_signal_dual(buffer, pair, l, size - 1 - phase)[compact_len - 1::-1]
-            stream = stream + np.convolve(sc[l], kd)
-        if counter is not None:
-            counter.add(used * k.shape[0])
-            counter.add(used * sc[0].shape[0] * compact_len)
-        kept = -(-(out_len - phase) // size)
-        if cfg.sample_mode is SampleMode.HALF_INTERPOLATE:
-            return _interp_uniform(out_len, size, stream[:kept], out.dtype)
-        out[phase::size] = stream[:kept]
-    return out
+    # taps[r, l, q] = kd_{r,l}[Q - 1 - q]
+    taps = np.stack([project_kernel_bank(k[None], pair, used, phase, counter)
+                     .reshape(used, compact_len) for phase in phases]).astype(dtype, copy=False)
+    if counter is not None:
+        counter.add(len(phases) * used * sc.shape[1] * compact_len)
+
+    block = -(-CONV_ROW_OUTPUTS // len(phases))
+    kept = -(-out_len // size)              # compact samples of phase 0
+    rows = -(-kept // block)
+    # padded[l, Q - 1 + i] = sc_l[i]: window j*B + a of tap segment o reads
+    # sc_l[j*B + a - o - w + 1] at column j*B + a + (Q - o - w)
+    padded = np.zeros((used, rows * block + compact_len - 1), dtype=dtype)
+    padded[:, compact_len - 1:compact_len - 1 + sc.shape[1]] = sc
+    step = padded.itemsize
+    y = np.empty((rows, block * len(phases)), dtype=dtype)
+    for first in range(0, compact_len, CONV_SEGMENT_TAPS):
+        width = min(CONV_SEGMENT_TAPS, compact_len - first)
+        start = compact_len - first - width
+        toeplitz = _toeplitz_segment(taps[..., start:start + width], block)
+        span = block + width - 1
+        # windows[j, l, a] = padded[l, start + j*B + a]; the last window ends
+        # at column rows*B + Q - 2 - first, inside padded
+        windows = as_strided(padded[:, start:], (rows, used, span),
+                             (block * step, padded.strides[0], step), writeable=False)
+        chunk = max(1, CONV_CHUNK_ELEMENTS // (used * span))
+        for lo in range(0, rows, chunk):
+            hi = min(lo + chunk, rows)
+            x = windows[lo:hi].reshape(hi - lo, used * span)
+            if first == 0:
+                np.matmul(x, toeplitz, out=y[lo:hi])
+            else:
+                y[lo:hi] += x @ toeplitz
+    if cfg.sample_mode is SampleMode.HALF_INTERPOLATE:
+        return _interp_uniform(out_len, size, y.reshape(-1)[:kept], dtype)
+    return y.reshape(-1)[:out_len]
 
 
 def project_kernel_bank(kernels, pair, projections, phase, counter=None):
@@ -408,12 +488,12 @@ def conv_projected_peaks(s, banks, kernel_len, pair, cfg, counter=None):
         raise DimensionMismatch(
             f"need 1 <= kernel length <= signal length, got {kernel_len} and {s.shape[0]}")
     out_len = s.shape[0] + kernel_len - 1
-    sc = _grouped(s, size, 0) @ pair.forward[:, :used].astype(s.dtype, copy=False)
-    groups = sc.shape[0]
+    sc = project_signal(s, pair, range(used))
+    groups = sc.shape[1]
     if counter is not None:
         counter.add(used * s.shape[0])
     padded = np.zeros((used, groups + 2 * (compact_len - 1)), dtype=sc.dtype)
-    padded[:, compact_len - 1:compact_len - 1 + groups] = sc.T
+    padded[:, compact_len - 1:compact_len - 1 + groups] = sc
     # windows[j, l * Q + q] = padded[l, j + q]; phase 0 keeps the most samples
     kept = -(-out_len // size)
     windows = sliding_window_view(padded, compact_len, axis=1)[:, :kept]

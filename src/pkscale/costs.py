@@ -12,6 +12,9 @@ one accumulate) for square-N GEMM and for one minimum overlap-save block
 * CONV, proj freq:  (l+1)(4N + 1) + (l+1)[(45c + 15) log2(3c + 1) + 3c + 1],
                     c = ceil(N/L)
 
+The ``*_general`` forms count one instance of the shipping kernels instead
+(any geometry; for CONV the whole signal, every computed phase).
+
 Memory transfer in bits: GEMM moves both square operands (2 N^2 b plain,
 2 (l+1)/L N^2 b projected); CONV moves one block plus kernel (4N+1 samples
 plain, ceil((l+1)/L (4N+1)) projected). The reported reduction percentage is
@@ -123,6 +126,23 @@ def mac_gemm_proj_general(m, k, w, l, size):
         raise DomainError(f"dims must be positive, got {m}x{k}x{w}")
     _check_proj(k, l, size, divisible=True)
     return (l + 1) * (m * k + k * w) + (l + 1) * m * (k // size) * w + l * m * w
+
+
+def mac_conv_proj_general(w, n, size, used, phases):
+    """Instance-level count of the shipping projected convolution
+    (:func:`pkscale.conv.conv_projected_blocked`) for a length-w signal, a
+    length-n kernel, ``used`` of ``size`` projections and ``phases``
+    computed output phases (``len(PrecisionConfig.phases())``): one signal
+    pass, then per phase a kernel pass and the compact convolutions,
+    ``used*w + phases*used*(n + ceil(w/L) * ceil((n + L - 1)/L))``."""
+    if min(w, n) < 1 or n > w:
+        raise DomainError(f"need 1 <= kernel length <= signal length, got {n} and {w}")
+    _check_proj(n, used - 1, size, divisible=False)
+    if not 1 <= phases <= size:
+        raise DomainError(f"phase count {phases} outside [1, {size}]")
+    compact_signal = -(-w // size)
+    compact_kernel = -(-(n + size - 1) // size)
+    return used * w + phases * used * (n + compact_signal * compact_kernel)
 
 
 @dataclass(frozen=True)

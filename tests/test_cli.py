@@ -4,7 +4,7 @@ import sys
 import numpy as np
 
 from pkscale.cli import COST_HEADER, DEMO_HEADER, METRIC_HEADER, main
-from pkscale.costs import mac_conv_proj_time
+from pkscale.costs import mac_conv_proj_general
 
 
 def _rows(text, header):
@@ -86,14 +86,16 @@ def test_bench_conv_small_run(tmp_path):
     text = out.read_text()
     rows = _rows(text, METRIC_HEADER)
     assert [r[0] for r in rows] == ["conv-projected", "conv-projected",
-                                    "conv-time", "conv-fft"]
+                                    "conv-time", "conv-fft", "conv-oaconvolve"]
     assert rows[0][1].endswith(".half")
     assert rows[1][1].endswith(".all")
-    model = mac_conv_proj_time(8, 0, 2)
-    assert int(rows[0][5]) == model
-    assert int(rows[1][5]) == model
+    # the model counts the shipping kernel: one phase for half, L for all
+    assert int(rows[0][5]) == int(rows[0][6]) == mac_conv_proj_general(256, 8, 2, 1, 1)
+    assert int(rows[1][5]) == int(rows[1][6]) == mac_conv_proj_general(256, 8, 2, 1, 2)
     assert float(rows[2][2]) == 300.0    # direct kernel is the reference
-    assert rows[3][6] == "0"             # library FFT is not instrumented
+    for row in rows[3:]:                 # library FFTs are not instrumented
+        assert row[6] == "0"
+        assert float(row[2]) > 200.0
     assert "# macs_measured=0" in text
 
 

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -6,6 +8,7 @@ from numpy.testing import assert_allclose
 
 from pkscale import synth
 from pkscale.config import PrecisionConfig, SampleMode
+from pkscale import conv
 from pkscale.conv import (
     ConvDomain,
     ConvPlan,
@@ -20,14 +23,19 @@ from pkscale.conv import (
     cyclic_translate,
     project_kernel_bank,
 )
-from pkscale.costs import MacCounter
+from pkscale.costs import MacCounter, mac_conv_proj_general
 from pkscale.errors import (
     DimensionMismatch,
     DomainError,
     IndexOutOfRange,
 )
 from pkscale.metrics import snr
-from pkscale.projection import make_custom_pair, make_dct_pair, make_haar_pair
+from pkscale.projection import (
+    make_custom_pair,
+    make_dct_pair,
+    make_haar_pair,
+    project_signal,
+)
 
 from pair_cases import pair_geometry, random_pair
 
@@ -241,6 +249,102 @@ def test_peaks_equal_blocked_peaks_property(case, mode):
         # operands is bounded by their scale, not by its own size
         atol = 1e-5 * np.abs(s).max() * np.abs(kernels.astype(np.float64)).sum(axis=1)
         assert np.all(np.abs(got - want) <= 1e-5 * np.abs(want) + atol), (got, want)
+
+
+def _per_index_oracle(s, k, pair, cfg):
+    """The projected convolution one compact convolution at a time:
+    ``y[j*L + r] = sum_l (sc_l * kd_{r,l})[j]`` with ``sc_l`` the single-index
+    signal projection and ``kd_{r,l}[q] = sum_t D[l, t] k[q*L + r - t]``
+    built here from its definition, in float64."""
+    s = s.astype(np.float64)
+    k = k.astype(np.float64)
+    size, used = pair.size, cfg.projections_used
+    out_len = s.shape[0] + k.shape[0] - 1
+    compact_len = -(-(k.shape[0] + size - 1) // size)
+    sc = [project_signal(s, pair, l) for l in range(used)]
+    taps = np.arange(compact_len)[:, None] * size - np.arange(size)[None, :]
+    out = np.zeros(out_len)
+    for phase in cfg.phases():
+        where = taps + phase
+        groups = np.where((where >= 0) & (where < k.shape[0]),
+                          k[np.clip(where, 0, k.shape[0] - 1)], 0.0)
+        stream = sum(np.convolve(sc[l], groups @ pair.inverse[l]) for l in range(used))
+        kept = -(-(out_len - phase) // size)
+        out[phase::size] = stream[:kept]
+    if cfg.sample_mode is SampleMode.HALF_INTERPOLATE:
+        kept = -(-out_len // size)
+        out = np.interp(np.arange(out_len), size * np.arange(kept), out[::size])
+    return out
+
+
+def _assert_matches_oracle(got, s, k, pair, cfg):
+    want = _per_index_oracle(s, k, pair, cfg)
+    assert got.shape == want.shape
+    if got.dtype == np.float64:
+        bound = 1e-12 * np.abs(want).max()
+    else:
+        # float32 rounds every stage at about 6e-8 of the operands
+        bound = 1e-5 * np.abs(s).max() * np.abs(k.astype(np.float64)).sum()
+    assert np.abs(got - want).max() <= bound
+
+
+@st.composite
+def blocked_case(draw):
+    family, size, seed, dtype = draw(pair_geometry)
+    used = draw(st.integers(1, size))
+    slen = draw(st.integers(size, 300))
+    klen = draw(st.integers(1, slen))
+    return family, size, seed, dtype, used, slen, klen
+
+
+@settings(max_examples=80, deadline=None)
+@given(blocked_case(), st.sampled_from(list(SampleMode)))
+def test_blocked_equals_per_index_oracle_property(case, mode):
+    family, size, seed, dtype, used, slen, klen = case
+    pair = random_pair(family, size, seed)
+    cfg = PrecisionConfig(size, used, sample_mode=mode)
+    rng = np.random.default_rng(seed)
+    s = rng.standard_normal(slen).astype(dtype)
+    k = rng.standard_normal(klen).astype(dtype)
+    counter = MacCounter()
+    got = conv_projected_blocked(s, k, pair, cfg, counter=counter)
+    assert got.dtype == dtype
+    _assert_matches_oracle(got, s, k, pair, cfg)
+    assert counter.count == mac_conv_proj_general(slen, klen, size, used, len(cfg.phases()))
+
+
+@pytest.mark.parametrize("mode", list(SampleMode))
+@pytest.mark.parametrize("used", [1, 2, 4])
+def test_blocked_equals_oracle_across_segments_and_chunks(mode, used):
+    # Q = 626 compact taps: more than one Toeplitz segment, and (in all but
+    # the half-rate p = 1, 2 cases) more output rows than one chunk holds
+    assert -(-(2500 + 3) // 4) > conv.CONV_SEGMENT_TAPS
+    rng = np.random.default_rng(6000)
+    pair = make_dct_pair(4)
+    cfg = PrecisionConfig(4, used, sample_mode=mode)
+    s = rng.standard_normal(6000)
+    k = rng.standard_normal(2500)
+    _assert_matches_oracle(conv_projected_blocked(s, k, pair, cfg), s, k, pair, cfg)
+
+
+def test_blocked_scratch_memory_stays_near_output_size():
+    # Without tap segments the Toeplitz operand alone holds B copies of the
+    # compact kernel (about 39x the output here). Allowed: a few arrays of the
+    # output's size (signal and kernel projections, padding, the product),
+    # plus one tap segment's Toeplitz matrix and one chunk of windows.
+    rng = np.random.default_rng(20)
+    pair = make_haar_pair(2)
+    cfg = PrecisionConfig(2, 2)
+    s = rng.standard_normal(20_000)
+    k = rng.standard_normal(20_000)
+    conv_projected_blocked(s, k, pair, cfg)
+    tracemalloc.start()
+    try:
+        out = conv_projected_blocked(s, k, pair, cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 6 * out.nbytes + 2 * 2**20
 
 
 def test_interp_matches_numpy_interp():

@@ -11,6 +11,7 @@ from pkscale.costs import (
     mac_conv_plain_freq,
     mac_conv_plain_time,
     mac_conv_proj_freq,
+    mac_conv_proj_general,
     mac_conv_proj_time,
     mac_gemm_plain,
     mac_gemm_plain_general,
@@ -52,6 +53,18 @@ def test_gemm_general_reduces_to_square_form():
         assert mac_gemm_proj_general(n, n, n, l, size) == mac_gemm_proj(n, l, size)
     assert mac_gemm_plain_general(144, 144, 144) == mac_gemm_plain(144)
     assert mac_gemm_plain_general(144, 40, 144) == 144 * 40 * 144
+
+
+def test_conv_general_golden_values():
+    # bench-conv defaults (W 20000, N 600, L 2, p 1): half rate, all phases
+    assert mac_conv_proj_general(20000, 600, 2, 1, 1) == 3_030_600
+    assert mac_conv_proj_general(20000, 600, 2, 1, 2) == 6_041_200
+    # 200000-sample signal, 600 taps, L 4, p 2, all phases
+    assert mac_conv_proj_general(200_000, 600, 4, 2, 4) == 60_804_800
+    for bad in ((8, 9, 2, 1, 1), (8, 0, 2, 1, 1), (8, 4, 2, 0, 1), (8, 4, 2, 3, 1),
+                (8, 4, 2, 1, 0), (8, 4, 2, 1, 3), (8, 4, 1, 1, 1)):
+        with pytest.raises(DomainError):
+            mac_conv_proj_general(*bad)
 
 
 def test_mac_argument_validation():

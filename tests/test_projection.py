@@ -201,6 +201,33 @@ def test_project_signal_dual_matches_inverse_rows():
                         grouped @ pair.inverse[l], atol=1e-12)
 
 
+@pytest.mark.parametrize("dual", [False, True])
+@pytest.mark.parametrize("make,size", [(make_dct_pair, 3), (make_haar_pair, 4),
+                                       (make_dct_pair, 8)])
+def test_project_signal_stacks_single_index_rows(dual, make, size):
+    project = project_signal_dual if dual else project_signal
+    pair = make(size)
+    rng = np.random.default_rng(size)
+    for dtype, tol in ((np.float64, 1e-14), (np.float32, 1e-6)):
+        s = rng.standard_normal(5 * size + 2).astype(dtype)
+        for phase in (0, 1):
+            for idx in ([0], [size - 1, 0], list(range(size)), range(1, size)):
+                got = project(s, pair, idx, phase)
+                want = np.stack([project(s, pair, l, phase) for l in idx])
+                assert got.shape == (len(idx), 6) and got.dtype == dtype
+                assert_allclose(got, want, rtol=0, atol=tol * np.abs(s).max())
+    # one int keeps the 1-D result
+    assert project(s, pair, 0).shape == (6,)
+
+
+def test_project_signal_rejects_bad_index_sequences():
+    pair = make_dct_pair(4)
+    for project in (project_signal, project_signal_dual):
+        for bad in ([0, 4], [], [[0, 1]], [0.5], [-1], "01"):
+            with pytest.raises(IndexOutOfRange):
+                project(np.ones(8), pair, bad)
+
+
 def test_project_signal_phase_bounds():
     pair = make_haar_pair(2)
     with pytest.raises(IndexOutOfRange):
