@@ -41,7 +41,7 @@ from .costs import (
     Domain,
     MacCounter,
     mac_conv_plain_freq,
-    mac_conv_plain_time,
+    mac_conv_plain_general,
     mac_conv_proj_general,
     mac_gemm_plain_general,
     mac_gemm_proj_general,
@@ -207,7 +207,7 @@ def cmd_bench_conv(args):
     rep = snr(reference, direct)
     thr = measure_throughput(lambda: conv_direct(s, k), repetitions=args.reps)
     lines.append(_metric_row("conv-time", geometry, rep, thr,
-                             mac_conv_plain_time(args.n), counter.count))
+                             mac_conv_plain_general(args.w, args.n), counter.count))
     timing.append(_timing_comment("conv-time", geometry, thr))
 
     # imported here: scipy.signal is slow to import and only this row needs it

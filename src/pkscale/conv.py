@@ -40,7 +40,6 @@ import enum
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.fft
 from numpy.lib.stride_tricks import as_strided, sliding_window_view
 
 from .config import SampleMode
@@ -141,6 +140,10 @@ def _next_pow2(n):
 
 
 def _fft_linear(s, k, out_len):
+    # imported here: scipy.fft is slow to import, and only the FFT baselines
+    # (conv_fft, overlap-save in the FREQ domain) use it
+    import scipy.fft
+
     nfft = _next_pow2(out_len)
     return scipy.fft.irfft(scipy.fft.rfft(s, nfft) * scipy.fft.rfft(k, nfft), nfft)[:out_len]
 

@@ -128,6 +128,15 @@ def mac_gemm_proj_general(m, k, w, l, size):
     return (l + 1) * (m * k + k * w) + (l + 1) * m * (k // size) * w + l * m * w
 
 
+def mac_conv_plain_general(w, n):
+    """Instance-level count of the direct linear convolution
+    (:func:`pkscale.conv.conv_direct`) of a length-w signal with a length-n
+    kernel: every signal sample meets every tap once, ``w*n``."""
+    if min(w, n) < 1 or n > w:
+        raise DomainError(f"need 1 <= kernel length <= signal length, got {n} and {w}")
+    return w * n
+
+
 def mac_conv_proj_general(w, n, size, used, phases):
     """Instance-level count of the shipping projected convolution
     (:func:`pkscale.conv.conv_projected_blocked`) for a length-w signal, a

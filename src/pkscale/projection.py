@@ -14,17 +14,18 @@ Two stock constructions are provided:
   unnormalized with its inverse computed numerically, and
 * the orthonormal Haar wavelet basis (power-of-two sizes), whose inverse is
   its transpose.
+
+Numerical inverses (cosine and caller-supplied pairs) are taken with numpy
+alone, so building a pair, like every projection below, loads no scipy.
 """
 
 from __future__ import annotations
 
 import enum
 import operator
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .errors import DimensionMismatch, DomainError, IndexOutOfRange, SingularMatrix
 
@@ -64,20 +65,38 @@ def _norm_inf(m):
     return float(np.abs(m).sum(axis=1).max())
 
 
-def _invert_checked(c):
-    """Invert via LU elimination with partial pivoting, double precision.
+def _smallest_pivot(c):
+    """Smallest pivot magnitude of Gaussian elimination with partial
+    pivoting on ``c``: one row swap and one rank-1 update of the trailing
+    block per column. A column with no nonzero candidate has pivot 0 and is
+    skipped, as LAPACK's LU does."""
+    u = np.array(c, dtype=np.float64)
+    n = u.shape[0]
+    smallest = np.inf
+    for j in range(n):
+        p = j + int(np.argmax(np.abs(u[j:, j])))
+        if p != j:
+            u[[j, p], j:] = u[[p, j], j:]
+        pivot = u[j, j]
+        smallest = min(smallest, abs(pivot))
+        if pivot != 0.0:
+            u[j + 1:, j + 1:] -= np.outer(u[j + 1:, j] / pivot, u[j, j + 1:])
+    return float(smallest)
 
-    Raises SingularMatrix when a pivot falls below PIVOT_TOL, when the
-    infinity-norm condition estimate reaches CONDITION_LIMIT, or when the
-    computed inverse fails the identity check.
+
+def _invert_checked(c):
+    """Invert ``c`` in double precision with numpy alone.
+
+    A partial-pivot elimination finds the smallest pivot, and
+    ``np.linalg.solve(c, I)`` (LAPACK's LU with partial pivoting) gives the
+    inverse. Raises SingularMatrix when a pivot falls below PIVOT_TOL, when
+    the infinity-norm condition estimate reaches CONDITION_LIMIT, or when
+    the computed inverse fails the identity check.
     """
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
-        lu, piv = scipy.linalg.lu_factor(c)
-    smallest = float(np.abs(np.diag(lu)).min())
+    smallest = _smallest_pivot(c)
     if smallest < PIVOT_TOL:
         raise SingularMatrix(f"elimination pivot {smallest:.3e} below {PIVOT_TOL:.0e}")
-    inv = scipy.linalg.lu_solve((lu, piv), np.eye(c.shape[0]))
+    inv = np.linalg.solve(c, np.eye(c.shape[0]))
     cond = _norm_inf(c) * _norm_inf(inv)
     if cond >= CONDITION_LIMIT:
         raise SingularMatrix(f"condition estimate {cond:.3e} at or above {CONDITION_LIMIT:.0e}")
@@ -214,6 +233,10 @@ def project_rows(matrix, pair, l):
         raise DimensionMismatch(f"column count {cols} not divisible by projection size {pair.size}")
     groups = cols // pair.size
     coeff = pair.forward[:, idx].astype(a.dtype, copy=False)
+    if isinstance(idx, list):
+        # fancy indexing leaves the selected columns F-ordered; the C-ordered
+        # copy multiplies about twice as fast and gives the same values
+        coeff = np.ascontiguousarray(coeff)
     out = a.reshape(rows, groups, pair.size) @ coeff
     # (rows, G, P) -> (rows, P, G): index-major; a no-op for one index
     return out.swapaxes(-1, 1).reshape(rows, coeff.size // pair.size * groups)

@@ -10,7 +10,6 @@ gives the slowly varying data that projection kernels are designed for.
 from __future__ import annotations
 
 import numpy as np
-from scipy.signal import lfilter
 
 from .errors import DomainError
 
@@ -29,13 +28,22 @@ def _rescale(x):
     return x
 
 
+def _smooth(x, rho, axis=-1):
+    """The one-pole filter ``y[t] = x[t] + rho * y[t-1]`` along ``axis``."""
+    # imported here: scipy.signal is slow to import, and nothing else in the
+    # package needs it
+    from scipy.signal import lfilter
+
+    return lfilter([1.0], [1.0, -rho], x, axis=axis)
+
+
 def ar_signal(length, rng, rho=DEFAULT_RHO):
     """Correlated 1-D signal of ``length`` samples in [-1, 1]."""
     if length < 1:
         raise DomainError(f"signal length must be positive, got {length}")
     _check_rho(rho)
     white = rng.standard_normal(length)
-    return _rescale(lfilter([1.0], [1.0, -rho], white))
+    return _rescale(_smooth(white, rho))
 
 
 def ar_image(rows, cols, rng, rho=DEFAULT_RHO):
@@ -44,9 +52,7 @@ def ar_image(rows, cols, rng, rho=DEFAULT_RHO):
         raise DomainError(f"image dimensions must be positive, got {rows}x{cols}")
     _check_rho(rho)
     white = rng.standard_normal((rows, cols))
-    smooth = lfilter([1.0], [1.0, -rho], white, axis=1)
-    smooth = lfilter([1.0], [1.0, -rho], smooth, axis=0)
-    return _rescale(smooth)
+    return _rescale(_smooth(_smooth(white, rho, axis=1), rho, axis=0))
 
 
 def ar_matrix_pair(m, k, w, rng, rho=DEFAULT_RHO):

@@ -1,3 +1,7 @@
+import json
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -29,3 +33,62 @@ def test_kernels_reject_complex_input(call):
     # complex input used to be cut to its real part with only a ComplexWarning
     with pytest.raises(DomainError, match="complex"):
         call(np.ones(4) + 1j)
+
+
+# Run in a fresh interpreter: the import, pair construction, the projected
+# kernels and matching, then the FFT baselines. Prints the scipy modules
+# loaded before and after the FFT calls, and the FFT baselines' largest
+# deviation from conv_direct.
+NUMPY_ONLY_SCRIPT = """
+import json
+import sys
+
+import numpy as np
+
+import pkscale.cli
+from pkscale.apps import ConvMode, FeatureDb, xcorr_match
+from pkscale.config import PrecisionConfig, SampleMode
+from pkscale.conv import (ConvDomain, ConvPlan, conv_direct, conv_fft,
+                          conv_overlap_save, conv_projected_blocked)
+from pkscale.gemm import gemm_projected
+from pkscale.projection import make_custom_pair, make_dct_pair, make_haar_pair
+
+
+def scipy_modules():
+    return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+
+
+rng = np.random.default_rng(0)
+pairs = [make_dct_pair(8), make_haar_pair(4),
+         make_custom_pair(rng.standard_normal((5, 5)) + 3.0 * np.eye(5))]
+a = rng.standard_normal((40, 40))
+b = rng.standard_normal((40, 40))
+s = rng.standard_normal(300)
+k = rng.standard_normal(17)
+for pair in pairs:
+    gemm_projected(a, b, pair, PrecisionConfig(pair.size, 2))
+    conv_projected_blocked(s, k, pair, PrecisionConfig(pair.size, 2))
+db = FeatureDb.from_arrays((f"e{i}", rng.standard_normal(32)) for i in range(4))
+half = PrecisionConfig(2, 1, SampleMode.HALF_INTERPOLATE)
+xcorr_match(rng.standard_normal(128), db, ConvMode(make_haar_pair(2), half))
+xcorr_match(rng.standard_normal(128), db)
+before = scipy_modules()
+
+direct = conv_direct(s, k)
+errors = [float(np.abs(conv_fft(s, k) - direct).max())]
+for block_len in (17, 40, 121):
+    plan = ConvPlan(block_len, k.shape[0], ConvDomain.FREQ)
+    errors.append(float(np.abs(conv_overlap_save(s, k, plan) - direct).max()))
+print(json.dumps({"before": before, "after": scipy_modules(), "errors": errors}))
+"""
+
+
+def test_projected_paths_load_no_scipy():
+    done = subprocess.run([sys.executable, "-c", NUMPY_ONLY_SCRIPT],
+                          capture_output=True, text=True, timeout=120, check=True)
+    report = json.loads(done.stdout)
+    assert report["before"] == []
+    # the FFT baselines import scipy.fft on their first call, and still
+    # equal the direct kernel
+    assert "scipy.fft" in report["after"]
+    assert max(report["errors"]) <= 1e-11

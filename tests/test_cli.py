@@ -4,7 +4,7 @@ import sys
 import numpy as np
 
 from pkscale.cli import COST_HEADER, DEMO_HEADER, METRIC_HEADER, main
-from pkscale.costs import mac_conv_proj_general
+from pkscale.costs import mac_conv_plain_general, mac_conv_proj_general
 
 
 def _rows(text, header):
@@ -93,6 +93,7 @@ def test_bench_conv_small_run(tmp_path):
     assert int(rows[0][5]) == int(rows[0][6]) == mac_conv_proj_general(256, 8, 2, 1, 1)
     assert int(rows[1][5]) == int(rows[1][6]) == mac_conv_proj_general(256, 8, 2, 1, 2)
     assert float(rows[2][2]) == 300.0    # direct kernel is the reference
+    assert int(rows[2][5]) == int(rows[2][6]) == mac_conv_plain_general(256, 8)
     for row in rows[3:]:                 # library FFTs are not instrumented
         assert row[6] == "0"
         assert float(row[2]) > 200.0

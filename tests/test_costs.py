@@ -9,6 +9,7 @@ from pkscale.costs import (
     counted_block_conv,
     counted_conv_projected_block,
     mac_conv_plain_freq,
+    mac_conv_plain_general,
     mac_conv_plain_time,
     mac_conv_proj_freq,
     mac_conv_proj_general,
@@ -65,6 +66,11 @@ def test_conv_general_golden_values():
                 (8, 4, 2, 1, 0), (8, 4, 2, 1, 3), (8, 4, 1, 1, 1)):
         with pytest.raises(DomainError):
             mac_conv_proj_general(*bad)
+    # the direct kernel over the whole bench-conv default signal
+    assert mac_conv_plain_general(20000, 600) == 12_000_000
+    for bad in ((8, 9), (8, 0), (0, 1)):
+        with pytest.raises(DomainError):
+            mac_conv_plain_general(*bad)
 
 
 def test_mac_argument_validation():

@@ -1,12 +1,19 @@
+import warnings
+
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from pkscale.errors import DimensionMismatch, DomainError, IndexOutOfRange, SingularMatrix
 from pkscale.projection import (
+    CONDITION_LIMIT,
+    INVERSE_TOL,
+    PIVOT_TOL,
     PairKind,
+    _smallest_pivot,
     make_custom_pair,
     make_dct_pair,
     make_haar_pair,
@@ -94,6 +101,102 @@ def test_ill_conditioned_matrix_rejected():
 
     with pytest.raises(SingularMatrix):
         make_custom_pair(scipy.linalg.hilbert(8))
+
+
+MATRIX_KINDS = ("random", "near-singular", "repeated-row", "ill-conditioned")
+
+
+def _test_matrices(kind, count=150):
+    """Deterministic square matrices of size 2..16: ``random`` Gaussian,
+    ``near-singular`` (one column a combination of the others, plus noise
+    from 1e-17 to 1e-3), ``repeated-row`` (exactly singular) and
+    ``ill-conditioned`` (singular values spread over 1e0..1e-12)."""
+    rng = np.random.default_rng(MATRIX_KINDS.index(kind))
+    for _ in range(count):
+        size = int(rng.integers(2, 17))
+        c = rng.standard_normal((size, size))
+        if kind == "near-singular":
+            c[:, -1] = c[:, :-1] @ rng.standard_normal(size - 1)
+            c += 10.0 ** rng.uniform(-17, -3) * rng.standard_normal((size, size))
+        elif kind == "repeated-row":
+            c[int(rng.integers(size))] = c[int(rng.integers(size))]
+        elif kind == "ill-conditioned":
+            u, _, vt = np.linalg.svd(c)
+            c = u @ np.diag(np.logspace(0, -rng.uniform(0, 12), size)) @ vt
+        yield c
+
+
+def _lapack_lu(c):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
+        return scipy.linalg.lu_factor(c)
+
+
+def _smallest_lapack_pivot(lu):
+    return float(np.abs(np.diag(lu[0])).min())
+
+
+PIVOT_MATCH_REL = 1e-12
+# Bands around each threshold inside which the reference and the pair code
+# may decide differently: their LU solves come from different LAPACK builds,
+# whose identity residuals differed by up to 1.7x on the same matrix, while
+# condition estimates agree to far better than 1e-6 relative and smallest
+# pivots to 4e-14 of the largest entry (about 1e-13 absolute here).
+PIVOT_BAND = 2.0
+CONDITION_BAND = 1e-6
+RESIDUAL_BAND = 4.0
+
+
+def _lapack_check(c):
+    """The three pair checks with scipy's LU as the reference elimination:
+    the first words of the message of the check that fails, or None, and
+    whether a quantity fell inside its band around a threshold."""
+    lu = _lapack_lu(c)
+    pivot = _smallest_lapack_pivot(lu)
+    near = PIVOT_TOL / PIVOT_BAND <= pivot <= PIVOT_TOL * PIVOT_BAND
+    if pivot < PIVOT_TOL:
+        return "elimination pivot", near
+    inv = scipy.linalg.lu_solve(lu, np.eye(c.shape[0]))
+    cond = np.abs(c).sum(axis=1).max() * np.abs(inv).sum(axis=1).max()
+    near |= abs(cond / CONDITION_LIMIT - 1.0) <= CONDITION_BAND
+    if cond >= CONDITION_LIMIT:
+        return "condition estimate", near
+    residual = np.abs(c @ inv - np.eye(c.shape[0])).max()
+    near |= INVERSE_TOL / RESIDUAL_BAND <= residual <= INVERSE_TOL * RESIDUAL_BAND
+    if residual > INVERSE_TOL:
+        return "inverse verification", near
+    return None, near
+
+
+@pytest.mark.parametrize("kind", MATRIX_KINDS)
+def test_smallest_pivot_matches_lapack_lu(kind):
+    for c in _test_matrices(kind):
+        ref = _smallest_lapack_pivot(_lapack_lu(c))
+        # relative to the pivot where it is of the matrix's own scale, and
+        # to the largest entry where cancellation leaves it near zero
+        scale = ref if kind == "random" else float(np.abs(c).max())
+        assert abs(_smallest_pivot(c) - ref) <= PIVOT_MATCH_REL * scale
+
+
+@pytest.mark.parametrize("kind", MATRIX_KINDS)
+def test_custom_pair_rejects_what_lapack_lu_rejects(kind):
+    decided = 0
+    for c in _test_matrices(kind):
+        expected, near = _lapack_check(c)
+        if near:
+            # either decision is right; any other exception is not
+            try:
+                make_custom_pair(c)
+            except SingularMatrix:
+                pass
+        elif expected is None:
+            make_custom_pair(c)
+            decided += 1
+        else:
+            with pytest.raises(SingularMatrix, match=f"^{expected}"):
+                make_custom_pair(c)
+            decided += 1
+    assert decided >= 100
 
 
 def test_custom_pair_rejects_non_square_and_non_finite():
