@@ -42,7 +42,6 @@ from .gemm import (
     gemm_conventional,
     gemm_partial,
     gemm_projected,
-    project_right_operand,
     reorder_block_major,
     restore_block_major,
 )
@@ -91,7 +90,6 @@ __all__ = [
     "gemm_conventional",
     "gemm_partial",
     "gemm_projected",
-    "project_right_operand",
     "reorder_block_major",
     "restore_block_major",
     "SnrReport",

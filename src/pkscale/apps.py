@@ -25,7 +25,6 @@ from .conv import (
     project_kernel_bank,
 )
 from .errors import (
-    ConvergenceFailure,
     DimensionMismatch,
     DomainError,
     EmptyDb,
@@ -34,12 +33,10 @@ from .errors import (
     ParseError,
     ZeroEnergyEntry,
 )
-from .gemm import gemm_projected, project_right_operand
+from .gemm import gemm_projected
 from .io import load_manifest, load_matrix, load_signal, read_pgm
 from .projection import _as_real
 
-JACOBI_TOL_FACTOR = 1e-10
-JACOBI_MAX_SWEEPS = 100
 DEFAULT_FEATURE_DIMS = 10
 
 
@@ -74,25 +71,17 @@ class GemmMode:
             return "conventional"
         return f"projected-L{self.pair.size}-p{self.config.projections_used}"
 
-    def multiply(self, a, b, right_cache=None, counter=None):
+    def multiply(self, a, b, counter=None):
         a = np.asarray(a)
         b = np.asarray(b)
         if self.is_projected:
-            return gemm_projected(a, b, self.pair, self.config,
-                                  right_cache=right_cache, counter=counter)
+            return gemm_projected(a, b, self.pair, self.config, counter=counter)
         if a.shape[1] != b.shape[0]:
             raise DimensionMismatch(
                 f"inner dimensions disagree: {a.shape} @ {b.shape}")
         if counter is not None:
             counter.add(a.shape[0] * a.shape[1] * b.shape[1])
         return a @ b
-
-    def cache_right(self, b, counter=None):
-        """Pre-project a fixed right operand; None in conventional mode."""
-        if not self.is_projected:
-            return None
-        return project_right_operand(b, self.pair,
-                                     self.config.projections_used, counter=counter)
 
 
 @dataclass(frozen=True)
@@ -124,73 +113,6 @@ class ConvMode:
                                           self.config, counter=counter)
         return conv_direct(signal, kernel, variant=ConvVariant.XCORR,
                            counter=counter)
-
-
-def _offdiag_norm(a):
-    off = a.copy()
-    np.fill_diagonal(off, 0.0)
-    return float(np.linalg.norm(off))
-
-
-def jacobi_eigh(matrix, tol_factor=JACOBI_TOL_FACTOR, max_sweeps=JACOBI_MAX_SWEEPS):
-    """Eigen-decomposition of a symmetric matrix by cyclic Jacobi sweeps.
-
-    Returns (eigenvalues, eigenvectors) with eigenvalues descending and
-    eigenvectors in the matching columns. Sweeps rotate every (p, q) pair in
-    row order until the off-diagonal Frobenius norm drops below
-    ``tol_factor`` times the Frobenius norm of the input.
-    """
-    a = np.array(matrix, dtype=np.float64)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise DimensionMismatch(f"need a square matrix, got shape {a.shape}")
-    if not np.all(np.isfinite(a)):
-        raise DomainError("matrix contains non-finite values")
-    # iterate at O(1) magnitude so the norm-based convergence test neither
-    # underflows (entries near 1e-300 square to zero) nor overflows
-    scale = float(np.abs(a).max())
-    if scale > 0.0:
-        a = a / scale
-    else:
-        scale = 1.0
-    if not np.allclose(a, a.T, rtol=0.0, atol=1e-8 * (1.0 + _norm_f(a))):
-        raise DomainError("matrix is not symmetric")
-    a = (a + a.T) / 2.0
-    n = a.shape[0]
-    vectors = np.eye(n)
-    tol = tol_factor * max(_norm_f(a), np.finfo(np.float64).tiny)
-    sweeps = 0
-    while _offdiag_norm(a) > tol:
-        if sweeps >= max_sweeps:
-            raise ConvergenceFailure(
-                f"Jacobi stalled at off-diagonal norm {_offdiag_norm(a):.3e} "
-                f"(tolerance {tol:.3e}) after {max_sweeps} sweeps")
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = a[p, q]
-                if apq == 0.0:
-                    continue
-                theta = (a[q, q] - a[p, p]) / 2.0
-                denom = abs(theta) + np.hypot(theta, apq)
-                t = apq / denom if theta >= 0.0 else -apq / denom
-                c = 1.0 / np.sqrt(1.0 + t * t)
-                s = t * c
-                rows = c * a[p, :] - s * a[q, :]
-                a[q, :] = s * a[p, :] + c * a[q, :]
-                a[p, :] = rows
-                cols = c * a[:, p] - s * a[:, q]
-                a[:, q] = s * a[:, p] + c * a[:, q]
-                a[:, p] = cols
-                vcols = c * vectors[:, p] - s * vectors[:, q]
-                vectors[:, q] = s * vectors[:, p] + c * vectors[:, q]
-                vectors[:, p] = vcols
-        sweeps += 1
-    values = np.diag(a) * scale
-    order = np.argsort(-values, kind="stable")
-    return values[order], vectors[:, order]
-
-
-def _norm_f(a):
-    return float(np.linalg.norm(a))
 
 
 @dataclass(frozen=True)
@@ -233,7 +155,11 @@ def pca_train(training, dims=DEFAULT_FEATURE_DIMS, mode=GemmMode(), counter=None
     """Image-scatter eigenbasis plus per-image feature matrices.
 
     The scatter matrix is the sum of A @ A.T over the training images,
-    accumulated through the selected multiply; features are A @ basis.
+    accumulated through the selected multiply; its top ``dims`` eigenvectors
+    (LAPACK ``eigh``, eigenvalues descending) form the basis, and the
+    features are :func:`pca_extract` of the training stack. A scatter with
+    non-finite entries (non-finite images, or products that overflow) raises
+    :class:`DomainError`.
     """
     n = training.dim
     if not 1 <= dims <= n:
@@ -241,47 +167,53 @@ def pca_train(training, dims=DEFAULT_FEATURE_DIMS, mode=GemmMode(), counter=None
     scatter = np.zeros((n, n))
     for image in training.images:
         scatter += mode.multiply(image, image.T, counter=counter)
-    scatter = (scatter + scatter.T) / 2.0
-    values, vectors = jacobi_eigh(scatter)
-    basis = EigenBasis(vectors=np.ascontiguousarray(vectors[:, :dims]),
-                       eigenvalues=np.maximum(values[:dims], 0.0))
-    cache = mode.cache_right(basis.vectors, counter=counter)
-    features = np.stack([
-        mode.multiply(image, basis.vectors, right_cache=cache, counter=counter)
-        for image in training.images
-    ])
-    return basis, features
+    if not np.all(np.isfinite(scatter)):
+        raise DomainError("image scatter matrix contains non-finite values")
+    values, vectors = np.linalg.eigh((scatter + scatter.T) / 2.0)
+    basis = EigenBasis(vectors=np.ascontiguousarray(vectors[:, ::-1][:, :dims]),
+                       eigenvalues=np.maximum(values[::-1][:dims], 0.0))
+    return basis, pca_extract(training.images, basis, mode=mode, counter=counter)
 
 
-def pca_extract(image, basis, mode=GemmMode(), right_cache=None, counter=None):
-    """Feature matrix of one image against a trained basis."""
-    image = np.asarray(image)
-    if image.ndim != 2 or image.shape[1] != basis.vectors.shape[0]:
+def pca_extract(images, basis, mode=GemmMode(), counter=None):
+    """Feature matrices of a ``(count, n, n)`` image stack against a basis.
+
+    Returns ``(count, n, dims)``, computed as one product of the stacked image
+    rows, ``(count*n, n) @ basis``, so the basis is projected once per call.
+    """
+    images = np.asarray(images)
+    n = basis.vectors.shape[0]
+    if images.ndim != 3 or images.shape[1:] != (n, n):
         raise DimensionMismatch(
-            f"image shape {image.shape} does not match basis rows "
-            f"{basis.vectors.shape[0]}")
-    return mode.multiply(image, basis.vectors, right_cache=right_cache,
+            f"image stack shape {images.shape} does not match basis rows {n}")
+    count = images.shape[0]
+    rows = mode.multiply(images.reshape(count * n, n), basis.vectors,
                          counter=counter)
+    return rows.reshape(count, n, basis.dims)
 
 
 def pca_match(features, gallery):
-    """Index of the gallery feature matrix nearest in Frobenius norm."""
-    if len(gallery) == 0:
-        raise EmptyGallery("cannot match against an empty gallery")
+    """Gallery index nearest in Frobenius norm to each query feature matrix.
+
+    ``features`` is a stack of query feature matrices and ``gallery`` a stack
+    of the same shape per entry; returns one index per query, ties going to
+    the lowest index. Each query is one vectorised pass over the gallery.
+    """
+    gallery = np.asarray(gallery, dtype=np.float64)
     features = np.asarray(features, dtype=np.float64)
-    best = 0
-    best_dist = np.inf
-    for j, candidate in enumerate(gallery):
-        candidate = np.asarray(candidate, dtype=np.float64)
-        if candidate.shape != features.shape:
-            raise DimensionMismatch(
-                f"gallery entry {j} has shape {candidate.shape}, "
-                f"query has {features.shape}")
-        dist = _norm_f(features - candidate)
-        if dist < best_dist:
-            best = j
-            best_dist = dist
-    return best
+    if gallery.shape[0] == 0:
+        raise EmptyGallery("cannot match against an empty gallery")
+    if features.ndim != 3 or features.shape[1:] != gallery.shape[1:]:
+        raise DimensionMismatch(
+            f"query stack has shape {features.shape}, gallery {gallery.shape}")
+    flat = gallery.reshape(gallery.shape[0], -1)
+    matches = np.empty(features.shape[0], dtype=np.intp)
+    for i, query in enumerate(features.reshape(features.shape[0], -1)):
+        # the difference form, not |f|^2 + |g|^2 - 2 f.g, so that duplicate
+        # gallery entries tie exactly
+        d = flat - query
+        matches[i] = np.argmin(np.einsum("ij,ij->i", d, d))
+    return matches
 
 
 def _crop_or_pad(image, n):

@@ -49,7 +49,6 @@ from .costs import (
 )
 from .errors import (
     ConfigError,
-    ConvergenceFailure,
     DimensionMismatch,
     DomainError,
     EmptyDb,
@@ -76,7 +75,6 @@ _DATA_ERRORS = (
     SingularMatrix,
     DimensionMismatch,
     DomainError,
-    ConvergenceFailure,
     OSError,
 )
 
@@ -341,12 +339,8 @@ def cmd_pca_demo(args):
         start = time.perf_counter()
         basis, gallery = pca_train(train, dims=args.dims, mode=mode,
                                    counter=counter)
-        cache = mode.cache_right(basis.vectors)
-        predicted = []
-        for image in test_images:
-            features = pca_extract(image, basis, mode=mode, right_cache=cache,
-                                   counter=counter)
-            predicted.append(train.labels[pca_match(features, gallery)])
+        features = pca_extract(test_images, basis, mode=mode, counter=counter)
+        predicted = [train.labels[j] for j in pca_match(features, gallery)]
         elapsed = time.perf_counter() - start
         match_rate = float(np.mean([p == t for p, t in
                                     zip(predicted, test_labels)]))

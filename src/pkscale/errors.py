@@ -25,10 +25,6 @@ class CounterMismatch(RuntimeError):
     """An instrumented operation counter disagrees with the analytic model."""
 
 
-class ConvergenceFailure(RuntimeError):
-    """An iterative solver exhausted its sweep budget before converging."""
-
-
 class EmptyGallery(ValueError):
     """A feature gallery contains no entries to match against."""
 

@@ -164,41 +164,16 @@ def gemm_partial(a, b, pair, l, counter=None):
 def _pad_inner(a, b, size):
     k = a.shape[1]
     if k % size == 0:
-        return a, b, k
+        return a, b
     kp = ((k + size - 1) // size) * size
     ap = np.zeros((a.shape[0], kp), dtype=a.dtype)
     ap[:, :k] = a
     bp = np.zeros((kp, b.shape[1]), dtype=b.dtype)
     bp[:k, :] = b
-    return ap, bp, kp
+    return ap, bp
 
 
-def project_right_operand(b, pair, projections, counter=None):
-    """Precompute the right operand's column projections for reuse.
-
-    Returns one ``(projections*G, w)`` matrix, G = rows / size after padding:
-    the column projections onto indices ``0 .. projections-1`` stacked
-    index-major, as ``project_cols(b, pair, range(projections))`` gives. Feed
-    it to :func:`gemm_projected` as ``right_cache`` when the right operand is
-    fixed across many products; because the layout is index-major, a cache
-    built for P projections serves any p <= P through its first p*G rows.
-    Pads the row count to a multiple of the pair size, mirroring what
-    :func:`gemm_projected` does internally.
-    """
-    b = _as_real(b, 2, "right operand")
-    rows = b.shape[0]
-    if rows % pair.size:
-        rp = ((rows + pair.size - 1) // pair.size) * pair.size
-        bp = np.zeros((rp, b.shape[1]), dtype=b.dtype)
-        bp[:rows, :] = b
-        b = bp
-    cache = project_cols(b, pair, range(projections))
-    if counter is not None:
-        counter.add(projections * b.size)
-    return cache
-
-
-def gemm_projected(a, b, pair, cfg, right_cache=None, counter=None):
+def gemm_projected(a, b, pair, cfg, counter=None):
     """Approximate product keeping the first ``cfg.projections_used`` rank slices.
 
     With p = ``cfg.projections_used``, the sum of the p slice products
@@ -206,17 +181,14 @@ def gemm_projected(a, b, pair, cfg, right_cache=None, counter=None):
     projections, ``[A C_0 ... A C_{p-1}] @ [D_0 B; ...; D_{p-1} B]``: each
     operand is projected once (:func:`project_rows` and :func:`project_cols`
     over ``range(p)``) and a single matmul contracts the p*K/L inner
-    dimension. ``right_cache`` (from :func:`project_right_operand`, built for
-    at least p projections) replaces the right projection; its first p*G rows
-    are used. An inner dimension not divisible by the pair size is zero-padded
+    dimension. An inner dimension not divisible by the pair size is zero-padded
     (the padding stays confined to the contracted dimension, so the result
     needs no cropping). Exact when every projection index is used.
 
     The counter charges the per-slice formulation, a convention rather than a
     trace of the single product that runs: p*|A| for the left projection,
-    p*|B| for the right one unless ``right_cache`` is given,
-    m*(p*K/L)*w for the compact product and (p-1)*m*w for accumulating the
-    slices, all on the padded geometry
+    p*|B| for the right one, m*(p*K/L)*w for the compact product and
+    (p-1)*m*w for accumulating the slices, all on the padded geometry
     (:func:`pkscale.costs.mac_gemm_proj_general`).
     """
     cfg.check_pair(pair)
@@ -224,28 +196,13 @@ def gemm_projected(a, b, pair, cfg, right_cache=None, counter=None):
     b = _as_real(b, 2, "right operand")
     if a.shape[1] != b.shape[0]:
         raise DimensionMismatch(f"inner dims disagree: {a.shape} x {b.shape}")
-    a, b, k = _pad_inner(a, b, pair.size)
+    a, b = _pad_inner(a, b, pair.size)
     used = cfg.projections_used
-    groups = k // pair.size
-    if right_cache is not None:
-        bd = _as_real(right_cache, 2, "right_cache")
-        # max(): an empty inner dimension has no groups, and any row count fits
-        if bd.shape[1] != b.shape[1] or bd.shape[0] % max(groups, 1):
-            raise DimensionMismatch(
-                f"right_cache has shape {bd.shape}, expected a multiple of "
-                f"{groups} rows and {b.shape[1]} columns")
-        if bd.shape[0] < used * groups:
-            raise DomainError(
-                f"right_cache holds {bd.shape[0]} rows, need {used * groups} "
-                f"for {used} projections")
-        bd = bd[:used * groups]
-    else:
-        bd = project_cols(b, pair, range(used))
     ac = project_rows(a, pair, range(used))
+    bd = project_cols(b, pair, range(used))
     if counter is not None:
         counter.add(used * a.size)
-        if right_cache is None:
-            counter.add(used * b.size)
+        counter.add(used * b.size)
         counter.add(ac.shape[0] * ac.shape[1] * bd.shape[1])
         counter.add((used - 1) * a.shape[0] * b.shape[1])
     return ac @ bd

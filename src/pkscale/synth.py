@@ -29,12 +29,18 @@ def _rescale(x):
 
 
 def _smooth(x, rho, axis=-1):
-    """The one-pole filter ``y[t] = x[t] + rho * y[t-1]`` along ``axis``."""
-    # imported here: scipy.signal is slow to import, and nothing else in the
-    # package needs it
-    from scipy.signal import lfilter
+    """The one-pole filter ``y[t] = x[t] + rho * y[t-1]`` along ``axis``.
 
-    return lfilter([1.0], [1.0, -rho], x, axis=axis)
+    Stepped along ``axis`` and vectorised across the other axis; the rounding
+    is that of ``scipy.signal.lfilter([1], [1, -rho], x, axis=axis)``.
+    """
+    x = np.moveaxis(np.asarray(x, dtype=np.float64), axis, 0)
+    y = np.empty_like(x)
+    prev = 0.0
+    for t, row in enumerate(x):
+        prev = rho * prev + row
+        y[t] = prev
+    return np.moveaxis(y, 0, axis)
 
 
 def ar_signal(length, rng, rho=DEFAULT_RHO):

@@ -36,7 +36,8 @@ def test_kernels_reject_complex_input(call):
 
 
 # Run in a fresh interpreter: the import, pair construction, the projected
-# kernels and matching, then the FFT baselines. Prints the scipy modules
+# kernels and matching, the synthetic generators and the 2D-PCA pipeline,
+# then the FFT baselines. Prints the scipy modules
 # loaded before and after the FFT calls, and the FFT baselines' largest
 # deviation from conv_direct.
 NUMPY_ONLY_SCRIPT = """
@@ -46,7 +47,9 @@ import sys
 import numpy as np
 
 import pkscale.cli
-from pkscale.apps import ConvMode, FeatureDb, xcorr_match
+from pkscale import synth
+from pkscale.apps import (ConvMode, FeatureDb, GemmMode, TrainingSet, pca_extract,
+                          pca_match, pca_train, xcorr_match)
 from pkscale.config import PrecisionConfig, SampleMode
 from pkscale.conv import (ConvDomain, ConvPlan, conv_direct, conv_fft,
                           conv_overlap_save, conv_projected_blocked)
@@ -72,6 +75,12 @@ db = FeatureDb.from_arrays((f"e{i}", rng.standard_normal(32)) for i in range(4))
 half = PrecisionConfig(2, 1, SampleMode.HALF_INTERPOLATE)
 xcorr_match(rng.standard_normal(128), db, ConvMode(make_haar_pair(2), half))
 xcorr_match(rng.standard_normal(128), db)
+synth.ar_signal(300, rng)
+faces = np.stack([synth.ar_image(16, 16, rng) for _ in range(6)])
+training = TrainingSet(images=faces, labels=tuple("abcdef"))
+for mode in (GemmMode(), GemmMode(make_dct_pair(8), PrecisionConfig(8, 1))):
+    basis, gallery = pca_train(training, dims=4, mode=mode)
+    pca_match(pca_extract(faces, basis, mode=mode), gallery)
 before = scipy_modules()
 
 direct = conv_direct(s, k)

@@ -11,7 +11,6 @@ from pkscale.apps import (
     ImageFormat,
     TrainingSet,
     ingest_images,
-    jacobi_eigh,
     pca_extract,
     pca_match,
     pca_train,
@@ -19,9 +18,8 @@ from pkscale.apps import (
 )
 from pkscale.config import PrecisionConfig, SampleMode
 from pkscale.conv import ConvVariant, conv_direct, conv_projected_blocked
-from pkscale.costs import MacCounter
+from pkscale.costs import MacCounter, mac_gemm_proj_general
 from pkscale.errors import (
-    ConvergenceFailure,
     DimensionMismatch,
     DomainError,
     EmptyDb,
@@ -64,7 +62,6 @@ def test_gemm_mode_conventional_multiply():
                         counter=counter)
     assert_allclose(out, [[11.0]])
     assert counter.count == 2
-    assert mode.cache_right(np.ones((4, 2))) is None
     with pytest.raises(DimensionMismatch):
         mode.multiply(np.ones((2, 3)), np.ones((4, 2)))
 
@@ -77,10 +74,6 @@ def test_gemm_mode_projected_multiply_matches_kernel():
     a = rng.uniform(-1, 1, (3, 8))
     b = rng.uniform(-1, 1, (8, 5))
     assert_allclose(mode.multiply(a, b), gemm_projected(a, b, pair, cfg))
-    cache = mode.cache_right(b)
-    assert cache.shape == (2 * 8 // 4, 5)     # p*G stacked rows, w columns
-    assert_allclose(mode.multiply(a, b, right_cache=cache),
-                    gemm_projected(a, b, pair, cfg))
 
 
 def test_conv_mode_correlate_matches_kernels():
@@ -94,54 +87,6 @@ def test_conv_mode_correlate_matches_kernels():
     mode = ConvMode(pair=pair, config=cfg)
     assert_allclose(mode.correlate(s, k),
                     conv_projected_blocked(s, k[::-1], pair, cfg))
-
-
-def test_jacobi_matches_lapack():
-    rng = np.random.default_rng(10)
-    m = rng.uniform(-1, 1, (8, 8))
-    sym = (m + m.T) / 2.0
-    values, vectors = jacobi_eigh(sym)
-    ref = np.linalg.eigvalsh(sym)[::-1]
-    assert_allclose(values, ref, atol=EIG_TOL)
-    assert_allclose(vectors.T @ vectors, np.eye(8), atol=EIG_TOL)
-    assert_allclose(sym @ vectors, vectors @ np.diag(values), atol=EIG_TOL)
-
-
-def test_jacobi_descending_and_diagonal_fast_path():
-    values, vectors = jacobi_eigh(np.diag([1.0, 5.0, 3.0]))
-    assert_allclose(values, [5.0, 3.0, 1.0])
-    assert_allclose(np.abs(vectors), np.eye(3)[:, [1, 2, 0]])
-
-
-@pytest.mark.parametrize("magnitude", [1e-300, 1e300])
-def test_jacobi_handles_extreme_magnitudes(magnitude):
-    # squaring entries this small or large over/underflows a naive norm,
-    # so the solver must work on a rescaled copy
-    rng = np.random.default_rng(11)
-    m = rng.uniform(-1, 1, (6, 6)) * magnitude
-    sym = (m + m.T) / 2.0
-    values, vectors = jacobi_eigh(sym)
-    assert np.all(np.isfinite(values))
-    assert_allclose(values, np.linalg.eigvalsh(sym)[::-1],
-                    rtol=1e-8, atol=magnitude * 1e-12)
-    assert_allclose(sym @ vectors, vectors @ np.diag(values),
-                    atol=magnitude * 1e-10)
-
-
-def test_jacobi_rejects_non_finite():
-    bad = np.eye(3)
-    bad[0, 1] = bad[1, 0] = np.inf
-    with pytest.raises(DomainError):
-        jacobi_eigh(bad)
-
-
-def test_jacobi_validation_and_convergence_guard():
-    with pytest.raises(DimensionMismatch):
-        jacobi_eigh(np.ones((2, 3)))
-    with pytest.raises(DomainError):
-        jacobi_eigh(np.array([[0.0, 1.0], [0.0, 0.0]]))
-    with pytest.raises(ConvergenceFailure):
-        jacobi_eigh(np.array([[0.0, 1.0], [1.0, 0.0]]), max_sweeps=0)
 
 
 def test_training_set_validation():
@@ -168,10 +113,52 @@ def test_pca_train_basis_properties():
     assert_allclose(basis.vectors.T @ basis.vectors, np.eye(4), atol=1e-8)
     assert np.all(np.diff(basis.eigenvalues) <= 1e-9)
     assert np.all(basis.eigenvalues >= 0.0)
+    scatter = sum(image @ image.T for image in training.images)
+    scale = np.abs(scatter).max()
+    assert_allclose(scatter @ basis.vectors,
+                    basis.vectors @ np.diag(basis.eigenvalues), atol=1e-12 * scale)
+    assert_allclose(basis.eigenvalues, np.linalg.eigvalsh(scatter)[::-1][:4],
+                    rtol=1e-12, atol=1e-12 * scale)
     assert features.shape == (training.count, training.dim, 4)
     for i in range(training.count):
         assert_allclose(features[i], training.images[i] @ basis.vectors,
                         atol=1e-9)
+
+
+@pytest.mark.parametrize("mode", [
+    GemmMode(), GemmMode(make_dct_pair(8), PrecisionConfig(8, 1))],
+    ids=["conventional", "dct-L8-p1"])
+@pytest.mark.parametrize("spoil", [
+    lambda images: np.where(np.arange(images.size).reshape(images.shape) == 7,
+                            np.inf, images),
+    lambda images: images * 1e200,      # A @ A.T overflows
+], ids=["inf-pixel", "overflow"])
+def test_pca_train_rejects_non_finite_scatter(mode, spoil):
+    # the file loaders reject non-finite pixels, so only the API reaches this
+    training = _toy_training()
+    bad = TrainingSet(images=spoil(training.images), labels=training.labels)
+    with np.errstate(over="ignore", invalid="ignore"), \
+            pytest.raises(DomainError, match="non-finite"):
+        pca_train(bad, dims=3, mode=mode)
+
+
+def _decisions(training, queries, mode, dims=4):
+    basis, gallery = pca_train(training, dims=dims, mode=mode)
+    return pca_match(pca_extract(queries, basis, mode=mode), gallery)
+
+
+@pytest.mark.parametrize("mode", [
+    GemmMode(), GemmMode(make_dct_pair(8), PrecisionConfig(8, 1))],
+    ids=["conventional", "dct-L8-p1"])
+@pytest.mark.parametrize("scale", [1e-150, 1e150])
+def test_pca_decisions_survive_extreme_magnitudes(mode, scale):
+    training = _toy_training(count=8)
+    rng = np.random.default_rng(12)
+    queries = synth.gallery(12, 16, 16, rng)
+    want = _decisions(training, queries, mode)
+    scaled = TrainingSet(images=training.images * scale, labels=training.labels)
+    got = _decisions(scaled, queries * scale, mode)
+    assert np.array_equal(got, want)
 
 
 def test_pca_train_projected_full_matches_conventional():
@@ -181,10 +168,27 @@ def test_pca_train_projected_full_matches_conventional():
     basis_c, feats_c = pca_train(training, dims=3)
     basis_p, feats_p = pca_train(training, dims=3, mode=mode)
     # eigenvector sign is arbitrary; compare feature distances instead
-    q = training.images[0]
+    q = training.images
     fc = pca_extract(q, basis_c)
     fp = pca_extract(q, basis_p, mode=mode)
-    assert pca_match(fc, feats_c) == pca_match(fp, feats_p)
+    assert np.array_equal(pca_match(fc, feats_c), pca_match(fp, feats_p))
+
+
+def test_pca_counts_one_basis_projection_per_stack():
+    training = _toy_training(count=6, n=16)
+    queries = synth.gallery(4, 16, 16, np.random.default_rng(13))
+    for mode, per_product in (
+            (GemmMode(), lambda m, k, w: m * k * w),
+            (GemmMode(make_dct_pair(4), PrecisionConfig(4, 2)),
+             lambda m, k, w: mac_gemm_proj_general(m, k, w, 1, 4))):
+        counter = MacCounter()
+        basis, _ = pca_train(training, dims=3, mode=mode, counter=counter)
+        pca_extract(queries, basis, mode=mode, counter=counter)
+        # the scatter takes one product per training image; each extraction
+        # is one product of the stacked rows
+        assert counter.count == (6 * per_product(16, 16, 16)
+                                 + per_product(6 * 16, 16, 3)
+                                 + per_product(4 * 16, 16, 3))
 
 
 def test_pca_train_dims_validation():
@@ -199,17 +203,77 @@ def test_pca_extract_shape_check():
     training = _toy_training()
     basis, _ = pca_train(training, dims=2)
     with pytest.raises(DimensionMismatch):
-        pca_extract(np.ones((16, 12)), basis)
+        pca_extract(np.ones((16, 16)), basis)          # one image, not a stack
+    with pytest.raises(DimensionMismatch):
+        pca_extract(np.ones((3, 16, 12)), basis)
+    assert pca_extract(np.ones((3, 16, 16)), basis).shape == (3, 16, 2)
 
 
 def test_pca_match_nearest_and_ties():
-    gallery = [np.zeros((2, 2)), np.ones((2, 2)), np.ones((2, 2))]
-    assert pca_match(np.full((2, 2), 0.9), gallery) == 1   # tie -> first seen
-    assert pca_match(np.full((2, 2), 0.1), gallery) == 0
+    gallery = np.stack([np.zeros((2, 2)), np.ones((2, 2)), np.ones((2, 2))])
+    queries = np.stack([np.full((2, 2), 0.9), np.full((2, 2), 0.1)])
+    assert pca_match(queries, gallery).tolist() == [1, 0]   # tie -> lowest index
     with pytest.raises(EmptyGallery):
-        pca_match(np.zeros((2, 2)), [])
+        pca_match(np.zeros((1, 2, 2)), np.zeros((0, 2, 2)))
     with pytest.raises(DimensionMismatch):
-        pca_match(np.zeros((2, 2)), [np.zeros((3, 3))])
+        pca_match(np.zeros((1, 2, 2)), np.zeros((1, 3, 3)))
+    with pytest.raises(DimensionMismatch):
+        pca_match(np.zeros((2, 2)), gallery)             # one query, not a stack
+
+
+def test_pca_match_equals_per_pair_reference():
+    rng = np.random.default_rng(14)
+    gallery = rng.standard_normal((9, 6, 3))
+    queries = np.concatenate([rng.standard_normal((20, 6, 3)),
+                              gallery[[4, 0]] + 1e-3])
+    want = []
+    for query in queries:
+        dists = [np.linalg.norm(query - entry) for entry in gallery]
+        want.append(min(range(len(gallery)), key=lambda j: (dists[j], j)))
+    assert pca_match(queries, gallery).tolist() == want
+
+
+def test_pca_match_duplicate_entries_pick_lowest_index():
+    # each query's nearest entry appears twice; the expansion
+    # |f|^2 + |g|^2 - 2 f.g rounds the two copies apart at some gallery
+    # positions, the difference form never does
+    rng = np.random.default_rng(15)
+    entries = rng.standard_normal((9, 8, 4))
+    gallery = np.concatenate([entries, entries[::-1]])
+    for _ in range(10):
+        queries = entries + 1e-3 * rng.standard_normal(entries.shape)
+        assert pca_match(queries, gallery).tolist() == list(range(9))
+
+
+def _orthogonal(rng, n):
+    q, r = np.linalg.qr(rng.standard_normal((n, n)))
+    return q * np.sign(np.diag(r))
+
+
+def test_pca_decisions_ignore_rotation_within_degenerate_eigenvalues():
+    # images Q diag(s) R_i have scatter count * Q diag(s^2) Q^T; s repeats
+    # one value inside the kept dims, so the basis is fixed only up to a
+    # rotation of that pair, which leaves every feature distance unchanged
+    rng = np.random.default_rng(16)
+    n, dims = 16, 6
+    s = np.array([9.0, 7.0, 5.0, 5.0, 4.0, 3.0] + [1.0 / (j + 2) for j in range(n - dims)])
+    q = _orthogonal(rng, n)
+    images = np.stack([q * s @ _orthogonal(rng, n) for _ in range(10)])
+    training = TrainingSet(images=images, labels=tuple(range(10)))
+    queries = np.stack([q * s @ _orthogonal(rng, n) for _ in range(40)])
+    exact = GemmMode(make_dct_pair(8), PrecisionConfig(8, 8))
+    conventional = _decisions(training, queries, GemmMode(), dims=dims)
+    assert np.array_equal(_decisions(training, queries, exact, dims=dims),
+                          conventional)
+    basis, gallery = pca_train(training, dims=dims)
+    assert_allclose(basis.eigenvalues[2], basis.eigenvalues[3], rtol=1e-12)
+    c, t = np.cos(0.7), np.sin(0.7)
+    turn = np.eye(dims)
+    turn[2:4, 2:4] = [[c, -t], [t, c]]
+    rotated = EigenBasis(vectors=basis.vectors @ turn, eigenvalues=basis.eigenvalues)
+    assert np.array_equal(
+        pca_match(pca_extract(queries, rotated), pca_extract(images, rotated)),
+        conventional)
 
 
 def test_ingest_images_pgm(tmp_path):
