@@ -113,16 +113,21 @@ def test_pca_train_basis_properties():
     assert_allclose(basis.vectors.T @ basis.vectors, np.eye(4), atol=1e-8)
     assert np.all(np.diff(basis.eigenvalues) <= 1e-9)
     assert np.all(basis.eigenvalues >= 0.0)
+    assert features.shape == (training.count, training.dim, 4)
+    for i in range(training.count):
+        assert_allclose(features[i], training.images[i] @ basis.vectors,
+                        atol=1e-9)
+
+
+def test_pca_basis_matches_lapack():
+    training = _toy_training()
+    basis, _ = pca_train(training, dims=4)
     scatter = sum(image @ image.T for image in training.images)
     scale = np.abs(scatter).max()
     assert_allclose(scatter @ basis.vectors,
                     basis.vectors @ np.diag(basis.eigenvalues), atol=1e-12 * scale)
     assert_allclose(basis.eigenvalues, np.linalg.eigvalsh(scatter)[::-1][:4],
                     rtol=1e-12, atol=1e-12 * scale)
-    assert features.shape == (training.count, training.dim, 4)
-    for i in range(training.count):
-        assert_allclose(features[i], training.images[i] @ basis.vectors,
-                        atol=1e-9)
 
 
 @pytest.mark.parametrize("mode", [
