@@ -8,14 +8,16 @@ and the cost-model sweep uses::
 
     domain,N,L,l,ratio_percent
 
-Lines starting with '#' are comments (run settings, padding notes, timing
-details). With the same seed and flags every non-timing column is
-reproducible bit for bit.
+Lines starting with '#' are comments (run settings, the ``# env`` line
+naming numpy, its BLAS, the thread settings and the core count, padding
+notes, timing details). With the same seed and flags every non-timing
+column is reproducible bit for bit.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 import time
 from pathlib import Path
@@ -109,6 +111,22 @@ def _check_positive(value, name):
         raise ConfigError(f"{name} must be positive, got {value}")
 
 
+def _env_comment():
+    """One comment line naming what the timings ran on: numpy and the BLAS it
+    was built against, the BLAS/OpenMP thread settings, and the core count.
+    The BLAS reads ``unknown`` where numpy's build configuration does not
+    record it (numpy before 1.25 has no ``show_config(mode="dicts")``)."""
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    except (TypeError, KeyError):
+        blas = {}
+    threads = " ".join(f"{name}={os.environ.get(name, 'unset')}" for name in
+                       ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"))
+    return (f"# env numpy={np.__version__} blas={blas.get('name') or 'unknown'} "
+            f"blas_version={blas.get('version') or 'unknown'} {threads} "
+            f"cpu_count={os.cpu_count()}")
+
+
 def _metric_row(kernel, config, rep, thr, macs_model, macs_measured):
     return (f"{kernel},{config},{rep.snr_db:.4f},{rep.mse:.6e},"
             f"{thr.msamples_per_sec:.4f},{macs_model},{macs_measured}")
@@ -132,7 +150,7 @@ def cmd_bench_gemm(args):
 
     lines = [f"# bench-gemm N={args.n} inner={args.inner} L={args.L} "
              f"family={args.family} precision={args.precision} seed={args.seed}",
-             METRIC_HEADER]
+             _env_comment(), METRIC_HEADER]
     if padded != args.inner:
         lines.append(f"# inner dimension zero-padded {args.inner} -> {padded} "
                      f"to a multiple of L={args.L}")
@@ -182,7 +200,7 @@ def cmd_bench_conv(args):
 
     lines = [f"# bench-conv W={args.w} N={args.n} L={args.L} "
              f"family={args.family} precision={args.precision} seed={args.seed}",
-             METRIC_HEADER]
+             _env_comment(), METRIC_HEADER]
     timing = []
     geometry = f"W{args.w}.N{args.n}"
 

@@ -393,7 +393,7 @@ def conv_projected_blocked(s, k, pair, cfg, counter=None):
         counter.add(used * s.shape[0])
     # taps[r, l, q] = kd_{r,l}[Q - 1 - q]
     taps = np.stack([project_kernel_bank(k[None], pair, used, phase, counter)
-                     .reshape(used, compact_len) for phase in phases]).astype(dtype, copy=False)
+                     .matrix.reshape(used, compact_len) for phase in phases]).astype(dtype, copy=False)
     if counter is not None:
         counter.add(len(phases) * used * sc.shape[1] * compact_len)
 
@@ -428,17 +428,37 @@ def conv_projected_blocked(s, k, pair, cfg, counter=None):
     return y.reshape(-1)[:out_len]
 
 
+@dataclass(frozen=True)
+class KernelBank:
+    """Phase-``phase`` projections of equal-length kernels of length
+    ``kernel_len``, as :func:`project_kernel_bank` stacks them.
+
+    ``matrix`` (read-only) is the (projections * Q, E) right operand of
+    :func:`conv_projected_peaks`. The kernel length is kept with it because
+    the matrix shape alone cannot tell lengths that share Q apart (8 and 9 at
+    L = 2), and such a bank would give wrong peaks instead of an error.
+    """
+
+    matrix: np.ndarray
+    kernel_len: int
+    phase: int
+
+    def __post_init__(self):
+        self.matrix.setflags(write=False)
+
+
 def project_kernel_bank(kernels, pair, projections, phase, counter=None):
     """Phase-``phase`` synthesis projections of equal-length kernels, stacked
     for :func:`conv_projected_peaks`.
 
-    ``kernels`` is (E, N); with Q = ceil((N + L - 1) / L), the result is the
-    (projections * Q, E) matrix whose row ``l * Q + q`` holds every kernel's
-    ``kd_{phase,l}[Q - 1 - q]`` (see :func:`conv_projected_blocked`; each
-    projection reversed, so a window of the compact signal times the bank is
-    a convolution). Computed once per bank, so the counter is charged N per
-    kernel per projection here, as :func:`conv_projected_blocked` charges its
-    kernel pass for each phase on every call.
+    ``kernels`` is (E, N); with Q = ceil((N + L - 1) / L), the result is a
+    :class:`KernelBank` whose matrix is (projections * Q, E), row ``l * Q + q``
+    holding every kernel's ``kd_{phase,l}[Q - 1 - q]`` (see
+    :func:`conv_projected_blocked`; each projection reversed, so a window of
+    the compact signal times the bank is a convolution). Computed once per
+    bank, so the counter is charged N per kernel per projection here, as
+    :func:`conv_projected_blocked` charges its kernel pass for each phase on
+    every call.
     """
     k = _as_real(kernels, 2, "kernel stack")
     size = pair.size
@@ -452,7 +472,8 @@ def project_kernel_bank(kernels, pair, projections, phase, counter=None):
     if counter is not None:
         counter.add(count * klen * projections)
     # (E, Q, p) -> rows l * Q + q
-    return np.ascontiguousarray(compact.transpose(2, 1, 0).reshape(-1, count))
+    return KernelBank(np.ascontiguousarray(compact.transpose(2, 1, 0).reshape(-1, count)),
+                      klen, phase)
 
 
 def conv_projected_peaks(s, banks, kernel_len, pair, cfg, counter=None):
@@ -460,8 +481,9 @@ def conv_projected_peaks(s, banks, kernel_len, pair, cfg, counter=None):
 
     ``banks`` holds one :func:`project_kernel_bank` result per phase of
     ``cfg.phases()``, in that order, each with ``cfg.projections_used``
-    projections of the same kernels of length ``kernel_len``; the result has
-    one peak per bank column. The signal is projected once, as in
+    projections of the same kernels of length ``kernel_len``; a bank built
+    for another phase or kernel length is refused. The result has one peak
+    per bank column. The signal is projected once, as in
     :func:`conv_projected_blocked`; then, per computed phase, one product of
     the compact signal's sliding windows with that phase's bank gives every
     kernel's compact stream, restricted to the samples that land inside the
@@ -483,7 +505,9 @@ def conv_projected_peaks(s, banks, kernel_len, pair, cfg, counter=None):
     phases = cfg.phases()
     compact_len = _compact_kernel_len(kernel_len, size)
     if len(banks) != len(phases) or any(
-            np.shape(b) != (used * compact_len, np.shape(banks[0])[-1]) for b in banks):
+            b.phase != phase or b.kernel_len != kernel_len
+            or b.matrix.shape != (used * compact_len, banks[0].matrix.shape[1])
+            for b, phase in zip(banks, phases)):
         raise DimensionMismatch(
             f"banks do not hold {len(phases)} phases of {used} projections of "
             f"length-{kernel_len} kernels at projection size {size}")
@@ -501,10 +525,10 @@ def conv_projected_peaks(s, banks, kernel_len, pair, cfg, counter=None):
     kept = -(-out_len // size)
     windows = sliding_window_view(padded, compact_len, axis=1)[:, :kept]
     windows = windows.transpose(1, 0, 2).reshape(kept, -1)
-    peaks = np.zeros(banks[0].shape[1])
+    peaks = np.zeros(banks[0].matrix.shape[1])
     for phase, bank in zip(phases, banks):
         if counter is not None:
-            counter.add(used * groups * compact_len * bank.shape[1])
-        stream = windows[:-(-(out_len - phase) // size)] @ bank
+            counter.add(used * groups * compact_len * bank.matrix.shape[1])
+        stream = windows[:-(-(out_len - phase) // size)] @ bank.matrix
         np.maximum(peaks, np.abs(stream).max(axis=0), out=peaks)
     return peaks

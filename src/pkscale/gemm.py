@@ -9,7 +9,10 @@ first ``projections_used`` indices gives a result whose accuracy scales with
 the number of indices kept (exact when all are kept). :func:`gemm_projected`
 computes that sum as one product of rank-stacked operands: each operand's
 projections onto the kept indices are stacked index-major along the inner
-dimension, so one matmul contracts all of them at once.
+dimension, so one matmul contracts all of them at once. With two or more
+indices kept, each operand's stack is one batched product written through a
+strided view straight into that layout, with no transposing copy between
+the operands and the compact product.
 
 Counters: functions accept an optional ``counter`` with an ``add(n)`` method
 (see :class:`pkscale.costs.MacCounter`). One count is one multiply-accumulate.
@@ -180,10 +183,11 @@ def gemm_projected(a, b, pair, cfg, counter=None):
     ``sum_{l<p} (A C_l)(D_l B)`` is computed as one product of the stacked
     projections, ``[A C_0 ... A C_{p-1}] @ [D_0 B; ...; D_{p-1} B]``: each
     operand is projected once (:func:`project_rows` and :func:`project_cols`
-    over ``range(p)``) and a single matmul contracts the p*K/L inner
-    dimension. An inner dimension not divisible by the pair size is zero-padded
-    (the padding stays confined to the contracted dimension, so the result
-    needs no cropping). Exact when every projection index is used.
+    over ``range(p)``, each one batched product written straight into its
+    index-major stack) and a single matmul contracts the p*K/L inner
+    dimension. An inner dimension not divisible by the pair size is
+    zero-padded (the padding stays confined to the contracted dimension, so
+    the result needs no cropping). Exact when every projection index is used.
 
     The counter charges the per-slice formulation, a convention rather than a
     trace of the single product that runs: p*|A| for the left projection,

@@ -223,6 +223,9 @@ def project_rows(matrix, pair, l):
     ``out[i, g] = sum_t matrix[i, g*L + t] * forward[t, l]``, and a sequence
     ``idx`` stacks the projections index-major into shape (rows, len(idx)*G)
     with ``out[i, j*G + g] = sum_t matrix[i, g*L + t] * forward[t, idx[j]]``.
+    The stack is one batched product, each row's (G, L) groups times the
+    (L, len(idx)) selected coefficients, written through a transposed view of
+    the result, so it lands index-major with no intermediate array or copy.
     Rows are consumed in plain sequential order, which keeps the access
     pattern streaming-friendly.
     """
@@ -232,14 +235,16 @@ def project_rows(matrix, pair, l):
     if cols % pair.size:
         raise DimensionMismatch(f"column count {cols} not divisible by projection size {pair.size}")
     groups = cols // pair.size
-    coeff = pair.forward[:, idx].astype(a.dtype, copy=False)
-    if isinstance(idx, list):
-        # fancy indexing leaves the selected columns F-ordered; the C-ordered
-        # copy multiplies about twice as fast and gives the same values
-        coeff = np.ascontiguousarray(coeff)
-    out = a.reshape(rows, groups, pair.size) @ coeff
-    # (rows, G, P) -> (rows, P, G): index-major; a no-op for one index
-    return out.swapaxes(-1, 1).reshape(rows, coeff.size // pair.size * groups)
+    grouped = a.reshape(rows, groups, pair.size)
+    if not isinstance(idx, list):
+        return grouped @ pair.forward[:, idx].astype(a.dtype, copy=False)
+    # fancy indexing leaves the selected columns F-ordered; the C-ordered
+    # copy multiplies about twice as fast and gives the same values
+    coeff = np.ascontiguousarray(pair.forward[:, idx], dtype=a.dtype)
+    out = np.empty((rows, len(idx) * groups), dtype=a.dtype)
+    # out[i, j*G + g] seen as [i, g, j]: each product lands index-major
+    np.matmul(grouped, coeff, out=out.reshape(rows, len(idx), groups).swapaxes(1, 2))
+    return out
 
 
 def project_cols(matrix, pair, l):
@@ -251,7 +256,11 @@ def project_cols(matrix, pair, l):
     ``out[g, j] = sum_t inverse[l, t] * matrix[g*L + t, j]``, and a sequence
     ``idx`` stacks the projections index-major into shape (len(idx)*G, cols)
     with ``out[k*G + g, j] = sum_t inverse[idx[k], t] * matrix[g*L + t, j]``,
-    the rows that match :func:`project_rows`' columns.
+    the rows that match :func:`project_rows`' columns. The stack is one
+    batched product, the (len(idx), L) selected synthesis rows times each
+    group's (L, cols) block of the matrix, read in place and written through
+    a view of the result whose row k*G + g is row k of group g's product, so
+    the index-major layout needs no transposed copy.
     """
     b = _as_real(matrix, 2, "matrix")
     idx = _check_indices(pair, l)
@@ -259,9 +268,16 @@ def project_cols(matrix, pair, l):
     if rows % pair.size:
         raise DimensionMismatch(f"row count {rows} not divisible by projection size {pair.size}")
     groups = rows // pair.size
-    coeff = pair.inverse[idx].astype(b.dtype, copy=False)
     grouped = b.reshape(groups, pair.size, cols)
-    return np.tensordot(coeff, grouped, axes=(-1, 1)).reshape(coeff.size // pair.size * groups, cols)
+    coeff = pair.inverse[idx].astype(b.dtype, copy=False)
+    if not isinstance(idx, list):
+        # the batched product below can round a single row differently, so
+        # one index keeps this contraction and its results
+        return np.tensordot(coeff, grouped, axes=(-1, 1))
+    out = np.empty((len(idx) * groups, cols), dtype=b.dtype)
+    # out[k*G + g, j] seen as [g, k, j]: each product lands index-major
+    np.matmul(coeff, grouped, out=out.reshape(len(idx), groups, cols).swapaxes(0, 1))
+    return out
 
 
 def _grouped(signal, size, phase):

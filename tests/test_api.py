@@ -36,12 +36,13 @@ def test_kernels_reject_complex_input(call):
 
 
 # Run in a fresh interpreter: the import, pair construction, the projected
-# kernels and matching, the synthetic generators and the 2D-PCA pipeline,
-# then the FFT baselines. Prints the scipy modules
+# kernels and matching, the synthetic generators, the 2D-PCA pipeline and a
+# `bench-gemm` run, then the FFT baselines. Prints the scipy modules
 # loaded before and after the FFT calls, and the FFT baselines' largest
 # deviation from conv_direct.
 NUMPY_ONLY_SCRIPT = """
 import json
+import os
 import sys
 
 import numpy as np
@@ -81,6 +82,8 @@ training = TrainingSet(images=faces, labels=tuple("abcdef"))
 for mode in (GemmMode(), GemmMode(make_dct_pair(8), PrecisionConfig(8, 1))):
     basis, gallery = pca_train(training, dims=4, mode=mode)
     pca_match(pca_extract(faces, basis, mode=mode), gallery)
+assert pkscale.cli.main(["bench-gemm", "--n", "8", "--inner", "8", "--L", "2",
+                         "--reps", "1", "--out", os.devnull]) == 0
 before = scipy_modules()
 
 direct = conv_direct(s, k)

@@ -1,7 +1,9 @@
+import os
 import subprocess
 import sys
 
 import numpy as np
+import pytest
 
 from pkscale.cli import COST_HEADER, DEMO_HEADER, METRIC_HEADER, main
 from pkscale.costs import mac_conv_plain_general, mac_conv_proj_general
@@ -98,6 +100,31 @@ def test_bench_conv_small_run(tmp_path):
         assert row[6] == "0"
         assert float(row[2]) > 200.0
     assert "# macs_measured=0" in text
+
+
+@pytest.mark.parametrize("command", [
+    ["bench-gemm", "--n", "8", "--inner", "8", "--L", "2"],
+    ["bench-conv", "--w", "64", "--n", "8", "--L", "2"],
+])
+def test_bench_records_environment(command, tmp_path, monkeypatch):
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+    monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
+    monkeypatch.setenv("MKL_NUM_THREADS", "3")
+    out = tmp_path / "bench.csv"
+    assert main(command + ["--reps", "1", "--out", str(out)]) == 0
+    env = [ln for ln in out.read_text().splitlines() if ln.startswith("# env ")]
+    assert len(env) == 1
+    fields = dict(item.split("=", 1) for item in env[0][len("# env "):].split())
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    assert fields == {
+        "numpy": np.__version__,
+        "blas": blas["name"],
+        "blas_version": blas["version"],
+        "OPENBLAS_NUM_THREADS": "1",
+        "OMP_NUM_THREADS": "unset",
+        "MKL_NUM_THREADS": "3",
+        "cpu_count": str(os.cpu_count()),
+    }
 
 
 def test_bench_conv_validates_geometry():

@@ -433,7 +433,7 @@ def test_peaks_match_blocked_kernel_per_kernel(mode, family, make):
     cfg = PrecisionConfig(4, 2, sample_mode=mode)
     kernels = rng.standard_normal((5, 13))
     banks = [project_kernel_bank(kernels, pair, 2, phase) for phase in cfg.phases()]
-    assert banks[0].shape == (2 * 4, 5)
+    assert banks[0].matrix.shape == (2 * 4, 5)
     for slen in (13, 14, 30):
         s = rng.standard_normal(slen)
         want = [np.abs(conv_projected_blocked(s, k, pair, cfg)).max() for k in kernels]
@@ -459,3 +459,24 @@ def test_peaks_validate_bank_and_lengths():
         conv_projected_peaks(np.ones(6), banks, 8, pair, cfg)
     with pytest.raises(DomainError):
         conv_projected_peaks(np.ones(16), banks, 8, pair, PrecisionConfig(4, 1))
+
+
+def test_peaks_refuse_bank_of_another_kernel_length_or_phase():
+    # kernel lengths 8 and 9 share Q = 5 at L = 2, so the bank's shape fits
+    # both; the length kept with the bank tells them apart
+    pair = make_haar_pair(2)
+    cfg = PrecisionConfig(2, 1)
+    rng = np.random.default_rng(89)
+    banks = [project_kernel_bank(rng.standard_normal((3, 8)), pair, 1, phase)
+             for phase in cfg.phases()]
+    assert banks[0].kernel_len == 8
+    assert banks[0].matrix.shape == project_kernel_bank(np.ones((3, 9)), pair, 1, 0).matrix.shape
+    s = rng.standard_normal(32)
+    assert conv_projected_peaks(s, banks, 8, pair, cfg).shape == (3,)
+    with pytest.raises(DimensionMismatch):
+        conv_projected_peaks(s, banks, 9, pair, cfg)
+    # phase banks in the wrong order are refused too
+    with pytest.raises(DimensionMismatch):
+        conv_projected_peaks(s, banks[::-1], 8, pair, cfg)
+    with pytest.raises(ValueError):
+        banks[0].matrix[0, 0] = 1.0

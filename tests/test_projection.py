@@ -242,6 +242,27 @@ def test_project_cols_uses_inverse_rows():
     assert_allclose(project_cols(m, pair, range(2)), [[4.0 * r], [-2.0 * r]])
 
 
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+def test_stacked_projections_equal_transposing_formula_bitwise(dtype):
+    # 512x512 operands, DCT L=8, p=4: the stacks written in place equal, bit
+    # for bit, the earlier formulas that built them by a transposing copy
+    # (rows) and by tensordot (columns)
+    pair = make_dct_pair(8)
+    rng = np.random.default_rng(8)
+    a = rng.standard_normal((512, 512)).astype(dtype)
+    b = rng.standard_normal((512, 512)).astype(dtype)
+    idx = list(range(4))
+    coeff = np.ascontiguousarray(pair.forward[:, idx].astype(dtype))
+    want_rows = (a.reshape(512, 64, 8) @ coeff).swapaxes(1, 2).reshape(512, 256)
+    want_cols = np.tensordot(pair.inverse[idx].astype(dtype), b.reshape(64, 8, 512),
+                             axes=(-1, 1)).reshape(256, 512)
+    for got, want in ((project_rows(a, pair, range(4)), want_rows),
+                      (project_cols(b, pair, range(4)), want_cols)):
+        assert got.dtype == dtype
+        assert got.flags.c_contiguous
+        assert np.array_equal(got, want)
+
+
 def test_projection_divisibility_required():
     pair = make_dct_pair(8)
     with pytest.raises(DimensionMismatch):
