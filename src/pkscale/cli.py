@@ -349,7 +349,7 @@ def cmd_pca_demo(args):
     lines = [f"# pca-demo subjects={args.subjects} per-subject={args.per_subject} "
              f"train={args.train} size={args.size} dims={args.dims} "
              f"noise={args.noise} precision={args.precision} seed={args.seed}",
-             DEMO_HEADER]
+             _env_comment(), DEMO_HEADER]
     summary = []
     baseline = None
     for mode in _gemm_modes(args):
@@ -433,7 +433,7 @@ def cmd_match_demo(args):
              f"queries={args.queries} query-len={args.query_len} "
              f"noise-snr-db={args.noise_snr_db} precision={args.precision} "
              f"seed={args.seed}",
-             DEMO_HEADER]
+             _env_comment(), DEMO_HEADER]
     summary = []
     baseline = None
     for mode in _conv_modes(args):
@@ -464,8 +464,6 @@ def build_parser():
     common.add_argument("--precision", choices=["single", "double"],
                         default="double", help="input/kernel precision")
     common.add_argument("--seed", type=int, default=1)
-    common.add_argument("--reps", type=int, default=100,
-                        help="timing repetitions (median reported)")
     common.add_argument("--out", type=Path, default=None,
                         help="CSV output path (default: stdout)")
 
@@ -473,8 +471,12 @@ def build_parser():
         prog="pkscale",
         description="Precision-scalable projection kernels: benchmarks and demos")
     sub = parser.add_subparsers(dest="command", required=True)
+    # only the bench commands repeat their timings; the demos time one run
+    timed = argparse.ArgumentParser(add_help=False, parents=[common])
+    timed.add_argument("--reps", type=int, default=100,
+                       help="timing repetitions (median reported)")
 
-    p = sub.add_parser("bench-gemm", parents=[common],
+    p = sub.add_parser("bench-gemm", parents=[timed],
                        help="SNR/throughput sweep over projections for one "
                             "matrix-product geometry")
     p.add_argument("--n", type=int, default=144, help="outer dimension")
@@ -483,7 +485,7 @@ def build_parser():
     p.add_argument("--family", choices=["dct", "haar"], default="dct")
     p.set_defaults(func=cmd_bench_gemm)
 
-    p = sub.add_parser("bench-conv", parents=[common],
+    p = sub.add_parser("bench-conv", parents=[timed],
                        help="projected vs direct vs FFT convolution benchmark")
     p.add_argument("--w", type=int, default=20000, help="signal length")
     p.add_argument("--n", type=int, default=600, help="kernel length")

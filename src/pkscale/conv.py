@@ -27,11 +27,16 @@ Projection paths come in two flavors:
   output rows, flattened, are the phases already interleaved.
 
 * :func:`conv_projected_peaks` runs the same path for one signal against a
-  bank of equal-length kernels whose per-phase projections
+  bank of E equal-length kernels whose per-phase projections
   :func:`project_kernel_bank` computed once. It returns only each output's
-  peak magnitude: every kernel's compact stream comes from one matrix
-  product of the compact signal's sliding windows with the bank, and
-  nothing is placed or interpolated into a full-length output.
+  peak magnitude, and nothing is placed or interpolated into a full-length
+  output. The bank holds its taps as a block-Toeplitz matrix, built once,
+  with the E kernels where :func:`conv_projected_blocked` has its output
+  phases, so every kernel's compact stream comes from the same windowed
+  products. The overlap of the windows sits in that cached matrix, about
+  B * (B + Q - 1) / Q times the size of the plain stack of taps, instead of
+  in a copy of the signal's windows made for every call (the memory-efficient
+  convolution of Cho & Brand, "MEC", ICML 2017).
 """
 
 from __future__ import annotations
@@ -40,7 +45,7 @@ import enum
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import as_strided, sliding_window_view
+from numpy.lib.stride_tricks import as_strided
 
 from .config import SampleMode
 from .errors import DimensionMismatch, DomainError, IndexOutOfRange
@@ -54,6 +59,9 @@ from .projection import _as_real, project_signal, project_signal_dual  # noqa: F
 CONV_ROW_OUTPUTS = 64
 CONV_SEGMENT_TAPS = 512
 CONV_CHUNK_ELEMENTS = 1 << 16
+# Block-Toeplitz bank of conv_projected_peaks: about this many columns per
+# product, B compact samples of each of its E kernels.
+CONV_BANK_COLUMNS = 512
 
 
 class ConvVariant(enum.Enum):
@@ -392,8 +400,8 @@ def conv_projected_blocked(s, k, pair, cfg, counter=None):
     if counter is not None:
         counter.add(used * s.shape[0])
     # taps[r, l, q] = kd_{r,l}[Q - 1 - q]
-    taps = np.stack([project_kernel_bank(k[None], pair, used, phase, counter)
-                     .matrix.reshape(used, compact_len) for phase in phases]).astype(dtype, copy=False)
+    taps = np.stack([_kernel_taps(k[None], pair, used, phase, counter)[0]
+                     for phase in phases]).astype(dtype, copy=False)
     if counter is not None:
         counter.add(len(phases) * used * sc.shape[1] * compact_len)
 
@@ -430,50 +438,74 @@ def conv_projected_blocked(s, k, pair, cfg, counter=None):
 
 @dataclass(frozen=True)
 class KernelBank:
-    """Phase-``phase`` projections of equal-length kernels of length
+    """Phase-``phase`` projections of E equal-length kernels of length
     ``kernel_len``, as :func:`project_kernel_bank` stacks them.
 
-    ``matrix`` (read-only) is the (projections * Q, E) right operand of
-    :func:`conv_projected_peaks`. The kernel length is kept with it because
-    the matrix shape alone cannot tell lengths that share Q apart (8 and 9 at
-    L = 2), and such a bank would give wrong peaks instead of an error.
+    ``toeplitz`` (read-only) is the right operand of
+    :func:`conv_projected_peaks`: the (p * (B + Q - 1), B * E) block-Toeplitz
+    matrix of :func:`_toeplitz_segment`, with the E kernels in the role of the
+    output phases and B = ``block`` compact samples per product row, chosen
+    from E and Q by :func:`project_kernel_bank`. It is about B * (B + Q - 1) / Q times the size of
+    ``matrix``, the (p * Q, E) plain stack of the same taps (read-only too),
+    which the bank keeps for its shape: 0.56 MB against 66 KB for 64 kernels
+    of 256 samples at L = 2, p = 1 (Q = 129, B = 8). The kernel length is kept
+    because the shapes alone cannot tell lengths that share Q apart (8 and 9
+    at L = 2), and such a bank would give wrong peaks instead of an error.
     """
 
     matrix: np.ndarray
     kernel_len: int
     phase: int
+    toeplitz: np.ndarray
+    block: int
 
     def __post_init__(self):
         self.matrix.setflags(write=False)
+        self.toeplitz.setflags(write=False)
+
+
+def _kernel_taps(kernels, pair, projections, phase, counter=None):
+    """Phase-``phase`` synthesis projections of kernels (E, N), reversed:
+    ``taps[e, l, q] = kd_{phase,l}[Q - 1 - q]`` of kernel e, shape (E,
+    projections, Q). The counter is charged N per kernel per projection."""
+    size = pair.size
+    count, klen = kernels.shape
+    compact_len = _compact_kernel_len(klen, size)
+    start = size - 1 - phase
+    groups = _reversed_kernel(kernels, size)[:, start:start + compact_len * size]
+    compact = groups.reshape(count, compact_len, size) @ pair.inverse[:projections].T
+    if counter is not None:
+        counter.add(count * klen * projections)
+    return compact.transpose(0, 2, 1)
 
 
 def project_kernel_bank(kernels, pair, projections, phase, counter=None):
     """Phase-``phase`` synthesis projections of equal-length kernels, stacked
     for :func:`conv_projected_peaks`.
 
-    ``kernels`` is (E, N); with Q = ceil((N + L - 1) / L), the result is a
-    :class:`KernelBank` whose matrix is (projections * Q, E), row ``l * Q + q``
-    holding every kernel's ``kd_{phase,l}[Q - 1 - q]`` (see
-    :func:`conv_projected_blocked`; each projection reversed, so a window of
-    the compact signal times the bank is a convolution). Computed once per
-    bank, so the counter is charged N per kernel per projection here, as
-    :func:`conv_projected_blocked` charges its kernel pass for each phase on
-    every call.
+    ``kernels`` is (E, N); with Q = ceil((N + L - 1) / L) and p =
+    ``projections``, the result is a :class:`KernelBank` whose matrix is
+    (p * Q, E), row ``l * Q + q`` holding every kernel's
+    ``kd_{phase,l}[Q - 1 - q]`` (see :func:`conv_projected_blocked`; each
+    projection reversed, so a window of the compact signal times the matrix
+    is a convolution). Its block-Toeplitz operand is built from the same taps
+    here, once, so a bank held across queries pays for it once. The counter
+    is charged N per kernel per projection, as :func:`conv_projected_blocked`
+    charges its kernel pass for each phase on every call; building the
+    Toeplitz operand only moves taps and is not charged.
     """
     k = _as_real(kernels, 2, "kernel stack")
-    size = pair.size
-    if not 0 <= phase < size:
-        raise IndexOutOfRange(f"phase {phase} outside [0, {size})")
-    count, klen = k.shape
-    compact_len = _compact_kernel_len(klen, size)
-    start = size - 1 - phase
-    groups = _reversed_kernel(k, size)[:, start:start + compact_len * size]
-    compact = groups.reshape(count, compact_len, size) @ pair.inverse[:projections].T
-    if counter is not None:
-        counter.add(count * klen * projections)
-    # (E, Q, p) -> rows l * Q + q
-    return KernelBank(np.ascontiguousarray(compact.transpose(2, 1, 0).reshape(-1, count)),
-                      klen, phase)
+    if not 0 <= phase < pair.size:
+        raise IndexOutOfRange(f"phase {phase} outside [0, {pair.size})")
+    taps = _kernel_taps(k, pair, projections, phase, counter)
+    count, _, compact_len = taps.shape
+    # a product about CONV_BANK_COLUMNS wide, and B <= Q / 8, so the Toeplitz
+    # zeros add at most (B + Q - 1) / Q <= 1.125 to its work
+    block = max(1, min(-(-CONV_BANK_COLUMNS // count), compact_len // 8))
+    # (E, p, Q) -> rows l * Q + q
+    return KernelBank(np.ascontiguousarray(taps.transpose(1, 2, 0).reshape(-1, count)),
+                      k.shape[1], phase,
+                      np.ascontiguousarray(_toeplitz_segment(taps, block)), block)
 
 
 def conv_projected_peaks(s, banks, kernel_len, pair, cfg, counter=None):
@@ -481,22 +513,28 @@ def conv_projected_peaks(s, banks, kernel_len, pair, cfg, counter=None):
 
     ``banks`` holds one :func:`project_kernel_bank` result per phase of
     ``cfg.phases()``, in that order, each with ``cfg.projections_used``
-    projections of the same kernels of length ``kernel_len``; a bank built
-    for another phase or kernel length is refused. The result has one peak
-    per bank column. The signal is projected once, as in
-    :func:`conv_projected_blocked`; then, per computed phase, one product of
-    the compact signal's sliding windows with that phase's bank gives every
-    kernel's compact stream, restricted to the samples that land inside the
-    output. Nothing else is needed for the peak: the remaining output samples
-    are zero, copies of computed ones, or linear interpolations between two
-    computed ones, which never exceed the larger of their magnitudes.
+    projections of the same kernels of length ``kernel_len`` and the same
+    block; a bank built for another phase, kernel length or block is refused.
+    The result has one peak per kernel. The signal is projected once, as in
+    :func:`conv_projected_blocked`, and its compact streams run through the
+    same block-Toeplitz products, with the bank's E kernels where that
+    function has its P output phases: row j of the compact signal's windows,
+    ``B + Q - 1`` samples of every projection from j*B on, times a bank's
+    Toeplitz operand gives compact samples j*B .. j*B + B - 1 of every
+    kernel's stream, so a product viewed as (rows * B, E) is the streams
+    themselves. The windows are copied in chunks of about
+    CONV_CHUNK_ELEMENTS elements, each multiplied by every phase's operand.
+    Only the stream samples that land inside the output count toward the
+    peak. Nothing else is needed: the remaining output samples are zero,
+    copies of computed ones, or linear interpolations between two computed
+    ones, which never exceed the larger of their magnitudes.
 
     The counter is charged as :func:`conv_projected_blocked` charges one
     call per kernel, less the kernel projections, which the banks paid for
     once, and with the signal pass charged once for all kernels: p * len(s),
     plus p * G * Q per kernel and computed phase. The count is that
-    convention, not a trace of the windowed product, which also multiplies
-    the window's zero padding.
+    convention, not a trace of the products, which also multiply the
+    windows' zero padding and the Toeplitz operand's zeros.
     """
     cfg.check_pair(pair)
     s = _as_real(s, 1, "signal")
@@ -505,30 +543,44 @@ def conv_projected_peaks(s, banks, kernel_len, pair, cfg, counter=None):
     phases = cfg.phases()
     compact_len = _compact_kernel_len(kernel_len, size)
     if len(banks) != len(phases) or any(
-            b.phase != phase or b.kernel_len != kernel_len
+            b.phase != phase or b.kernel_len != kernel_len or b.block != banks[0].block
             or b.matrix.shape != (used * compact_len, banks[0].matrix.shape[1])
             for b, phase in zip(banks, phases)):
         raise DimensionMismatch(
             f"banks do not hold {len(phases)} phases of {used} projections of "
-            f"length-{kernel_len} kernels at projection size {size}")
+            f"length-{kernel_len} kernels at projection size {size} in one block")
     if not 1 <= kernel_len <= s.shape[0]:
         raise DimensionMismatch(
             f"need 1 <= kernel length <= signal length, got {kernel_len} and {s.shape[0]}")
     out_len = s.shape[0] + kernel_len - 1
     sc = project_signal(s, pair, range(used))
     groups = sc.shape[1]
+    count = banks[0].matrix.shape[1]
     if counter is not None:
-        counter.add(used * s.shape[0])
-    padded = np.zeros((used, groups + 2 * (compact_len - 1)), dtype=sc.dtype)
+        counter.add(used * s.shape[0]
+                    + len(phases) * used * groups * compact_len * count)
+    block = banks[0].block
+    span = block + compact_len - 1
+    kept = -(-out_len // size)              # compact samples of phase 0
+    rows = -(-kept // block)
+    # padded[l, Q - 1 + i] = sc_l[i]; window j holds padded[l, j*B + a], a < span
+    padded = np.zeros((used, rows * block + compact_len - 1), dtype=sc.dtype)
     padded[:, compact_len - 1:compact_len - 1 + groups] = sc
-    # windows[j, l * Q + q] = padded[l, j + q]; phase 0 keeps the most samples
-    kept = -(-out_len // size)
-    windows = sliding_window_view(padded, compact_len, axis=1)[:, :kept]
-    windows = windows.transpose(1, 0, 2).reshape(kept, -1)
-    peaks = np.zeros(banks[0].matrix.shape[1])
-    for phase, bank in zip(phases, banks):
-        if counter is not None:
-            counter.add(used * groups * compact_len * bank.matrix.shape[1])
-        stream = windows[:-(-(out_len - phase) // size)] @ bank.matrix
-        np.maximum(peaks, np.abs(stream).max(axis=0), out=peaks)
+    step = padded.itemsize
+    windows = as_strided(padded, (rows, used, span),
+                         (block * step, padded.strides[0], step), writeable=False)
+    # compact samples of each phase that land inside the output
+    inside = [-(-(out_len - phase) // size) for phase in phases]
+    peaks = np.zeros(count)
+    chunk = max(1, CONV_CHUNK_ELEMENTS // (used * span))
+    for lo in range(0, rows, chunk):
+        hi = min(lo + chunk, rows)
+        x = windows[lo:hi].reshape(hi - lo, used * span)
+        for bank, samples in zip(banks, inside):
+            if samples > lo * block:
+                y = x @ bank.toeplitz
+                # |y| in place: a second product-sized temporary made the
+                # allocator hand pages back and fault them in on every call
+                stream = np.abs(y, out=y).reshape(-1, count)[:samples - lo * block]
+                np.maximum(peaks, stream.max(axis=0), out=peaks)
     return peaks

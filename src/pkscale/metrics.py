@@ -67,16 +67,20 @@ def measure_throughput(task, repetitions=100):
     """Median-of-repetitions wall time of a deterministic zero-arg task.
 
     One warm-up call is excluded from timing; its return value supplies the
-    output sample count. Throughput is samples / median seconds / 1e6. A
-    single-repetition measurement is flagged low-confidence.
+    output sample count. Each result is held until the next call returns, as
+    a caller that keeps its results would: freed at once, a large result's
+    pages can go back to the OS and be faulted in again by the next call.
+    Throughput is samples / median seconds / 1e6. A single-repetition
+    measurement is flagged low-confidence.
     """
     if repetitions < 1:
         raise DomainError(f"repetitions must be >= 1, got {repetitions}")
-    samples = _sample_count(task())
+    result = task()
+    samples = _sample_count(result)
     times = []
     for _ in range(repetitions):
         t0 = time.perf_counter()
-        task()
+        result = task()
         times.append(time.perf_counter() - t0)
     median = max(statistics.median(times), 1e-12)
     mean = sum(times) / len(times)

@@ -103,15 +103,19 @@ def test_bench_conv_small_run(tmp_path):
 
 
 @pytest.mark.parametrize("command", [
-    ["bench-gemm", "--n", "8", "--inner", "8", "--L", "2"],
-    ["bench-conv", "--w", "64", "--n", "8", "--L", "2"],
+    ["bench-gemm", "--n", "8", "--inner", "8", "--L", "2", "--reps", "1"],
+    ["bench-conv", "--w", "64", "--n", "8", "--L", "2", "--reps", "1"],
+    ["pca-demo", "--synthetic", "--subjects", "3", "--per-subject", "3",
+     "--train", "2", "--size", "16", "--dims", "4", "--L", "4"],
+    ["match-demo", "--synthetic", "--entries", "3", "--entry-len", "32",
+     "--queries", "5", "--query-len", "128"],
 ])
 def test_bench_records_environment(command, tmp_path, monkeypatch):
     monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
     monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
     monkeypatch.setenv("MKL_NUM_THREADS", "3")
     out = tmp_path / "bench.csv"
-    assert main(command + ["--reps", "1", "--out", str(out)]) == 0
+    assert main(command + ["--out", str(out)]) == 0
     env = [ln for ln in out.read_text().splitlines() if ln.startswith("# env ")]
     assert len(env) == 1
     fields = dict(item.split("=", 1) for item in env[0][len("# env "):].split())
@@ -199,6 +203,19 @@ def test_match_demo_missing_manifest_is_data_error(tmp_path):
 
 def test_match_demo_needs_an_input_source():
     assert main(["match-demo"]) == 2
+
+
+@pytest.mark.parametrize("command", [
+    ["match-demo", "--synthetic"],
+    ["pca-demo", "--synthetic"],
+    ["cost-model"],
+])
+def test_untimed_repetitions_are_refused(command):
+    # the demos time one run per row and cost-model times nothing, so a
+    # --reps they would ignore is an argparse usage error
+    with pytest.raises(SystemExit) as exc:
+        main(command + ["--reps", "3"])
+    assert exc.value.code == 2
 
 
 def test_module_entry_point(tmp_path):

@@ -4,9 +4,12 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from numpy.lib.stride_tricks import sliding_window_view
 from numpy.testing import assert_allclose
 
 from pkscale import synth
+from pkscale.apps import ConvMode, xcorr_match
+from pkscale.cli import synth_feature_db, synth_queries
 from pkscale.config import PrecisionConfig, SampleMode
 from pkscale import conv
 from pkscale.conv import (
@@ -222,20 +225,41 @@ def peaks_case(draw):
     used = draw(st.integers(1, size))
     slen = draw(st.integers(size, 90))
     klen = draw(st.integers(1, slen))
-    return family, size, seed, dtype, used, slen, klen
+    # E from one kernel to a bank wider than CONV_BANK_COLUMNS / 2, so the
+    # bank's block B runs from 1 (Q < 16) to Q / 8
+    count = draw(st.integers(1, 300))
+    return family, size, seed, dtype, used, slen, klen, count
+
+
+def _window_peaks(s, banks, klen, pair, cfg):
+    """conv_projected_peaks as one product of the compact signal's sliding
+    windows, Q samples of every projection, with each bank's plain (p * Q, E)
+    matrix: the formula the block-Toeplitz bank replaced."""
+    used = cfg.projections_used
+    compact_len = banks[0].matrix.shape[0] // used
+    sc = project_signal(s, pair, range(used))
+    padded = np.zeros((used, sc.shape[1] + 2 * (compact_len - 1)), dtype=sc.dtype)
+    padded[:, compact_len - 1:compact_len - 1 + sc.shape[1]] = sc
+    out_len = s.shape[0] + klen - 1
+    windows = sliding_window_view(padded, compact_len, axis=1)[:, :-(-out_len // pair.size)]
+    windows = windows.transpose(1, 0, 2).reshape(windows.shape[1], -1)
+    return np.max([np.abs(windows[:-(-(out_len - phase) // pair.size)] @ bank.matrix).max(axis=0)
+                   for phase, bank in zip(cfg.phases(), banks)], axis=0)
 
 
 @settings(max_examples=60, deadline=None)
 @given(peaks_case(), st.sampled_from(list(SampleMode)))
 # float32 peak of about 1.1e-3 left by cancellation of terms near 0.27
-@example(("dct", 2, 7, np.float32, 2, 2, 1), SampleMode.HALF_INTERPOLATE)
+@example(("dct", 2, 7, np.float32, 2, 2, 1, 3), SampleMode.HALF_INTERPOLATE)
+# compact samples past the output's end are larger than the peak here
+@example(("dct", 3, 3, np.float64, 1, 7, 4, 3), SampleMode.ALL_PHASES)
 def test_peaks_equal_blocked_peaks_property(case, mode):
-    family, size, seed, dtype, used, slen, klen = case
+    family, size, seed, dtype, used, slen, klen, count = case
     pair = random_pair(family, size, seed)
     cfg = PrecisionConfig(size, used, sample_mode=mode)
     rng = np.random.default_rng(seed)
     s = rng.standard_normal(slen).astype(dtype)
-    kernels = rng.standard_normal((3, klen)).astype(dtype)
+    kernels = rng.standard_normal((count, klen)).astype(dtype)
     banks = [project_kernel_bank(kernels, pair, cfg.projections_used, phase)
              for phase in cfg.phases()]
     want = np.array([np.abs(conv_projected_blocked(s, k, pair, cfg)).max() for k in kernels],
@@ -243,12 +267,76 @@ def test_peaks_equal_blocked_peaks_property(case, mode):
     got = conv_projected_peaks(s, banks, klen, pair, cfg).astype(np.float64)
     if dtype == np.float64:
         assert_allclose(got, want, rtol=1e-12, atol=0)
+        assert_allclose(got, _window_peaks(s, banks, klen, pair, cfg), rtol=1e-12, atol=0)
     else:
         # float32 rounds every stage at about 6e-8 of the operands, and both
         # paths round differently, so a peak that cancels far below its
         # operands is bounded by their scale, not by its own size
         atol = 1e-5 * np.abs(s).max() * np.abs(kernels.astype(np.float64)).sum(axis=1)
         assert np.all(np.abs(got - want) <= 1e-5 * np.abs(want) + atol), (got, want)
+
+
+@pytest.mark.parametrize("family,size,used,mode,count,klen,slen,block", [
+    # Q = 551 and 526 taps, above CONV_SEGMENT_TAPS: conv_projected_blocked
+    # cuts its taps into segments, the bank holds them whole
+    ("haar", 2, 1, SampleMode.HALF_INTERPOLATE, 1, 1100, 1500, 68),
+    ("haar", 2, 1, SampleMode.HALF_INTERPOLATE, 7, 1100, 1300, 68),
+    ("dct", 4, 2, SampleMode.ALL_PHASES, 300, 2100, 2300, 2),
+    # B = 1: a bank wider than CONV_BANK_COLUMNS, and a short kernel
+    ("custom", 3, 2, SampleMode.ALL_PHASES, 600, 200, 300, 1),
+    ("dct", 8, 3, SampleMode.HALF_INTERPOLATE, 5, 100, 400, 1),
+])
+def test_peaks_of_long_kernels_and_wide_banks(family, size, used, mode, count, klen,
+                                              slen, block):
+    pair = random_pair(family, size, 17)
+    cfg = PrecisionConfig(size, used, sample_mode=mode)
+    rng = np.random.default_rng(count)
+    s = rng.standard_normal(slen)
+    kernels = rng.standard_normal((count, klen))
+    banks = [project_kernel_bank(kernels, pair, used, phase) for phase in cfg.phases()]
+    assert banks[0].block == block
+    got = conv_projected_peaks(s, banks, klen, pair, cfg)
+    want = [np.abs(conv_projected_blocked(s, k, pair, cfg)).max() for k in kernels]
+    assert_allclose(got, want, rtol=1e-12, atol=0)
+    assert_allclose(got, _window_peaks(s, banks, klen, pair, cfg), rtol=1e-12, atol=0)
+
+
+@pytest.mark.parametrize("seed", [5, 61])
+def test_projected_match_decisions_equal_window_formula(seed):
+    # the match-db geometry: 256 queries of 2048 samples in 10 dB noise
+    # against 64 entries of 256 samples, Haar L = 2, p = 1, half rate
+    rng = np.random.default_rng(seed)
+    db = synth_feature_db(64, 256, rng)
+    queries = synth_queries(db, 256, 2048, rng, 10.0)
+    pair = make_haar_pair(2)
+    cfg = PrecisionConfig(2, 1, sample_mode=SampleMode.HALF_INTERPOLATE)
+    mode = ConvMode(pair=pair, config=cfg)
+    ids = [entry_id for entry_id, _ in db.entries]
+    entries = np.stack([sig for _, sig in db.entries])
+    energies = np.sum(entries * entries, axis=1)
+    banks = [project_kernel_bank(entries[:, ::-1], pair, 1, 0)]
+    for _, query in queries:
+        scores = _window_peaks(query, banks, 256, pair, cfg) / energies
+        want = min(ids[i] for i in np.flatnonzero(scores == scores.max()))
+        assert xcorr_match(query, db, mode)[0] == want
+
+
+def test_peaks_refuse_banks_of_another_block(monkeypatch):
+    pair = make_haar_pair(2)
+    cfg = PrecisionConfig(2, 1)
+    kernels = np.random.default_rng(7).standard_normal((4, 40))
+    banks = [project_kernel_bank(kernels, pair, 1, phase) for phase in cfg.phases()]
+    # a phase-1 bank built with a narrower product holds the same taps in
+    # blocks of 1 instead of 2
+    monkeypatch.setattr(conv, "CONV_BANK_COLUMNS", 4)
+    other = project_kernel_bank(kernels, pair, 1, 1)
+    assert (banks[1].block, other.block) == (2, 1)
+    s = np.ones(64)
+    assert conv_projected_peaks(s, banks, 40, pair, cfg).shape == (4,)
+    with pytest.raises(DimensionMismatch):
+        conv_projected_peaks(s, [banks[0], other], 40, pair, cfg)
+    with pytest.raises(ValueError):
+        banks[0].toeplitz[0, 0] = 1.0
 
 
 def _per_index_oracle(s, k, pair, cfg):

@@ -1,3 +1,5 @@
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -79,3 +81,19 @@ def test_throughput_accepts_scalar_counts():
 def test_throughput_rejects_zero_reps():
     with pytest.raises(DomainError):
         measure_throughput(lambda: np.zeros(4), repetitions=0)
+
+
+def test_throughput_holds_previous_result_during_next_call():
+    held = []
+    previous = []
+
+    def task():
+        held.append(bool(previous) and previous[-1]() is not None)
+        out = np.zeros(1 << 16)
+        previous.append(weakref.ref(out))
+        return out
+
+    measure_throughput(task, repetitions=4)
+    # the warm-up call found nothing before it; every timed call found the
+    # result of the call before it still alive
+    assert held == [False, True, True, True, True]
