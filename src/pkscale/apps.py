@@ -338,18 +338,18 @@ class FeatureDb:
     def from_arrays(cls, pairs):
         return cls(entries=tuple((str(entry_id), sig) for entry_id, sig in pairs))
 
-    def _bank(self, group, pair, projections, phase, counter=None):
+    def _bank(self, group, pair, cfg, counter=None):
         """:func:`project_kernel_bank` of a group's reversed entries.
 
-        Built once per (group, pair, projections, phase) and kept; the
+        Built once per (group, pair, projections, phases) and kept; the
         counter of the call that builds it is charged for the projections.
         """
-        key = (group.length, pair.size, pair.forward.tobytes(), projections, phase)
+        key = (group.length, pair.size, pair.forward.tobytes(), cfg.projections_used,
+               tuple(cfg.phases()))
         bank = self._banks.get(key)
         if bank is None:
             bank = self._banks[key] = project_kernel_bank(
-                np.stack(group.signals)[:, ::-1], pair, projections, phase,
-                counter=counter)
+                np.stack(group.signals)[:, ::-1], pair, cfg, counter=counter)
         return bank
 
 
@@ -407,10 +407,9 @@ def _xcorr_match_projected(query, db, mode, counter):
     ids = []
     scores = []
     for group in db._groups:
-        banks = [db._bank(group, pair, cfg.projections_used, phase, counter=counter)
-                 for phase in cfg.phases()]
-        peaks = conv_projected_peaks(_pad_to(query, group.length), banks,
-                                     group.length, pair, cfg, counter=counter)
+        peaks = conv_projected_peaks(_pad_to(query, group.length),
+                                     db._bank(group, pair, cfg, counter=counter),
+                                     pair, cfg, counter=counter)
         ids.extend(group.ids)
         scores.append(peaks / group.energies)
     scores = np.concatenate(scores)

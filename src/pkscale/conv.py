@@ -27,16 +27,16 @@ Projection paths come in two flavors:
   output rows, flattened, are the phases already interleaved.
 
 * :func:`conv_projected_peaks` runs the same path for one signal against a
-  bank of E equal-length kernels whose per-phase projections
+  bank of E equal-length kernels whose projections for every computed phase
   :func:`project_kernel_bank` computed once. It returns only each output's
   peak magnitude, and nothing is placed or interpolated into a full-length
-  output. The bank holds its taps as a block-Toeplitz matrix, built once,
-  with the E kernels where :func:`conv_projected_blocked` has its output
-  phases, so every kernel's compact stream comes from the same windowed
-  products. The overlap of the windows sits in that cached matrix, about
-  B * (B + Q - 1) / Q times the size of the plain stack of taps, instead of
-  in a copy of the signal's windows made for every call (the memory-efficient
-  convolution of Cho & Brand, "MEC", ICML 2017).
+  output. The bank holds each phase's taps as a block-Toeplitz matrix, built
+  once, with the E kernels where :func:`conv_projected_blocked` has its
+  output phases, so every kernel's compact stream comes from the same
+  windowed products. The overlap of the windows sits in that cached matrix
+  instead of in a copy of the signal's windows made for every call (the
+  memory-efficient convolution of Cho & Brand, "MEC", ICML 2017). Both fast
+  paths take the signal's windows from :func:`_compact_windows`.
 """
 
 from __future__ import annotations
@@ -341,6 +341,27 @@ def _toeplitz_segment(taps, block):
     return view.transpose(1, 2, 3, 0).reshape(used * span, block * phases)
 
 
+def _compact_windows(sc, compact_len, block, rows, start, span):
+    """Yield ``(lo, hi, x)``: x is the (hi - lo, p * span) copy of windows lo
+    .. hi - 1 of the compact signal ``sc`` (p, G), zero-padded to
+    ``padded[l, Q - 1 + i] = sc_l[i]``. Window j holds ``padded[l, start + j*B
+    + a]``, a < span, of every l side by side; times a :func:`_toeplitz_segment`
+    operand it gives compact samples j*B .. j*B + B - 1. The windows overlap,
+    so BLAS needs them copied, in chunks of about CONV_CHUNK_ELEMENTS."""
+    used, groups = sc.shape
+    padded = np.zeros((used, rows * block + compact_len - 1), dtype=sc.dtype)
+    padded[:, compact_len - 1:compact_len - 1 + groups] = sc
+    step = padded.itemsize
+    # the last window ends at column start + rows*B - B + span - 1, inside
+    # padded for every span <= B + Q - 1 - start
+    windows = as_strided(padded[:, start:], (rows, used, span),
+                         (block * step, padded.strides[0], step), writeable=False)
+    chunk = max(1, CONV_CHUNK_ELEMENTS // (used * span))
+    for lo in range(0, rows, chunk):
+        hi = min(lo + chunk, rows)
+        yield lo, hi, windows[lo:hi].reshape(hi - lo, used * span)
+
+
 def conv_projected_blocked(s, k, pair, cfg, counter=None):
     """Convolution on compacted sequences, exact with every projection kept.
 
@@ -374,9 +395,8 @@ def conv_projected_blocked(s, k, pair, cfg, counter=None):
       each a product of its own added into Y. A segment's Toeplitz matrix
       has p * (B + S - 1) rows, so its size does not grow with the kernel;
       unsegmented it would hold B copies of the whole compact kernel.
-    * Chunks: the windows overlap, so BLAS needs them copied; the rows go
-      in chunks of about CONV_CHUNK_ELEMENTS window elements, which bounds
-      the copy.
+    * Chunks: the windows are copied in chunks of rows
+      (:func:`_compact_windows`).
 
     Output length is ``len(s) + len(k) - 1``. The counter charges p * len(s)
     for the signal pass, and per computed phase p * N for the kernel pass plus
@@ -396,7 +416,7 @@ def conv_projected_blocked(s, k, pair, cfg, counter=None):
     out_len = s.shape[0] + k.shape[0] - 1
     compact_len = _compact_kernel_len(k.shape[0], size)
     dtype = _dtype_of(s, k)
-    sc = project_signal(s, pair, range(used))
+    sc = project_signal(s, pair, range(used)).astype(dtype, copy=False)
     if counter is not None:
         counter.add(used * s.shape[0])
     # taps[r, l, q] = kd_{r,l}[Q - 1 - q]
@@ -408,25 +428,14 @@ def conv_projected_blocked(s, k, pair, cfg, counter=None):
     block = -(-CONV_ROW_OUTPUTS // len(phases))
     kept = -(-out_len // size)              # compact samples of phase 0
     rows = -(-kept // block)
-    # padded[l, Q - 1 + i] = sc_l[i]: window j*B + a of tap segment o reads
-    # sc_l[j*B + a - o - w + 1] at column j*B + a + (Q - o - w)
-    padded = np.zeros((used, rows * block + compact_len - 1), dtype=dtype)
-    padded[:, compact_len - 1:compact_len - 1 + sc.shape[1]] = sc
-    step = padded.itemsize
     y = np.empty((rows, block * len(phases)), dtype=dtype)
     for first in range(0, compact_len, CONV_SEGMENT_TAPS):
         width = min(CONV_SEGMENT_TAPS, compact_len - first)
+        # window j of tap segment o reads sc_l[j*B + a - o - w + 1]
         start = compact_len - first - width
         toeplitz = _toeplitz_segment(taps[..., start:start + width], block)
-        span = block + width - 1
-        # windows[j, l, a] = padded[l, start + j*B + a]; the last window ends
-        # at column rows*B + Q - 2 - first, inside padded
-        windows = as_strided(padded[:, start:], (rows, used, span),
-                             (block * step, padded.strides[0], step), writeable=False)
-        chunk = max(1, CONV_CHUNK_ELEMENTS // (used * span))
-        for lo in range(0, rows, chunk):
-            hi = min(lo + chunk, rows)
-            x = windows[lo:hi].reshape(hi - lo, used * span)
+        for lo, hi, x in _compact_windows(sc, compact_len, block, rows, start,
+                                          block + width - 1):
             if first == 0:
                 np.matmul(x, toeplitz, out=y[lo:hi])
             else:
@@ -438,30 +447,29 @@ def conv_projected_blocked(s, k, pair, cfg, counter=None):
 
 @dataclass(frozen=True)
 class KernelBank:
-    """Phase-``phase`` projections of E equal-length kernels of length
-    ``kernel_len``, as :func:`project_kernel_bank` stacks them.
+    """Projections of E equal-length kernels of length ``kernel_len`` for
+    every output phase of ``phases``, as :func:`project_kernel_bank` builds
+    them for one configuration.
 
-    ``toeplitz`` (read-only) is the right operand of
-    :func:`conv_projected_peaks`: the (p * (B + Q - 1), B * E) block-Toeplitz
-    matrix of :func:`_toeplitz_segment`, with the E kernels in the role of the
-    output phases and B = ``block`` compact samples per product row, chosen
-    from E and Q by :func:`project_kernel_bank`. It is about B * (B + Q - 1) / Q times the size of
-    ``matrix``, the (p * Q, E) plain stack of the same taps (read-only too),
-    which the bank keeps for its shape: 0.56 MB against 66 KB for 64 kernels
-    of 256 samples at L = 2, p = 1 (Q = 129, B = 8). The kernel length is kept
+    ``toeplitz`` holds one read-only right operand of
+    :func:`conv_projected_peaks` per phase, in the order of ``phases``: the
+    (p * (B + Q - 1), B * E) block-Toeplitz matrix of :func:`_toeplitz_segment`,
+    with the E kernels in the role of the output phases and B = ``block``
+    compact samples per product row, chosen from E and Q by
+    :func:`project_kernel_bank`. One operand is 0.56 MB for 64 kernels of 256
+    samples at L = 2, p = 1 (Q = 129, B = 8). The kernel length is kept
     because the shapes alone cannot tell lengths that share Q apart (8 and 9
-    at L = 2), and such a bank would give wrong peaks instead of an error.
+    at L = 2), and it sets how many output samples count toward a peak.
     """
 
-    matrix: np.ndarray
     kernel_len: int
-    phase: int
-    toeplitz: np.ndarray
+    phases: tuple
     block: int
+    toeplitz: tuple
 
     def __post_init__(self):
-        self.matrix.setflags(write=False)
-        self.toeplitz.setflags(write=False)
+        for operand in self.toeplitz:
+            operand.setflags(write=False)
 
 
 def _kernel_taps(kernels, pair, projections, phase, counter=None):
@@ -479,58 +487,60 @@ def _kernel_taps(kernels, pair, projections, phase, counter=None):
     return compact.transpose(0, 2, 1)
 
 
-def project_kernel_bank(kernels, pair, projections, phase, counter=None):
-    """Phase-``phase`` synthesis projections of equal-length kernels, stacked
-    for :func:`conv_projected_peaks`.
+def project_kernel_bank(kernels, pair, cfg, counter=None):
+    """Synthesis projections of equal-length kernels for every output phase
+    of ``cfg``, stacked for :func:`conv_projected_peaks`.
 
-    ``kernels`` is (E, N); with Q = ceil((N + L - 1) / L) and p =
-    ``projections``, the result is a :class:`KernelBank` whose matrix is
-    (p * Q, E), row ``l * Q + q`` holding every kernel's
-    ``kd_{phase,l}[Q - 1 - q]`` (see :func:`conv_projected_blocked`; each
-    projection reversed, so a window of the compact signal times the matrix
-    is a convolution). Its block-Toeplitz operand is built from the same taps
-    here, once, so a bank held across queries pays for it once. The counter
-    is charged N per kernel per projection, as :func:`conv_projected_blocked`
-    charges its kernel pass for each phase on every call; building the
-    Toeplitz operand only moves taps and is not charged.
+    ``kernels`` is (E, N) with E and N at least 1; with Q = ceil((N + L - 1)
+    / L) and p = ``cfg.projections_used``, phase r's taps are every kernel's
+    ``kd_{r,l}[Q - 1 - q]`` for l < p and q < Q (see
+    :func:`conv_projected_blocked`; each projection reversed, so a window of
+    the compact signal times them is a convolution). Each phase's
+    block-Toeplitz operand is built from its taps here, once, so a bank held
+    across queries pays for it once. The counter is charged N per kernel per
+    projection and phase, as :func:`conv_projected_blocked` charges its
+    kernel pass on every call; building the Toeplitz operands only moves taps
+    and is not charged.
     """
+    cfg.check_pair(pair)
     k = _as_real(kernels, 2, "kernel stack")
-    if not 0 <= phase < pair.size:
-        raise IndexOutOfRange(f"phase {phase} outside [0, {pair.size})")
-    taps = _kernel_taps(k, pair, projections, phase, counter)
-    count, _, compact_len = taps.shape
+    count, kernel_len = k.shape
+    if count == 0 or kernel_len == 0:
+        raise DimensionMismatch(f"kernel stack needs at least one kernel of at least "
+                                f"one sample, got shape {k.shape}")
+    compact_len = _compact_kernel_len(kernel_len, pair.size)
     # a product about CONV_BANK_COLUMNS wide, and B <= Q / 8, so the Toeplitz
     # zeros add at most (B + Q - 1) / Q <= 1.125 to its work
     block = max(1, min(-(-CONV_BANK_COLUMNS // count), compact_len // 8))
-    # (E, p, Q) -> rows l * Q + q
-    return KernelBank(np.ascontiguousarray(taps.transpose(1, 2, 0).reshape(-1, count)),
-                      k.shape[1], phase,
-                      np.ascontiguousarray(_toeplitz_segment(taps, block)), block)
+    phases = tuple(cfg.phases())
+    return KernelBank(kernel_len, phases, block, tuple(
+        np.ascontiguousarray(_toeplitz_segment(
+            _kernel_taps(k, pair, cfg.projections_used, phase, counter), block))
+        for phase in phases))
 
 
-def conv_projected_peaks(s, banks, kernel_len, pair, cfg, counter=None):
+def conv_projected_peaks(s, bank, pair, cfg, counter=None):
     """``max(abs(conv_projected_blocked(s, k)))`` for every kernel of a bank.
 
-    ``banks`` holds one :func:`project_kernel_bank` result per phase of
-    ``cfg.phases()``, in that order, each with ``cfg.projections_used``
-    projections of the same kernels of length ``kernel_len`` and the same
-    block; a bank built for another phase, kernel length or block is refused.
-    The result has one peak per kernel. The signal is projected once, as in
+    ``bank`` is a :func:`project_kernel_bank` result for a configuration
+    with the phases and projection count of ``cfg``; a bank built for other
+    phases or another projection count is refused. The result has one peak
+    per kernel. The signal is projected once, as in
     :func:`conv_projected_blocked`, and its compact streams run through the
     same block-Toeplitz products, with the bank's E kernels where that
-    function has its P output phases: row j of the compact signal's windows,
-    ``B + Q - 1`` samples of every projection from j*B on, times a bank's
-    Toeplitz operand gives compact samples j*B .. j*B + B - 1 of every
-    kernel's stream, so a product viewed as (rows * B, E) is the streams
-    themselves. The windows are copied in chunks of about
-    CONV_CHUNK_ELEMENTS elements, each multiplied by every phase's operand.
-    Only the stream samples that land inside the output count toward the
-    peak. Nothing else is needed: the remaining output samples are zero,
-    copies of computed ones, or linear interpolations between two computed
-    ones, which never exceed the larger of their magnitudes.
+    function has its P output phases: window j of the compact signal
+    (:func:`_compact_windows`), ``B + Q - 1`` samples of every projection
+    from j*B on, times a phase's Toeplitz operand gives compact samples j*B
+    .. j*B + B - 1 of every kernel's stream, so a product viewed as (rows *
+    B, E) is the streams themselves. Each chunk of windows is multiplied by
+    every phase's operand. Only the stream samples that land inside the
+    output count toward the peak. Nothing else is needed: the remaining
+    output samples are zero, copies of computed ones, or linear
+    interpolations between two computed ones, which never exceed the larger
+    of their magnitudes.
 
     The counter is charged as :func:`conv_projected_blocked` charges one
-    call per kernel, less the kernel projections, which the banks paid for
+    call per kernel, less the kernel projections, which the bank paid for
     once, and with the signal pass charged once for all kernels: p * len(s),
     plus p * G * Q per kernel and computed phase. The count is that
     convention, not a trace of the products, which also multiply the
@@ -540,45 +550,30 @@ def conv_projected_peaks(s, banks, kernel_len, pair, cfg, counter=None):
     s = _as_real(s, 1, "signal")
     size = pair.size
     used = cfg.projections_used
-    phases = cfg.phases()
+    kernel_len, block = bank.kernel_len, bank.block
     compact_len = _compact_kernel_len(kernel_len, size)
-    if len(banks) != len(phases) or any(
-            b.phase != phase or b.kernel_len != kernel_len or b.block != banks[0].block
-            or b.matrix.shape != (used * compact_len, banks[0].matrix.shape[1])
-            for b, phase in zip(banks, phases)):
+    span = block + compact_len - 1
+    if bank.phases != tuple(cfg.phases()) or bank.toeplitz[0].shape[0] != used * span:
         raise DimensionMismatch(
-            f"banks do not hold {len(phases)} phases of {used} projections of "
-            f"length-{kernel_len} kernels at projection size {size} in one block")
-    if not 1 <= kernel_len <= s.shape[0]:
+            f"bank does not hold phases {tuple(cfg.phases())} of {used} projections "
+            f"at projection size {size}")
+    if kernel_len > s.shape[0]:
         raise DimensionMismatch(
-            f"need 1 <= kernel length <= signal length, got {kernel_len} and {s.shape[0]}")
+            f"need kernel length <= signal length, got {kernel_len} and {s.shape[0]}")
     out_len = s.shape[0] + kernel_len - 1
     sc = project_signal(s, pair, range(used))
-    groups = sc.shape[1]
-    count = banks[0].matrix.shape[1]
+    count = bank.toeplitz[0].shape[1] // block
     if counter is not None:
         counter.add(used * s.shape[0]
-                    + len(phases) * used * groups * compact_len * count)
-    block = banks[0].block
-    span = block + compact_len - 1
+                    + len(bank.phases) * used * sc.shape[1] * compact_len * count)
     kept = -(-out_len // size)              # compact samples of phase 0
-    rows = -(-kept // block)
-    # padded[l, Q - 1 + i] = sc_l[i]; window j holds padded[l, j*B + a], a < span
-    padded = np.zeros((used, rows * block + compact_len - 1), dtype=sc.dtype)
-    padded[:, compact_len - 1:compact_len - 1 + groups] = sc
-    step = padded.itemsize
-    windows = as_strided(padded, (rows, used, span),
-                         (block * step, padded.strides[0], step), writeable=False)
     # compact samples of each phase that land inside the output
-    inside = [-(-(out_len - phase) // size) for phase in phases]
+    inside = [-(-(out_len - phase) // size) for phase in bank.phases]
     peaks = np.zeros(count)
-    chunk = max(1, CONV_CHUNK_ELEMENTS // (used * span))
-    for lo in range(0, rows, chunk):
-        hi = min(lo + chunk, rows)
-        x = windows[lo:hi].reshape(hi - lo, used * span)
-        for bank, samples in zip(banks, inside):
+    for lo, _, x in _compact_windows(sc, compact_len, block, -(-kept // block), 0, span):
+        for toeplitz, samples in zip(bank.toeplitz, inside):
             if samples > lo * block:
-                y = x @ bank.toeplitz
+                y = x @ toeplitz
                 # |y| in place: a second product-sized temporary made the
                 # allocator hand pages back and fault them in on every call
                 stream = np.abs(y, out=y).reshape(-1, count)[:samples - lo * block]

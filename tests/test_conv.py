@@ -231,20 +231,24 @@ def peaks_case(draw):
     return family, size, seed, dtype, used, slen, klen, count
 
 
-def _window_peaks(s, banks, klen, pair, cfg):
+def _window_peaks(s, kernels, pair, cfg):
     """conv_projected_peaks as one product of the compact signal's sliding
-    windows, Q samples of every projection, with each bank's plain (p * Q, E)
-    matrix: the formula the block-Toeplitz bank replaced."""
+    windows, Q samples of every projection, with each phase's plain (p * Q, E)
+    stack of taps, row l * Q + q holding every kernel's kd_{r,l}[Q - 1 - q]:
+    the formula the block-Toeplitz bank replaced."""
     used = cfg.projections_used
-    compact_len = banks[0].matrix.shape[0] // used
+    count, klen = kernels.shape
+    stacks = [conv._kernel_taps(kernels, pair, used, phase).transpose(1, 2, 0).reshape(-1, count)
+              for phase in cfg.phases()]
+    compact_len = stacks[0].shape[0] // used
     sc = project_signal(s, pair, range(used))
     padded = np.zeros((used, sc.shape[1] + 2 * (compact_len - 1)), dtype=sc.dtype)
     padded[:, compact_len - 1:compact_len - 1 + sc.shape[1]] = sc
     out_len = s.shape[0] + klen - 1
     windows = sliding_window_view(padded, compact_len, axis=1)[:, :-(-out_len // pair.size)]
     windows = windows.transpose(1, 0, 2).reshape(windows.shape[1], -1)
-    return np.max([np.abs(windows[:-(-(out_len - phase) // pair.size)] @ bank.matrix).max(axis=0)
-                   for phase, bank in zip(cfg.phases(), banks)], axis=0)
+    return np.max([np.abs(windows[:-(-(out_len - phase) // pair.size)] @ stack).max(axis=0)
+                   for phase, stack in zip(cfg.phases(), stacks)], axis=0)
 
 
 @settings(max_examples=60, deadline=None)
@@ -260,14 +264,13 @@ def test_peaks_equal_blocked_peaks_property(case, mode):
     rng = np.random.default_rng(seed)
     s = rng.standard_normal(slen).astype(dtype)
     kernels = rng.standard_normal((count, klen)).astype(dtype)
-    banks = [project_kernel_bank(kernels, pair, cfg.projections_used, phase)
-             for phase in cfg.phases()]
+    bank = project_kernel_bank(kernels, pair, cfg)
     want = np.array([np.abs(conv_projected_blocked(s, k, pair, cfg)).max() for k in kernels],
                     dtype=np.float64)
-    got = conv_projected_peaks(s, banks, klen, pair, cfg).astype(np.float64)
+    got = conv_projected_peaks(s, bank, pair, cfg).astype(np.float64)
     if dtype == np.float64:
         assert_allclose(got, want, rtol=1e-12, atol=0)
-        assert_allclose(got, _window_peaks(s, banks, klen, pair, cfg), rtol=1e-12, atol=0)
+        assert_allclose(got, _window_peaks(s, kernels, pair, cfg), rtol=1e-12, atol=0)
     else:
         # float32 rounds every stage at about 6e-8 of the operands, and both
         # paths round differently, so a peak that cancels far below its
@@ -293,12 +296,12 @@ def test_peaks_of_long_kernels_and_wide_banks(family, size, used, mode, count, k
     rng = np.random.default_rng(count)
     s = rng.standard_normal(slen)
     kernels = rng.standard_normal((count, klen))
-    banks = [project_kernel_bank(kernels, pair, used, phase) for phase in cfg.phases()]
-    assert banks[0].block == block
-    got = conv_projected_peaks(s, banks, klen, pair, cfg)
+    bank = project_kernel_bank(kernels, pair, cfg)
+    assert bank.block == block
+    got = conv_projected_peaks(s, bank, pair, cfg)
     want = [np.abs(conv_projected_blocked(s, k, pair, cfg)).max() for k in kernels]
     assert_allclose(got, want, rtol=1e-12, atol=0)
-    assert_allclose(got, _window_peaks(s, banks, klen, pair, cfg), rtol=1e-12, atol=0)
+    assert_allclose(got, _window_peaks(s, kernels, pair, cfg), rtol=1e-12, atol=0)
 
 
 @pytest.mark.parametrize("seed", [5, 61])
@@ -314,29 +317,45 @@ def test_projected_match_decisions_equal_window_formula(seed):
     ids = [entry_id for entry_id, _ in db.entries]
     entries = np.stack([sig for _, sig in db.entries])
     energies = np.sum(entries * entries, axis=1)
-    banks = [project_kernel_bank(entries[:, ::-1], pair, 1, 0)]
     for _, query in queries:
-        scores = _window_peaks(query, banks, 256, pair, cfg) / energies
+        scores = _window_peaks(query, entries[:, ::-1], pair, cfg) / energies
         want = min(ids[i] for i in np.flatnonzero(scores == scores.max()))
         assert xcorr_match(query, db, mode)[0] == want
 
 
-def test_peaks_refuse_banks_of_another_block(monkeypatch):
+def test_peaks_refuse_banks_of_another_configuration():
     pair = make_haar_pair(2)
     cfg = PrecisionConfig(2, 1)
     kernels = np.random.default_rng(7).standard_normal((4, 40))
-    banks = [project_kernel_bank(kernels, pair, 1, phase) for phase in cfg.phases()]
-    # a phase-1 bank built with a narrower product holds the same taps in
-    # blocks of 1 instead of 2
-    monkeypatch.setattr(conv, "CONV_BANK_COLUMNS", 4)
-    other = project_kernel_bank(kernels, pair, 1, 1)
-    assert (banks[1].block, other.block) == (2, 1)
+    bank = project_kernel_bank(kernels, pair, cfg)
+    assert (bank.kernel_len, bank.phases, bank.block, len(bank.toeplitz)) == (40, (0, 1), 2, 2)
     s = np.ones(64)
-    assert conv_projected_peaks(s, banks, 40, pair, cfg).shape == (4,)
+    assert conv_projected_peaks(s, bank, pair, cfg).shape == (4,)
+    # a half-rate bank holds phase 0 alone
+    half = project_kernel_bank(kernels, pair, PrecisionConfig(2, 1, SampleMode.HALF_INTERPOLATE))
     with pytest.raises(DimensionMismatch):
-        conv_projected_peaks(s, [banks[0], other], 40, pair, cfg)
+        conv_projected_peaks(s, half, pair, cfg)
+    with pytest.raises(DimensionMismatch):
+        conv_projected_peaks(s, project_kernel_bank(kernels, pair, PrecisionConfig(2, 2)),
+                             pair, cfg)
+    with pytest.raises(DimensionMismatch):
+        conv_projected_peaks(np.ones(39), bank, pair, cfg)
+    with pytest.raises(DomainError):
+        conv_projected_peaks(s, bank, pair, PrecisionConfig(4, 1))
     with pytest.raises(ValueError):
-        banks[0].toeplitz[0, 0] = 1.0
+        bank.toeplitz[1][0, 0] = 1.0
+
+
+@pytest.mark.parametrize("kernels,cfg,error", [
+    (np.ones((0, 8)), PrecisionConfig(2, 1), DimensionMismatch),
+    (np.ones((3, 0)), PrecisionConfig(2, 1), DimensionMismatch),
+    (np.ones(8), PrecisionConfig(2, 1), DimensionMismatch),
+    # three projections of a size-2 pair
+    (np.ones((3, 8)), PrecisionConfig(4, 3), DomainError),
+])
+def test_kernel_bank_refuses_bad_input(kernels, cfg, error):
+    with pytest.raises(error):
+        project_kernel_bank(kernels, make_haar_pair(2), cfg)
 
 
 def _per_index_oracle(s, k, pair, cfg):
@@ -520,51 +539,9 @@ def test_peaks_match_blocked_kernel_per_kernel(mode, family, make):
     pair = make(4)
     cfg = PrecisionConfig(4, 2, sample_mode=mode)
     kernels = rng.standard_normal((5, 13))
-    banks = [project_kernel_bank(kernels, pair, 2, phase) for phase in cfg.phases()]
-    assert banks[0].matrix.shape == (2 * 4, 5)
+    bank = project_kernel_bank(kernels, pair, cfg)
     for slen in (13, 14, 30):
         s = rng.standard_normal(slen)
         want = [np.abs(conv_projected_blocked(s, k, pair, cfg)).max() for k in kernels]
-        assert_allclose(conv_projected_peaks(s, banks, 13, pair, cfg), want,
+        assert_allclose(conv_projected_peaks(s, bank, pair, cfg), want,
                         rtol=1e-12, atol=0)
-
-
-def test_peaks_validate_bank_and_lengths():
-    pair = make_haar_pair(2)
-    cfg = PrecisionConfig(2, 1)
-    with pytest.raises(DimensionMismatch):
-        project_kernel_bank(np.ones(8), pair, 1, 0)
-    with pytest.raises(IndexOutOfRange):
-        project_kernel_bank(np.ones((2, 8)), pair, 1, 2)
-    banks = [project_kernel_bank(np.ones((2, 8)), pair, 1, phase) for phase in (0, 1)]
-    with pytest.raises(DimensionMismatch):
-        conv_projected_peaks(np.ones(16), banks, 8, pair, PrecisionConfig(2, 2))
-    with pytest.raises(DimensionMismatch):
-        conv_projected_peaks(np.ones(16), banks[:1], 8, pair, cfg)
-    with pytest.raises(DimensionMismatch):
-        conv_projected_peaks(np.ones(16), banks, 11, pair, cfg)
-    with pytest.raises(DimensionMismatch):
-        conv_projected_peaks(np.ones(6), banks, 8, pair, cfg)
-    with pytest.raises(DomainError):
-        conv_projected_peaks(np.ones(16), banks, 8, pair, PrecisionConfig(4, 1))
-
-
-def test_peaks_refuse_bank_of_another_kernel_length_or_phase():
-    # kernel lengths 8 and 9 share Q = 5 at L = 2, so the bank's shape fits
-    # both; the length kept with the bank tells them apart
-    pair = make_haar_pair(2)
-    cfg = PrecisionConfig(2, 1)
-    rng = np.random.default_rng(89)
-    banks = [project_kernel_bank(rng.standard_normal((3, 8)), pair, 1, phase)
-             for phase in cfg.phases()]
-    assert banks[0].kernel_len == 8
-    assert banks[0].matrix.shape == project_kernel_bank(np.ones((3, 9)), pair, 1, 0).matrix.shape
-    s = rng.standard_normal(32)
-    assert conv_projected_peaks(s, banks, 8, pair, cfg).shape == (3,)
-    with pytest.raises(DimensionMismatch):
-        conv_projected_peaks(s, banks, 9, pair, cfg)
-    # phase banks in the wrong order are refused too
-    with pytest.raises(DimensionMismatch):
-        conv_projected_peaks(s, banks[::-1], 8, pair, cfg)
-    with pytest.raises(ValueError):
-        banks[0].matrix[0, 0] = 1.0
