@@ -1,3 +1,4 @@
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -323,27 +324,77 @@ def test_projected_match_decisions_equal_window_formula(seed):
         assert xcorr_match(query, db, mode)[0] == want
 
 
-def test_peaks_refuse_banks_of_another_configuration():
+def test_peaks_refuse_banks_of_another_block(monkeypatch):
     pair = make_haar_pair(2)
     cfg = PrecisionConfig(2, 1)
     kernels = np.random.default_rng(7).standard_normal((4, 40))
     bank = project_kernel_bank(kernels, pair, cfg)
     assert (bank.kernel_len, bank.phases, bank.block, len(bank.toeplitz)) == (40, (0, 1), 2, 2)
+    s = np.random.default_rng(8).standard_normal(64)
+    want = conv_projected_peaks(s, bank, pair, cfg)
+    assert want.shape == (4,)
+    # a bank built with a narrower product holds the same taps in blocks of
+    # 1 instead of 2 and carries its block, so it gives the same peaks
+    monkeypatch.setattr(conv, "CONV_BANK_COLUMNS", 4)
+    other = project_kernel_bank(kernels, pair, cfg)
+    assert other.block == 1
+    assert_allclose(conv_projected_peaks(s, other, pair, cfg), want, rtol=1e-12, atol=0)
+    # Toeplitz operands of one block under a bank that claims another
+    with pytest.raises(DimensionMismatch):
+        conv_projected_peaks(s, dataclasses.replace(bank, block=1), pair, cfg)
+    with pytest.raises(DimensionMismatch):
+        conv_projected_peaks(s, dataclasses.replace(other, block=2), pair, cfg)
+    with pytest.raises(ValueError):
+        bank.toeplitz[1][0, 0] = 1.0
+
+
+def test_peaks_validate_bank_and_lengths():
+    pair = make_haar_pair(2)
+    cfg = PrecisionConfig(2, 1)
+    kernels = np.random.default_rng(7).standard_normal((4, 40))
+    bank = project_kernel_bank(kernels, pair, cfg)
     s = np.ones(64)
     assert conv_projected_peaks(s, bank, pair, cfg).shape == (4,)
-    # a half-rate bank holds phase 0 alone
-    half = project_kernel_bank(kernels, pair, PrecisionConfig(2, 1, SampleMode.HALF_INTERPOLATE))
-    with pytest.raises(DimensionMismatch):
-        conv_projected_peaks(s, half, pair, cfg)
+    assert conv_projected_peaks(np.ones(40), bank, pair, cfg).shape == (4,)
+    # a bank of another projection count
     with pytest.raises(DimensionMismatch):
         conv_projected_peaks(s, project_kernel_bank(kernels, pair, PrecisionConfig(2, 2)),
                              pair, cfg)
+    # a kernel longer than the signal
     with pytest.raises(DimensionMismatch):
         conv_projected_peaks(np.ones(39), bank, pair, cfg)
+    # a configuration of another pair size
     with pytest.raises(DomainError):
         conv_projected_peaks(s, bank, pair, PrecisionConfig(4, 1))
-    with pytest.raises(ValueError):
-        bank.toeplitz[1][0, 0] = 1.0
+
+
+def test_peaks_refuse_bank_of_another_kernel_length_or_phase():
+    # kernel lengths 8 and 9 share Q = 5 at L = 2, so the Toeplitz shapes fit
+    # both; the length kept with the bank tells them apart
+    pair = make_haar_pair(2)
+    cfg = PrecisionConfig(2, 1)
+    rng = np.random.default_rng(89)
+    s = rng.standard_normal(32)
+    for klen in (8, 9):
+        kernels = rng.standard_normal((3, klen))
+        bank = project_kernel_bank(kernels, pair, cfg)
+        assert bank.kernel_len == klen
+        want = [np.abs(conv_projected_blocked(s, k, pair, cfg)).max() for k in kernels]
+        assert_allclose(conv_projected_peaks(s, bank, pair, cfg), want, rtol=1e-12, atol=0)
+    assert (project_kernel_bank(np.ones((3, 8)), pair, cfg).toeplitz[0].shape
+            == project_kernel_bank(np.ones((3, 9)), pair, cfg).toeplitz[0].shape)
+    # a half-rate bank holds phase 0 alone, and an all-phase bank is not a
+    # half-rate one
+    half_cfg = PrecisionConfig(2, 1, SampleMode.HALF_INTERPOLATE)
+    half = project_kernel_bank(kernels, pair, half_cfg)
+    assert half.phases == (0,)
+    with pytest.raises(DimensionMismatch):
+        conv_projected_peaks(s, half, pair, cfg)
+    with pytest.raises(DimensionMismatch):
+        conv_projected_peaks(s, bank, pair, half_cfg)
+    # phases in another order
+    with pytest.raises(DimensionMismatch):
+        conv_projected_peaks(s, dataclasses.replace(bank, phases=(1, 0)), pair, cfg)
 
 
 @pytest.mark.parametrize("kernels,cfg,error", [
