@@ -37,6 +37,12 @@ Projection paths come in two flavors:
   instead of in a copy of the signal's windows made for every call (the
   memory-efficient convolution of Cho & Brand, "MEC", ICML 2017). Both fast
   paths take the signal's windows from :func:`_compact_windows`.
+
+Both fast paths build their compact streams without per-call copies of the
+signal's projections: :func:`_compact_signal` projects the signal straight
+into the columns of its zero-padded buffer, :func:`_compact_windows` copies
+every chunk of windows into one buffer per call, and :func:`_kernel_taps`
+projects the taps of every phase in one batched product.
 """
 
 from __future__ import annotations
@@ -341,25 +347,43 @@ def _toeplitz_segment(taps, block):
     return view.transpose(1, 2, 3, 0).reshape(used * span, block * phases)
 
 
-def _compact_windows(sc, compact_len, block, rows, start, span):
+def _compact_signal(s, pair, used, compact_len, columns, dtype):
+    """The zero-padded compact signal that :func:`_compact_windows` reads:
+    ``padded[l, Q - 1 + i] = sc_l[i]`` for the G = ceil(len(s) / L) compact
+    samples of each of the p = ``used`` projections, zero elsewhere, shape
+    (p, ``columns``). The signal is projected straight into its columns, in
+    ``s``'s dtype and cast once to ``dtype``, and only the Q - 1 leading and
+    the trailing columns are zeroed."""
+    groups = -(-s.shape[0] // pair.size)
+    padded = np.empty((used, columns), dtype=dtype)
+    padded[:, :compact_len - 1] = 0
+    padded[:, compact_len - 1 + groups:] = 0
+    project_signal(s, pair, range(used),
+                   out=padded[:, compact_len - 1:compact_len - 1 + groups])
+    return padded
+
+
+def _compact_windows(padded, block, rows, start, span):
     """Yield ``(lo, hi, x)``: x is the (hi - lo, p * span) copy of windows lo
-    .. hi - 1 of the compact signal ``sc`` (p, G), zero-padded to
-    ``padded[l, Q - 1 + i] = sc_l[i]``. Window j holds ``padded[l, start + j*B
-    + a]``, a < span, of every l side by side; times a :func:`_toeplitz_segment`
-    operand it gives compact samples j*B .. j*B + B - 1. The windows overlap,
-    so BLAS needs them copied, in chunks of about CONV_CHUNK_ELEMENTS."""
-    used, groups = sc.shape
-    padded = np.zeros((used, rows * block + compact_len - 1), dtype=sc.dtype)
-    padded[:, compact_len - 1:compact_len - 1 + groups] = sc
+    .. hi - 1 of a :func:`_compact_signal` ``padded`` (p, columns). Window j
+    holds ``padded[l, start + j*B + a]``, a < span, of every l side by side;
+    times a :func:`_toeplitz_segment` operand it gives compact samples j*B ..
+    j*B + B - 1. The windows overlap, so BLAS needs them copied, in chunks of
+    about CONV_CHUNK_ELEMENTS. Every chunk is copied into the same buffer, so
+    the caller must be done with x before it asks for the next chunk."""
+    used = padded.shape[0]
     step = padded.itemsize
     # the last window ends at column start + rows*B - B + span - 1, inside
     # padded for every span <= B + Q - 1 - start
     windows = as_strided(padded[:, start:], (rows, used, span),
                          (block * step, padded.strides[0], step), writeable=False)
     chunk = max(1, CONV_CHUNK_ELEMENTS // (used * span))
+    buffer = np.empty((min(chunk, rows), used, span), dtype=padded.dtype)
     for lo in range(0, rows, chunk):
         hi = min(lo + chunk, rows)
-        yield lo, hi, windows[lo:hi].reshape(hi - lo, used * span)
+        x = buffer[:hi - lo]
+        np.copyto(x, windows[lo:hi])
+        yield lo, hi, x.reshape(hi - lo, used * span)
 
 
 def conv_projected_blocked(s, k, pair, cfg, counter=None):
@@ -395,8 +419,8 @@ def conv_projected_blocked(s, k, pair, cfg, counter=None):
       each a product of its own added into Y. A segment's Toeplitz matrix
       has p * (B + S - 1) rows, so its size does not grow with the kernel;
       unsegmented it would hold B copies of the whole compact kernel.
-    * Chunks: the windows are copied in chunks of rows
-      (:func:`_compact_windows`).
+    * Chunks: the windows are copied in chunks of rows, each into the same
+      buffer (:func:`_compact_windows`).
 
     Output length is ``len(s) + len(k) - 1``. The counter charges p * len(s)
     for the signal pass, and per computed phase p * N for the kernel pass plus
@@ -416,30 +440,33 @@ def conv_projected_blocked(s, k, pair, cfg, counter=None):
     out_len = s.shape[0] + k.shape[0] - 1
     compact_len = _compact_kernel_len(k.shape[0], size)
     dtype = _dtype_of(s, k)
-    sc = project_signal(s, pair, range(used)).astype(dtype, copy=False)
-    if counter is not None:
-        counter.add(used * s.shape[0])
-    # taps[r, l, q] = kd_{r,l}[Q - 1 - q]
-    taps = np.stack([_kernel_taps(k[None], pair, used, phase, counter)[0]
-                     for phase in phases]).astype(dtype, copy=False)
-    if counter is not None:
-        counter.add(len(phases) * used * sc.shape[1] * compact_len)
-
     block = -(-CONV_ROW_OUTPUTS // len(phases))
     kept = -(-out_len // size)              # compact samples of phase 0
     rows = -(-kept // block)
+    padded = _compact_signal(s, pair, used, compact_len,
+                             rows * block + compact_len - 1, dtype)
+    # taps[r, l, q] = kd_{r,l}[Q - 1 - q]
+    taps = _kernel_taps(k[None], pair, used, phases, counter)[:, 0].astype(dtype, copy=False)
+    if counter is not None:
+        groups = -(-s.shape[0] // size)
+        counter.add(used * s.shape[0] + len(phases) * used * groups * compact_len)
+
     y = np.empty((rows, block * len(phases)), dtype=dtype)
     for first in range(0, compact_len, CONV_SEGMENT_TAPS):
         width = min(CONV_SEGMENT_TAPS, compact_len - first)
         # window j of tap segment o reads sc_l[j*B + a - o - w + 1]
         start = compact_len - first - width
         toeplitz = _toeplitz_segment(taps[..., start:start + width], block)
-        for lo, hi, x in _compact_windows(sc, compact_len, block, rows, start,
-                                          block + width - 1):
+        for lo, hi, x in _compact_windows(padded, block, rows, start, block + width - 1):
             if first == 0:
                 np.matmul(x, toeplitz, out=y[lo:hi])
             else:
                 y[lo:hi] += x @ toeplitz
+    # free the compact signal, the window buffer and the Toeplitz operand
+    # before the output is allocated: held across that allocation, they
+    # raised the peak RSS of a caller keeping 64 short half-rate outputs
+    # by about 0.5 MB
+    del padded, x, toeplitz
     if cfg.sample_mode is SampleMode.HALF_INTERPOLATE:
         return _interp_uniform(out_len, size, y.reshape(-1)[:kept], dtype)
     return y.reshape(-1)[:out_len]
@@ -449,7 +476,7 @@ def conv_projected_blocked(s, k, pair, cfg, counter=None):
 class KernelBank:
     """Projections of E equal-length kernels of length ``kernel_len`` for
     every output phase of ``phases``, as :func:`project_kernel_bank` builds
-    them for one configuration.
+    them for one configuration and one projection pair.
 
     ``toeplitz`` holds one read-only right operand of
     :func:`conv_projected_peaks` per phase, in the order of ``phases``: the
@@ -460,31 +487,46 @@ class KernelBank:
     samples at L = 2, p = 1 (Q = 129, B = 8). The kernel length is kept
     because the shapes alone cannot tell lengths that share Q apart (8 and 9
     at L = 2), and it sets how many output samples count toward a peak.
+    ``forward`` and ``inverse`` are the matrices of the pair the taps were
+    projected with: the signal must be projected with the same pair, and
+    nothing in the operands' shapes tells another pair of the same size
+    apart.
     """
 
     kernel_len: int
     phases: tuple
     block: int
     toeplitz: tuple
+    forward: np.ndarray
+    inverse: np.ndarray
 
     def __post_init__(self):
         for operand in self.toeplitz:
             operand.setflags(write=False)
 
 
-def _kernel_taps(kernels, pair, projections, phase, counter=None):
-    """Phase-``phase`` synthesis projections of kernels (E, N), reversed:
-    ``taps[e, l, q] = kd_{phase,l}[Q - 1 - q]`` of kernel e, shape (E,
-    projections, Q). The counter is charged N per kernel per projection."""
+def _kernel_taps(kernels, pair, projections, phases, counter=None):
+    """Synthesis projections of kernels (E, N) for the consecutive output
+    phases ``phases``, reversed: ``taps[i, e, l, q] = kd_{r,l}[Q - 1 - q]``
+    of kernel e at phase r = ``phases[i]``, shape (P, E, projections, Q).
+
+    Phase r's groups start L - 1 - r samples into each kernel's
+    :func:`_reversed_kernel` buffer, so the groups of every phase are one
+    strided view of that buffer, one sample apart from phase to phase, and
+    all phases take one batched product. The counter is charged N per kernel
+    per projection and phase."""
     size = pair.size
     count, klen = kernels.shape
     compact_len = _compact_kernel_len(klen, size)
-    start = size - 1 - phase
-    groups = _reversed_kernel(kernels, size)[:, start:start + compact_len * size]
-    compact = groups.reshape(count, compact_len, size) @ pair.inverse[:projections].T
+    buf = _reversed_kernel(kernels, size)
+    step = buf.itemsize
+    groups = as_strided(buf[:, size - 1 - phases[0]:],
+                        (len(phases), count, compact_len, size),
+                        (-step, buf.strides[0], size * step, step), writeable=False)
+    compact = groups @ pair.inverse[:projections].T
     if counter is not None:
-        counter.add(count * klen * projections)
-    return compact.transpose(0, 2, 1)
+        counter.add(len(phases) * count * klen * projections)
+    return compact.swapaxes(-1, -2)
 
 
 def project_kernel_bank(kernels, pair, cfg, counter=None):
@@ -497,10 +539,11 @@ def project_kernel_bank(kernels, pair, cfg, counter=None):
     :func:`conv_projected_blocked`; each projection reversed, so a window of
     the compact signal times them is a convolution). Each phase's
     block-Toeplitz operand is built from its taps here, once, so a bank held
-    across queries pays for it once. The counter is charged N per kernel per
-    projection and phase, as :func:`conv_projected_blocked` charges its
-    kernel pass on every call; building the Toeplitz operands only moves taps
-    and is not charged.
+    across queries pays for it once. The bank keeps the pair's matrices, so
+    a query under another pair is refused. The counter is charged N per
+    kernel per projection and phase, as :func:`conv_projected_blocked`
+    charges its kernel pass on every call; building the Toeplitz operands
+    only moves taps and is not charged.
     """
     cfg.check_pair(pair)
     k = _as_real(kernels, 2, "kernel stack")
@@ -512,19 +555,27 @@ def project_kernel_bank(kernels, pair, cfg, counter=None):
     # a product about CONV_BANK_COLUMNS wide, and B <= Q / 8, so the Toeplitz
     # zeros add at most (B + Q - 1) / Q <= 1.125 to its work
     block = max(1, min(-(-CONV_BANK_COLUMNS // count), compact_len // 8))
-    phases = tuple(cfg.phases())
-    return KernelBank(kernel_len, phases, block, tuple(
-        np.ascontiguousarray(_toeplitz_segment(
-            _kernel_taps(k, pair, cfg.projections_used, phase, counter), block))
-        for phase in phases))
+    phases = cfg.phases()
+    taps = _kernel_taps(k, pair, cfg.projections_used, phases, counter)
+    return KernelBank(kernel_len, tuple(phases), block, tuple(
+        np.ascontiguousarray(_toeplitz_segment(phase_taps, block)) for phase_taps in taps),
+        pair.forward, pair.inverse)
+
+
+def _same_values(a, b):
+    """Whether two read-only matrices hold the same values; the same array
+    needs no comparison."""
+    return a is b or np.array_equal(a, b)
 
 
 def conv_projected_peaks(s, bank, pair, cfg, counter=None):
     """``max(abs(conv_projected_blocked(s, k)))`` for every kernel of a bank.
 
     ``bank`` is a :func:`project_kernel_bank` result for a configuration
-    with the phases and projection count of ``cfg``; a bank built for other
-    phases or another projection count is refused. The result has one peak
+    with the phases and projection count of ``cfg``, built with ``pair``; a
+    bank built for other phases or another projection count is refused
+    (DimensionMismatch), and so is one built with a pair whose matrices
+    differ from ``pair``'s (DomainError). The result has one peak
     per kernel. The signal is projected once, as in
     :func:`conv_projected_blocked`, and its compact streams run through the
     same block-Toeplitz products, with the bank's E kernels where that
@@ -560,22 +611,40 @@ def conv_projected_peaks(s, bank, pair, cfg, counter=None):
     if kernel_len > s.shape[0]:
         raise DimensionMismatch(
             f"need kernel length <= signal length, got {kernel_len} and {s.shape[0]}")
+    if not (_same_values(bank.forward, pair.forward)
+            and _same_values(bank.inverse, pair.inverse)):
+        raise DomainError(f"bank was projected with another pair of size {size}")
     out_len = s.shape[0] + kernel_len - 1
-    sc = project_signal(s, pair, range(used))
+    kept = -(-out_len // size)              # compact samples of phase 0
+    rows = -(-kept // block)
+    padded = _compact_signal(s, pair, used, compact_len, rows * block + compact_len - 1,
+                             s.dtype)
     count = bank.toeplitz[0].shape[1] // block
     if counter is not None:
+        groups = -(-s.shape[0] // size)
         counter.add(used * s.shape[0]
-                    + len(bank.phases) * used * sc.shape[1] * compact_len * count)
-    kept = -(-out_len // size)              # compact samples of phase 0
+                    + len(bank.phases) * used * groups * compact_len * count)
     # compact samples of each phase that land inside the output
     inside = [-(-(out_len - phase) // size) for phase in bank.phases]
     peaks = np.zeros(count)
-    for lo, _, x in _compact_windows(sc, compact_len, block, -(-kept // block), 0, span):
+    for lo, hi, x in _compact_windows(padded, block, rows, 0, span):
         for toeplitz, samples in zip(bank.toeplitz, inside):
-            if samples > lo * block:
-                y = x @ toeplitz
-                # |y| in place: a second product-sized temporary made the
-                # allocator hand pages back and fault them in on every call
-                stream = np.abs(y, out=y).reshape(-1, count)[:samples - lo * block]
-                np.maximum(peaks, stream.max(axis=0), out=peaks)
+            # samples of this chunk's streams inside the output, and the
+            # product rows that hold only such samples
+            valid = samples - lo * block
+            if valid <= 0:
+                continue
+            full = min(hi - lo, valid // block)
+            y = x @ toeplitz
+            # |y| in place: a second product-sized temporary made the
+            # allocator hand pages back and fault them in on every call
+            np.abs(y, out=y)
+            # the max over whole product rows, B * E wide, then over the B
+            # samples of each kernel; a partial last row on its own
+            if full:
+                np.maximum(peaks, y[:full].max(axis=0).reshape(block, count).max(axis=0),
+                           out=peaks)
+            if full < hi - lo and valid > full * block:
+                tail = y[full, :(valid - full * block) * count]
+                np.maximum(peaks, tail.reshape(-1, count).max(axis=0), out=peaks)
     return peaks

@@ -296,20 +296,34 @@ def _grouped(signal, size, phase):
     return seg.reshape(groups, size)
 
 
-def _project_groups(g, coeff, l):
+def _project_groups(g, coeff, l, out=None):
     """Grouped signal ``g`` (G, L) times the selected coefficients, as
     :func:`project_signal` returns it: ``coeff`` is one column for one index
     ``l``, giving (G,); for a sequence it holds the selected columns, and
-    the result is the index-major transpose (len(l), G)."""
+    the result is the index-major (len(l), G). The product runs in ``g``'s
+    dtype and lands in ``out`` when one is given, cast once if its dtype
+    differs."""
     coeff = coeff.astype(g.dtype, copy=False)
     if isinstance(l, (int, np.integer)):
-        return g @ coeff
-    # fancy indexing leaves the selected columns F-ordered; the C-ordered
-    # copy multiplies about twice as fast and gives the same values
-    return (g @ np.ascontiguousarray(coeff.reshape(g.shape[1], -1))).T
+        shape = g.shape[:1]
+    else:
+        # fancy indexing leaves the selected columns F-ordered; the C-ordered
+        # copy multiplies about twice as fast and gives the same values
+        coeff = np.ascontiguousarray(coeff.reshape(g.shape[1], -1))
+        shape = (coeff.shape[1], g.shape[0])
+    if out is None:
+        out = np.empty(shape, dtype=g.dtype)
+    elif out.shape != shape or out.dtype not in (np.float32, np.float64):
+        raise DimensionMismatch(
+            f"out must be a float32 or float64 array of shape {shape}, "
+            f"got {out.dtype} {out.shape}")
+    if len(shape) == 1:
+        return np.matmul(g, coeff, out=out, dtype=g.dtype)
+    # the stack lands index-major with no transposed copy
+    return np.matmul(coeff.T, g.T, out=out, dtype=g.dtype)
 
 
-def project_signal(signal, pair, l, phase=0):
+def project_signal(signal, pair, l, phase=0, out=None):
     """Analysis projection of a 1-D signal with group offset ``phase``.
 
     ``l`` is one projection index or a sequence of them. One index gives
@@ -317,10 +331,16 @@ def project_signal(signal, pair, l, phase=0):
     ``idx`` stacks the projections index-major into shape (len(idx), G),
     ``out[j, i] = sum_t signal[phase + i*L + t] * forward[t, idx[j]]``. A
     trailing incomplete group is zero-padded.
+
+    ``out``, if given, is a float32 or float64 array of the result's shape,
+    such as a view of some columns of a wider buffer, and receives the
+    projection in place of a new array. The projection runs in the signal's
+    dtype either way, so a float32 signal projected into a float64 ``out``
+    is rounded as float32 and cast once.
     """
     idx = _check_indices(pair, l)
     g = _grouped(signal, pair.size, phase)
-    return _project_groups(g, pair.forward[:, idx], l)
+    return _project_groups(g, pair.forward[:, idx], l, out)
 
 
 def project_signal_dual(signal, pair, l, phase=0):

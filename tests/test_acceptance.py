@@ -276,6 +276,8 @@ def test_criterion_09_application_decision_agreement(tmp_path):
 # runs, once to 452x. The child prints both throughput ratios as JSON.
 CRITERION_10_SCRIPT = """
 import json
+import statistics
+import time
 
 import numpy as np
 
@@ -283,27 +285,39 @@ from pkscale import synth
 from pkscale.config import PrecisionConfig, SampleMode
 from pkscale.conv import conv_direct, conv_projected_blocked
 from pkscale.gemm import gemm_conventional, gemm_projected
-from pkscale.metrics import measure_throughput
 from pkscale.projection import make_dct_pair, make_haar_pair
+
+
+def speedup(fast, base, rounds=20, calls=5):
+    # 100 timed calls per side in alternating rounds of 5, so a stall of
+    # the host lands on both sides instead of on one side's block; each
+    # result is held until the next call of its side returns
+    times = {fast: [], base: []}
+    results = {fast: fast(), base: base()}
+    for _ in range(rounds):
+        for task in (fast, base):
+            for _ in range(calls):
+                t0 = time.perf_counter()
+                results[task] = task()
+                times[task].append(time.perf_counter() - t0)
+    # output samples per second, fast over base
+    return (results[fast].size / statistics.median(times[fast])
+            / (results[base].size / statistics.median(times[base])))
+
 
 rng = np.random.default_rng(10)
 a, b = synth.ar_matrix_pair(144, 144, 144, rng)
 pair = make_dct_pair(8)
 cfg = PrecisionConfig(8, 1)
-fast = measure_throughput(lambda: gemm_projected(a, b, pair, cfg),
-                          repetitions=100)
-base = measure_throughput(lambda: gemm_conventional(a, b, 144),
-                          repetitions=100)
-gemm_ratio = fast.msamples_per_sec / base.msamples_per_sec
+gemm_ratio = speedup(lambda: gemm_projected(a, b, pair, cfg),
+                     lambda: gemm_conventional(a, b, 144))
 
 s = synth.ar_signal(20_000, rng)
 k = synth.ar_signal(600, rng)
 hpair = make_haar_pair(2)
 ccfg = PrecisionConfig(2, 1, SampleMode.HALF_INTERPOLATE)
-cfast = measure_throughput(
-    lambda: conv_projected_blocked(s, k, hpair, ccfg), repetitions=100)
-cbase = measure_throughput(lambda: conv_direct(s, k), repetitions=100)
-conv_ratio = cfast.msamples_per_sec / cbase.msamples_per_sec
+conv_ratio = speedup(lambda: conv_projected_blocked(s, k, hpair, ccfg),
+                     lambda: conv_direct(s, k))
 print(json.dumps({"gemm": gemm_ratio, "conv": conv_ratio}))
 """
 PINNED_THREADS = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1",

@@ -239,8 +239,8 @@ def _window_peaks(s, kernels, pair, cfg):
     the formula the block-Toeplitz bank replaced."""
     used = cfg.projections_used
     count, klen = kernels.shape
-    stacks = [conv._kernel_taps(kernels, pair, used, phase).transpose(1, 2, 0).reshape(-1, count)
-              for phase in cfg.phases()]
+    stacks = [taps.transpose(1, 2, 0).reshape(-1, count)
+              for taps in conv._kernel_taps(kernels, pair, used, cfg.phases())]
     compact_len = stacks[0].shape[0] // used
     sc = project_signal(s, pair, range(used))
     padded = np.zeros((used, sc.shape[1] + 2 * (compact_len - 1)), dtype=sc.dtype)
@@ -596,3 +596,216 @@ def test_peaks_match_blocked_kernel_per_kernel(mode, family, make):
         want = [np.abs(conv_projected_blocked(s, k, pair, cfg)).max() for k in kernels]
         assert_allclose(conv_projected_peaks(s, bank, pair, cfg), want,
                         rtol=1e-12, atol=0)
+
+
+def _chunk_rows(used, span, rows):
+    """Row ranges of the window chunks the fast paths multiply."""
+    chunk = max(1, conv.CONV_CHUNK_ELEMENTS // (used * span))
+    return [(lo, min(lo + chunk, rows)) for lo in range(0, rows, chunk)]
+
+
+def _padded_by_copy(s, pair, used, compact_len, block, rows, dtype):
+    """The compact signal built from project_signal's returned stack, cast
+    and zero padded into a new (used, rows * B + Q - 1) buffer."""
+    sc = project_signal(s, pair, range(used)).astype(dtype, copy=False)
+    padded = np.zeros((used, rows * block + compact_len - 1), dtype=dtype)
+    padded[:, compact_len - 1:compact_len - 1 + sc.shape[1]] = sc
+    return padded
+
+
+def _window_chunk(padded, start, block, span, lo, hi):
+    """Windows lo .. hi - 1 of ``padded`` from column ``start``, copied into a
+    new (hi - lo, p * span) array."""
+    windows = sliding_window_view(padded[:, start:], span, axis=1)[:, ::block]
+    return np.ascontiguousarray(windows[:, lo:hi].transpose(1, 0, 2)).reshape(hi - lo, -1)
+
+
+def _blocked_by_copies(s, k, pair, cfg):
+    """conv_projected_blocked with every intermediate a new array: the
+    compact signal from project_signal's returned stack, each chunk of
+    windows copied fresh, and the taps projected one phase at a time. It
+    makes the same products as the kernel, so it gives the same bits."""
+    size, used, phases = pair.size, cfg.projections_used, cfg.phases()
+    dtype = np.float32 if s.dtype == k.dtype == np.float32 else np.float64
+    out_len = s.shape[0] + k.shape[0] - 1
+    compact_len = -(-(k.shape[0] + size - 1) // size)
+    reversed_k = conv._reversed_kernel(k, size)
+    taps = np.stack([
+        (reversed_k[size - 1 - r:size - 1 - r + compact_len * size].reshape(compact_len, size)
+         @ pair.inverse[:used].T).T
+        for r in phases]).astype(dtype, copy=False)
+    block = -(-conv.CONV_ROW_OUTPUTS // len(phases))
+    kept = -(-out_len // size)
+    rows = -(-kept // block)
+    padded = _padded_by_copy(s, pair, used, compact_len, block, rows, dtype)
+    y = np.empty((rows, block * len(phases)), dtype=dtype)
+    for first in range(0, compact_len, conv.CONV_SEGMENT_TAPS):
+        width = min(conv.CONV_SEGMENT_TAPS, compact_len - first)
+        start = compact_len - first - width
+        span = block + width - 1
+        toeplitz = conv._toeplitz_segment(taps[..., start:start + width], block)
+        for lo, hi in _chunk_rows(used, span, rows):
+            x = _window_chunk(padded, start, block, span, lo, hi)
+            if first == 0:
+                np.matmul(x, toeplitz, out=y[lo:hi])
+            else:
+                y[lo:hi] += x @ toeplitz
+    if cfg.sample_mode is SampleMode.HALF_INTERPOLATE:
+        return _interp_uniform(out_len, size, y.reshape(-1)[:kept], dtype)
+    return y.reshape(-1)[:out_len]
+
+
+def _peaks_by_copies(s, bank, pair, cfg):
+    """conv_projected_peaks with every intermediate a new array, and each
+    product's |y| reduced over rows of E samples, cut at the last stream
+    sample inside the output."""
+    used, size, block = cfg.projections_used, pair.size, bank.block
+    count = bank.toeplitz[0].shape[1] // block
+    compact_len = -(-(bank.kernel_len + size - 1) // size)
+    span = block + compact_len - 1
+    out_len = s.shape[0] + bank.kernel_len - 1
+    kept = -(-out_len // size)
+    rows = -(-kept // block)
+    padded = _padded_by_copy(s, pair, used, compact_len, block, rows, s.dtype)
+    peaks = np.zeros(count)
+    for lo, hi in _chunk_rows(used, span, rows):
+        x = _window_chunk(padded, 0, block, span, lo, hi)
+        for toeplitz, phase in zip(bank.toeplitz, bank.phases):
+            samples = -(-(out_len - phase) // size) - lo * block
+            if samples > 0:
+                stream = np.abs(x @ toeplitz).reshape(-1, count)[:samples]
+                peaks = np.maximum(peaks, stream.max(axis=0))
+    return peaks
+
+
+@pytest.mark.parametrize("size", [2, 3, 4, 8])
+def test_blocked_equals_copying_pipeline_bitwise(size):
+    rng = np.random.default_rng(size)
+    dtypes = [(np.float64, np.float64), (np.float32, np.float32), (np.float32, np.float64)]
+    for family in ("dct", "custom"):
+        pair = random_pair(family, size, size)
+        for used in range(1, size + 1):
+            for mode in SampleMode:
+                cfg = PrecisionConfig(size, used, sample_mode=mode)
+                # signal lengths that leave a partial last group
+                for slen, klen in ((40 * size + 1, 3 * size + 2), (700 + size - 1, 150)):
+                    for s_dtype, k_dtype in dtypes:
+                        s = rng.standard_normal(slen).astype(s_dtype)
+                        k = rng.standard_normal(klen).astype(k_dtype)
+                        got = conv_projected_blocked(s, k, pair, cfg)
+                        want = _blocked_by_copies(s, k, pair, cfg)
+                        assert got.dtype == want.dtype
+                        assert np.array_equal(got, want), (family, used, mode, slen, s_dtype, k_dtype)
+
+
+@pytest.mark.parametrize("mode", list(SampleMode))
+def test_blocked_segmented_kernel_equals_copying_pipeline_bitwise(mode):
+    # Q = 626 compact taps: two Toeplitz segments
+    assert -(-(2500 + 3) // 4) > conv.CONV_SEGMENT_TAPS
+    rng = np.random.default_rng(2500)
+    pair = make_dct_pair(4)
+    cfg = PrecisionConfig(4, 2, sample_mode=mode)
+    for dtype in (np.float64, np.float32):
+        s = rng.standard_normal(6001).astype(dtype)
+        k = rng.standard_normal(2500).astype(dtype)
+        assert np.array_equal(conv_projected_blocked(s, k, pair, cfg),
+                              _blocked_by_copies(s, k, pair, cfg))
+
+
+@pytest.mark.parametrize("family,size,used,mode,count,klen,slen,block", [
+    # the match-db geometry with a partial last product row: 1153 compact
+    # samples in rows of B = 8
+    ("haar", 2, 1, SampleMode.HALF_INTERPOLATE, 64, 256, 2051, 8),
+    # every phase, each with its own last sample inside the output
+    ("dct", 4, 2, SampleMode.ALL_PHASES, 5, 130, 1001, 4),
+    # E = 1
+    ("dct", 3, 2, SampleMode.ALL_PHASES, 1, 200, 499, 8),
+    # B = 1: a bank wider than CONV_BANK_COLUMNS, and a short kernel
+    ("custom", 3, 2, SampleMode.ALL_PHASES, 600, 200, 301, 1),
+    ("haar", 2, 1, SampleMode.HALF_INTERPOLATE, 1, 5, 9, 1),
+    # two chunks of windows, the second partial
+    ("haar", 2, 1, SampleMode.ALL_PHASES, 3, 40, 20001, 2),
+])
+def test_peaks_equal_copying_pipeline_bitwise(family, size, used, mode, count, klen,
+                                              slen, block):
+    pair = random_pair(family, size, 3)
+    cfg = PrecisionConfig(size, used, sample_mode=mode)
+    rng = np.random.default_rng(klen)
+    for dtype in (np.float64, np.float32):
+        kernels = rng.standard_normal((count, klen)).astype(dtype)
+        s = rng.standard_normal(slen).astype(dtype)
+        bank = project_kernel_bank(kernels, pair, cfg)
+        assert bank.block == block
+        got = conv_projected_peaks(s, bank, pair, cfg)
+        assert np.array_equal(got, _peaks_by_copies(s, bank, pair, cfg))
+
+
+def test_kernels_look_up_project_signal_at_call_time(monkeypatch):
+    # span tracers wrap pkscale.conv.project_signal; both fast paths must
+    # reach the projection through that name
+    calls = []
+
+    def spy(*args, **kwargs):
+        calls.append(args[0].shape)
+        return project_signal(*args, **kwargs)
+
+    monkeypatch.setattr(conv, "project_signal", spy)
+    pair = make_dct_pair(4)
+    cfg = PrecisionConfig(4, 2)
+    rng = np.random.default_rng(4)
+    s = rng.standard_normal(101)
+    kernels = rng.standard_normal((3, 20))
+    conv_projected_blocked(s, kernels[0], pair, cfg)
+    assert calls == [(101,)]
+    conv_projected_peaks(s, project_kernel_bank(kernels, pair, cfg), pair, cfg)
+    assert calls == [(101,), (101,)]
+
+
+def test_peaks_refuse_bank_of_another_pair():
+    cfg = PrecisionConfig(4, 2)
+    rng = np.random.default_rng(40)
+    kernels = rng.standard_normal((3, 40))
+    s = rng.standard_normal(200)
+    bank = project_kernel_bank(kernels, make_dct_pair(4), cfg)
+    # the same pair built again is accepted: the check compares values
+    want = [np.abs(conv_projected_blocked(s, k, make_dct_pair(4), cfg)).max() for k in kernels]
+    assert_allclose(conv_projected_peaks(s, bank, make_dct_pair(4), cfg), want,
+                    rtol=1e-12, atol=0)
+    # a pair of the same size fits every shape, but gives other peaks
+    with pytest.raises(DomainError):
+        conv_projected_peaks(s, bank, make_haar_pair(4), cfg)
+    swapped = make_custom_pair(make_dct_pair(4).forward[:, [1, 0, 2, 3]])
+    with pytest.raises(DomainError):
+        conv_projected_peaks(s, bank, swapped, cfg)
+
+
+@pytest.mark.parametrize("size,mode,klen,slen", [
+    (2, SampleMode.HALF_INTERPOLATE, 32, 35),
+    (4, SampleMode.ALL_PHASES, 65, 65),
+])
+def test_peaks_cut_the_last_product_row_at_the_output_end(size, mode, klen, slen):
+    # signal and kernels vanish but for their last L samples, so the largest
+    # stream samples sit in the last product row of B = 2, which the end of
+    # the output cuts; the stream samples past it are larger than the peak
+    pair = make_dct_pair(size)
+    cfg = PrecisionConfig(size, 1, sample_mode=mode)
+    rng = np.random.default_rng(klen)
+    kernels = np.zeros((2, klen))
+    kernels[:, -size:] = rng.standard_normal((2, size))
+    s = np.zeros(slen)
+    s[-size:] = rng.standard_normal(size)
+    bank = project_kernel_bank(kernels, pair, cfg)
+    assert bank.block == 2
+    got = conv_projected_peaks(s, bank, pair, cfg)
+    want = [np.abs(conv_projected_blocked(s, k, pair, cfg)).max() for k in kernels]
+    assert_allclose(got, want, rtol=1e-12, atol=0)
+    assert np.array_equal(got, _peaks_by_copies(s, bank, pair, cfg))
+    # every stream sample of every product row, inside the output or not
+    compact_len = -(-(klen + size - 1) // size)
+    kept = -(-(slen + klen - 1) // size)
+    rows = -(-kept // 2)
+    padded = _padded_by_copy(s, pair, 1, compact_len, 2, rows, s.dtype)
+    x = _window_chunk(padded, 0, 2, compact_len + 1, 0, rows)
+    uncut = np.max([np.abs(x @ toeplitz).reshape(-1, 2).max(axis=0)
+                    for toeplitz in bank.toeplitz], axis=0)
+    assert np.any(uncut > got)

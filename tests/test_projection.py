@@ -365,3 +365,31 @@ def test_projection_preserves_float32():
     m32 = np.ones((2, 4), dtype=np.float32)
     assert project_rows(m32, pair, 0).dtype == np.float32
     assert project_signal(m32[0], pair, 0).dtype == np.float32
+
+
+@pytest.mark.parametrize("size", [2, 3, 4, 8])
+def test_project_signal_into_out_equals_returned_form(size):
+    pair = make_dct_pair(size)
+    rng = np.random.default_rng(size)
+    for dtype in (np.float64, np.float32):
+        for n in (size + 1, 7 * size + 1, 301):
+            s = rng.standard_normal(n).astype(dtype)
+            for phase in (0, 1):
+                for idx in (range(1), range(size // 2 + 1), [size - 1, 0]):
+                    want = project_signal(s, pair, idx, phase)
+                    # columns of a wider buffer, and a float64 buffer for a
+                    # float32 signal: projected as float32, cast once
+                    for out_dtype in (dtype, np.float64):
+                        buffer = np.full((len(idx), want.shape[1] + 5), np.nan, dtype=out_dtype)
+                        out = buffer[:, 2:2 + want.shape[1]]
+                        got = project_signal(s, pair, idx, phase, out=out)
+                        assert got is out
+                        assert np.array_equal(out, want.astype(out_dtype))
+                        assert np.isnan(buffer[:, :2]).all() and np.isnan(buffer[:, -3:]).all()
+                want = project_signal(s, pair, 0, phase)
+                out = np.empty_like(want)
+                assert np.array_equal(project_signal(s, pair, 0, phase, out=out), want)
+    with pytest.raises(DimensionMismatch):
+        project_signal(np.ones(8), pair, range(2), out=np.empty((2, 5)))
+    with pytest.raises(DimensionMismatch):
+        project_signal(np.ones(8), pair, range(2), out=np.empty((2, 8 // size), dtype=np.int64))
