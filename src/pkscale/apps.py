@@ -291,8 +291,8 @@ class FeatureDb:
     Entries are checked once, here: each must be a nonempty, finite, real
     1-D signal, and is stored as a read-only float64 copy. Projected matching
     scores the nonzero-energy entries of one length together, against a bank
-    of their projections built on first use and kept per (pair, projections
-    used, phase); the copies keep the banks in step with the entries.
+    of their projections built on first use and kept per (pair matrices,
+    configuration); the copies keep the banks in step with the entries.
     """
 
     entries: tuple            # of (id, 1-D float array)
@@ -341,11 +341,10 @@ class FeatureDb:
     def _bank(self, group, pair, cfg, counter=None):
         """:func:`project_kernel_bank` of a group's reversed entries.
 
-        Built once per (group, pair, projections, phases) and kept; the
+        Built once per (group, pair matrices, configuration) and kept; the
         counter of the call that builds it is charged for the projections.
         """
-        key = (group.length, pair.size, pair.forward.tobytes(), cfg.projections_used,
-               tuple(cfg.phases()))
+        key = (group.length, pair.forward.tobytes(), pair.inverse.tobytes(), cfg)
         bank = self._banks.get(key)
         if bank is None:
             bank = self._banks[key] = project_kernel_bank(
@@ -398,7 +397,6 @@ def _pad_to(query, length):
 
 
 def _xcorr_match_projected(query, db, mode, counter):
-    pair, cfg = mode.pair, mode.config
     for entry_id in db._dead:
         warnings.warn(f"entry {entry_id!r} has zero energy, skipped",
                       ZeroEnergyEntry, stacklevel=3)
@@ -408,8 +406,8 @@ def _xcorr_match_projected(query, db, mode, counter):
     scores = []
     for group in db._groups:
         peaks = conv_projected_peaks(_pad_to(query, group.length),
-                                     db._bank(group, pair, cfg, counter=counter),
-                                     pair, cfg, counter=counter)
+                                     db._bank(group, mode.pair, mode.config, counter=counter),
+                                     counter=counter)
         ids.extend(group.ids)
         scores.append(peaks / group.energies)
     scores = np.concatenate(scores)

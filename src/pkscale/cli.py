@@ -111,6 +111,11 @@ def _check_positive(value, name):
         raise ConfigError(f"{name} must be positive, got {value}")
 
 
+def _check_proj(proj, size):
+    if not 1 <= proj <= size:
+        raise ConfigError(f"--proj {proj} outside [1, {size}]")
+
+
 def _env_comment():
     """One comment line naming what the timings ran on: numpy and the BLAS it
     was built against, the BLAS/OpenMP thread settings, and the core count.
@@ -191,8 +196,9 @@ def cmd_bench_conv(args):
     _check_positive(args.n, "--n")
     _check_positive(args.reps, "--reps")
     if args.n > args.w:
-        raise ConfigError(f"kernel length {args.n} exceeds block length {args.w}")
+        raise ConfigError(f"kernel length {args.n} exceeds signal length {args.w}")
     pair = _build_pair(args.family, args.L)
+    _check_proj(args.proj, args.L)
     rng = np.random.default_rng(args.seed)
     s = _cast(synth.ar_signal(args.w, rng), args.precision)
     k = _cast(synth.ar_signal(args.n, rng), args.precision)
@@ -252,6 +258,8 @@ def _parse_int_list(text, name):
 
 
 def cmd_cost_model(args):
+    if args.l < 0:
+        raise ConfigError(f"--l must be nonnegative, got {args.l}")
     n_values = _parse_int_list(args.n_list, "--n-list")
     sizes = _parse_int_list(args.l_list, "--l-list")
     domains = {
@@ -320,8 +328,7 @@ def _demo_row(label, size, used, match_rate, agreement, elapsed, macs):
 def _gemm_modes(args):
     modes = [GemmMode()]
     for size in _parse_int_list(args.L, "--L"):
-        if not 1 <= args.proj <= size:
-            raise ConfigError(f"--proj {args.proj} outside [1, {size}]")
+        _check_proj(args.proj, size)
         pair = _build_pair(args.family, size)
         modes.append(GemmMode(pair=pair, config=PrecisionConfig(size, args.proj)))
     return modes
@@ -334,6 +341,7 @@ def cmd_pca_demo(args):
                                fmt=ImageFormat(args.format))
     elif args.synthetic:
         _check_positive(args.subjects, "--subjects")
+        _check_positive(args.size, "--size")
         if args.per_subject <= args.train:
             raise ConfigError(
                 f"--per-subject {args.per_subject} must exceed --train {args.train}")
@@ -382,8 +390,7 @@ def _conv_modes(args):
     sample = (SampleMode.HALF_INTERPOLATE if args.sample == "half"
               else SampleMode.ALL_PHASES)
     for size in _parse_int_list(args.L, "--L"):
-        if not 1 <= args.proj <= size:
-            raise ConfigError(f"--proj {args.proj} outside [1, {size}]")
+        _check_proj(args.proj, size)
         pair = _build_pair(args.family, size)
         modes.append(ConvMode(pair=pair,
                               config=PrecisionConfig(size, args.proj,
@@ -416,6 +423,7 @@ def cmd_match_demo(args):
     elif args.synthetic:
         _check_positive(args.entries, "--entries")
         _check_positive(args.queries, "--queries")
+        _check_positive(args.entry_len, "--entry-len")
         rng = np.random.default_rng(args.seed)
         db = synth_feature_db(args.entries, args.entry_len, rng)
     else:

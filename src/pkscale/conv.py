@@ -474,33 +474,41 @@ def conv_projected_blocked(s, k, pair, cfg, counter=None):
 
 @dataclass(frozen=True)
 class KernelBank:
-    """Projections of E equal-length kernels of length ``kernel_len`` for
-    every output phase of ``phases``, as :func:`project_kernel_bank` builds
-    them for one configuration and one projection pair.
+    """Projections of E equal-length kernels of length ``kernel_len`` under
+    ``pair`` for every output phase of ``config``, as
+    :func:`project_kernel_bank` builds them for one configuration.
 
     ``toeplitz`` holds one read-only right operand of
-    :func:`conv_projected_peaks` per phase, in the order of ``phases``: the
-    (p * (B + Q - 1), B * E) block-Toeplitz matrix of :func:`_toeplitz_segment`,
-    with the E kernels in the role of the output phases and B = ``block``
-    compact samples per product row, chosen from E and Q by
-    :func:`project_kernel_bank`. One operand is 0.56 MB for 64 kernels of 256
-    samples at L = 2, p = 1 (Q = 129, B = 8). The kernel length is kept
-    because the shapes alone cannot tell lengths that share Q apart (8 and 9
-    at L = 2), and it sets how many output samples count toward a peak.
-    ``forward`` and ``inverse`` are the matrices of the pair the taps were
-    projected with: the signal must be projected with the same pair, and
-    nothing in the operands' shapes tells another pair of the same size
-    apart.
+    :func:`conv_projected_peaks` per phase of ``config.phases()``, in that
+    order: the (p * (B + Q - 1), B * E) block-Toeplitz matrix of
+    :func:`_toeplitz_segment`, with the E kernels in the role of the output
+    phases and B = ``block`` compact samples per product row, chosen from E
+    and Q by :func:`project_kernel_bank`. One operand is 0.56 MB for 64
+    kernels of 256 samples at L = 2, p = 1 (Q = 129, B = 8). The kernel
+    length is kept because the shapes alone cannot tell lengths that share Q
+    apart (8 and 9 at L = 2), and it sets how many output samples count
+    toward a peak. A bank whose pair size differs from its configuration's
+    is refused (DomainError), and so is one without one operand per phase,
+    each of p * (B + Q - 1) rows and a multiple of B columns
+    (DimensionMismatch).
     """
 
+    pair: object
+    config: object
     kernel_len: int
-    phases: tuple
     block: int
     toeplitz: tuple
-    forward: np.ndarray
-    inverse: np.ndarray
 
     def __post_init__(self):
+        self.config.check_pair(self.pair)
+        rows = self.config.projections_used * (
+            self.block + _compact_kernel_len(self.kernel_len, self.pair.size) - 1)
+        if len(self.toeplitz) != len(self.config.phases()) or any(
+                operand.shape[0] != rows or operand.shape[1] % self.block
+                for operand in self.toeplitz):
+            raise DimensionMismatch(
+                f"bank needs one operand of {rows} rows and a multiple of {self.block} "
+                f"columns for each of phases {tuple(self.config.phases())}")
         for operand in self.toeplitz:
             operand.setflags(write=False)
 
@@ -530,8 +538,8 @@ def _kernel_taps(kernels, pair, projections, phases, counter=None):
 
 
 def project_kernel_bank(kernels, pair, cfg, counter=None):
-    """Synthesis projections of equal-length kernels for every output phase
-    of ``cfg``, stacked for :func:`conv_projected_peaks`.
+    """Synthesis projections of equal-length kernels under ``pair`` for every
+    output phase of ``cfg``, stacked for :func:`conv_projected_peaks`.
 
     ``kernels`` is (E, N) with E and N at least 1; with Q = ceil((N + L - 1)
     / L) and p = ``cfg.projections_used``, phase r's taps are every kernel's
@@ -539,9 +547,9 @@ def project_kernel_bank(kernels, pair, cfg, counter=None):
     :func:`conv_projected_blocked`; each projection reversed, so a window of
     the compact signal times them is a convolution). Each phase's
     block-Toeplitz operand is built from its taps here, once, so a bank held
-    across queries pays for it once. The bank keeps the pair's matrices, so
-    a query under another pair is refused. The counter is charged N per
-    kernel per projection and phase, as :func:`conv_projected_blocked`
+    across queries pays for it once. The bank keeps ``pair`` and ``cfg``, so
+    the queries it scores are projected with them. The counter is charged N
+    per kernel per projection and phase, as :func:`conv_projected_blocked`
     charges its kernel pass on every call; building the Toeplitz operands
     only moves taps and is not charged.
     """
@@ -555,28 +563,18 @@ def project_kernel_bank(kernels, pair, cfg, counter=None):
     # a product about CONV_BANK_COLUMNS wide, and B <= Q / 8, so the Toeplitz
     # zeros add at most (B + Q - 1) / Q <= 1.125 to its work
     block = max(1, min(-(-CONV_BANK_COLUMNS // count), compact_len // 8))
-    phases = cfg.phases()
-    taps = _kernel_taps(k, pair, cfg.projections_used, phases, counter)
-    return KernelBank(kernel_len, tuple(phases), block, tuple(
-        np.ascontiguousarray(_toeplitz_segment(phase_taps, block)) for phase_taps in taps),
-        pair.forward, pair.inverse)
+    taps = _kernel_taps(k, pair, cfg.projections_used, cfg.phases(), counter)
+    return KernelBank(pair, cfg, kernel_len, block, tuple(
+        np.ascontiguousarray(_toeplitz_segment(phase_taps, block)) for phase_taps in taps))
 
 
-def _same_values(a, b):
-    """Whether two read-only matrices hold the same values; the same array
-    needs no comparison."""
-    return a is b or np.array_equal(a, b)
+def conv_projected_peaks(s, bank, counter=None):
+    """``max(abs(conv_projected_blocked(s, k, bank.pair, bank.config)))`` for
+    every kernel of a bank.
 
-
-def conv_projected_peaks(s, bank, pair, cfg, counter=None):
-    """``max(abs(conv_projected_blocked(s, k)))`` for every kernel of a bank.
-
-    ``bank`` is a :func:`project_kernel_bank` result for a configuration
-    with the phases and projection count of ``cfg``, built with ``pair``; a
-    bank built for other phases or another projection count is refused
-    (DimensionMismatch), and so is one built with a pair whose matrices
-    differ from ``pair``'s (DomainError). The result has one peak
-    per kernel. The signal is projected once, as in
+    ``bank`` is a :func:`project_kernel_bank` result; its pair, projection
+    count and phases are the ones the signal is projected and scored with.
+    The result has one peak per kernel. The signal is projected once, as in
     :func:`conv_projected_blocked`, and its compact streams run through the
     same block-Toeplitz products, with the bank's E kernels where that
     function has its P output phases: window j of the compact signal
@@ -597,37 +595,28 @@ def conv_projected_peaks(s, bank, pair, cfg, counter=None):
     convention, not a trace of the products, which also multiply the
     windows' zero padding and the Toeplitz operand's zeros.
     """
-    cfg.check_pair(pair)
     s = _as_real(s, 1, "signal")
-    size = pair.size
-    used = cfg.projections_used
+    size = bank.pair.size
+    used = bank.config.projections_used
+    phases = bank.config.phases()
     kernel_len, block = bank.kernel_len, bank.block
-    compact_len = _compact_kernel_len(kernel_len, size)
-    span = block + compact_len - 1
-    if bank.phases != tuple(cfg.phases()) or bank.toeplitz[0].shape[0] != used * span:
-        raise DimensionMismatch(
-            f"bank does not hold phases {tuple(cfg.phases())} of {used} projections "
-            f"at projection size {size}")
     if kernel_len > s.shape[0]:
         raise DimensionMismatch(
             f"need kernel length <= signal length, got {kernel_len} and {s.shape[0]}")
-    if not (_same_values(bank.forward, pair.forward)
-            and _same_values(bank.inverse, pair.inverse)):
-        raise DomainError(f"bank was projected with another pair of size {size}")
+    compact_len = _compact_kernel_len(kernel_len, size)
     out_len = s.shape[0] + kernel_len - 1
     kept = -(-out_len // size)              # compact samples of phase 0
     rows = -(-kept // block)
-    padded = _compact_signal(s, pair, used, compact_len, rows * block + compact_len - 1,
-                             s.dtype)
+    padded = _compact_signal(s, bank.pair, used, compact_len,
+                             rows * block + compact_len - 1, s.dtype)
     count = bank.toeplitz[0].shape[1] // block
     if counter is not None:
         groups = -(-s.shape[0] // size)
-        counter.add(used * s.shape[0]
-                    + len(bank.phases) * used * groups * compact_len * count)
+        counter.add(used * s.shape[0] + len(phases) * used * groups * compact_len * count)
     # compact samples of each phase that land inside the output
-    inside = [-(-(out_len - phase) // size) for phase in bank.phases]
+    inside = [-(-(out_len - phase) // size) for phase in phases]
     peaks = np.zeros(count)
-    for lo, hi, x in _compact_windows(padded, block, rows, 0, span):
+    for lo, hi, x in _compact_windows(padded, block, rows, 0, block + compact_len - 1):
         for toeplitz, samples in zip(bank.toeplitz, inside):
             # samples of this chunk's streams inside the output, and the
             # product rows that hold only such samples

@@ -9,9 +9,9 @@ first ``projections_used`` indices gives a result whose accuracy scales with
 the number of indices kept (exact when all are kept). :func:`gemm_projected`
 computes that sum as one product of rank-stacked operands: each operand's
 projections onto the kept indices are stacked index-major along the inner
-dimension, so one matmul contracts all of them at once. With two or more
-indices kept, each operand's stack is one batched product written through a
-strided view straight into that layout, with no transposing copy between
+dimension, so one matmul contracts all of them at once. Each operand's
+stack, a single kept index included, is one batched product written through
+a strided view straight into that layout, with no transposing copy between
 the operands and the compact product.
 
 Counters: functions accept an optional ``counter`` with an ``add(n)`` method

@@ -176,11 +176,6 @@ def make_custom_pair(matrix):
     return _build_pair(c, PairKind.CUSTOM)
 
 
-def _check_index(pair, l):
-    if not (0 <= l < pair.size):
-        raise IndexOutOfRange(f"projection index {l} outside [0, {pair.size})")
-
-
 def _as_real(a, ndim, name):
     """``a`` as a contiguous ``ndim``-D float array: float32 stays float32,
     other real dtypes become float64, and complex input is refused rather
@@ -197,32 +192,27 @@ def _as_real(a, ndim, name):
 
 def _check_indices(pair, l):
     """Check ``l``, one projection index or a nonempty sequence of them, each
-    in [0, size). Return one index, or a sequence of one, as an ``int``, and a
-    longer sequence as a list of ints. An ``int`` selects the strided
-    column/row view that the single-index projections multiply by, so a
-    one-index stack is bit for bit the single-index result."""
-    if isinstance(l, (int, np.integer)):
-        _check_index(pair, l)
-        return l
+    in [0, size), and return the indices as a list of ints."""
     try:
-        idx = [operator.index(i) for i in l]
+        idx = ([operator.index(l)] if isinstance(l, (int, np.integer))
+               else [operator.index(i) for i in l])
     except TypeError:
         idx = None
     if not idx or min(idx) < 0 or max(idx) >= pair.size:
         raise IndexOutOfRange(
-            f"projection indices must be a nonempty sequence of ints in [0, {pair.size}), got {l!r}")
-    return idx[0] if len(idx) == 1 else idx
+            f"projection indices must be an int or a nonempty sequence of ints in "
+            f"[0, {pair.size}), got {l!r}")
+    return idx
 
 
 def project_rows(matrix, pair, l):
     """Project each row of ``matrix`` onto analysis vector ``l``, group-wise.
 
-    ``l`` is one projection index or a sequence of them.
-    ``matrix.shape[1]`` must be divisible by ``pair.size``; with
-    G = cols / size, one index gives shape (rows, G) with
-    ``out[i, g] = sum_t matrix[i, g*L + t] * forward[t, l]``, and a sequence
-    ``idx`` stacks the projections index-major into shape (rows, len(idx)*G)
-    with ``out[i, j*G + g] = sum_t matrix[i, g*L + t] * forward[t, idx[j]]``.
+    ``l`` is one projection index or a sequence of them; one index is a
+    stack of one. ``matrix.shape[1]`` must be divisible by ``pair.size``;
+    with G = cols / size, the projections ``idx`` stack index-major into
+    shape (rows, len(idx)*G) with
+    ``out[i, j*G + g] = sum_t matrix[i, g*L + t] * forward[t, idx[j]]``.
     The stack is one batched product, each row's (G, L) groups times the
     (L, len(idx)) selected coefficients, written through a transposed view of
     the result, so it lands index-major with no intermediate array or copy.
@@ -236,8 +226,6 @@ def project_rows(matrix, pair, l):
         raise DimensionMismatch(f"column count {cols} not divisible by projection size {pair.size}")
     groups = cols // pair.size
     grouped = a.reshape(rows, groups, pair.size)
-    if not isinstance(idx, list):
-        return grouped @ pair.forward[:, idx].astype(a.dtype, copy=False)
     # fancy indexing leaves the selected columns F-ordered; the C-ordered
     # copy multiplies about twice as fast and gives the same values
     coeff = np.ascontiguousarray(pair.forward[:, idx], dtype=a.dtype)
@@ -250,12 +238,11 @@ def project_rows(matrix, pair, l):
 def project_cols(matrix, pair, l):
     """Project each column of ``matrix`` with synthesis row ``l``, group-wise.
 
-    ``l`` is one projection index or a sequence of them.
-    ``matrix.shape[0]`` must be divisible by ``pair.size``; with
-    G = rows / size, one index gives shape (G, cols) with
-    ``out[g, j] = sum_t inverse[l, t] * matrix[g*L + t, j]``, and a sequence
-    ``idx`` stacks the projections index-major into shape (len(idx)*G, cols)
-    with ``out[k*G + g, j] = sum_t inverse[idx[k], t] * matrix[g*L + t, j]``,
+    ``l`` is one projection index or a sequence of them; one index is a
+    stack of one. ``matrix.shape[0]`` must be divisible by ``pair.size``;
+    with G = rows / size, the projections ``idx`` stack index-major into
+    shape (len(idx)*G, cols) with
+    ``out[k*G + g, j] = sum_t inverse[idx[k], t] * matrix[g*L + t, j]``,
     the rows that match :func:`project_rows`' columns. The stack is one
     batched product, the (len(idx), L) selected synthesis rows times each
     group's (L, cols) block of the matrix, read in place and written through
@@ -270,10 +257,6 @@ def project_cols(matrix, pair, l):
     groups = rows // pair.size
     grouped = b.reshape(groups, pair.size, cols)
     coeff = pair.inverse[idx].astype(b.dtype, copy=False)
-    if not isinstance(idx, list):
-        # the batched product below can round a single row differently, so
-        # one index keeps this contraction and its results
-        return np.tensordot(coeff, grouped, axes=(-1, 1))
     out = np.empty((len(idx) * groups, cols), dtype=b.dtype)
     # out[k*G + g, j] seen as [g, k, j]: each product lands index-major
     np.matmul(coeff, grouped, out=out.reshape(len(idx), groups, cols).swapaxes(0, 1))
@@ -297,40 +280,35 @@ def _grouped(signal, size, phase):
 
 
 def _project_groups(g, coeff, l, out=None):
-    """Grouped signal ``g`` (G, L) times the selected coefficients, as
-    :func:`project_signal` returns it: ``coeff`` is one column for one index
-    ``l``, giving (G,); for a sequence it holds the selected columns, and
-    the result is the index-major (len(l), G). The product runs in ``g``'s
-    dtype and lands in ``out`` when one is given, cast once if its dtype
-    differs."""
-    coeff = coeff.astype(g.dtype, copy=False)
-    if isinstance(l, (int, np.integer)):
-        shape = g.shape[:1]
-    else:
-        # fancy indexing leaves the selected columns F-ordered; the C-ordered
-        # copy multiplies about twice as fast and gives the same values
-        coeff = np.ascontiguousarray(coeff.reshape(g.shape[1], -1))
-        shape = (coeff.shape[1], g.shape[0])
+    """Grouped signal ``g`` (G, L) times the coefficients ``coeff`` (L, n)
+    selected by ``l``, as :func:`project_signal` returns it: the index-major
+    (n, G) for a sequence, its one row as (G,) for one index. The product
+    runs in ``g``'s dtype and lands in ``out`` when one is given, cast once
+    if its dtype differs."""
+    single = isinstance(l, (int, np.integer))
+    # fancy indexing leaves the selected columns F-ordered; the C-ordered
+    # copy multiplies about twice as fast and gives the same values
+    coeff = np.ascontiguousarray(coeff, dtype=g.dtype)
+    shape = g.shape[:1] if single else (coeff.shape[1], g.shape[0])
     if out is None:
         out = np.empty(shape, dtype=g.dtype)
     elif out.shape != shape or out.dtype not in (np.float32, np.float64):
         raise DimensionMismatch(
             f"out must be a float32 or float64 array of shape {shape}, "
             f"got {out.dtype} {out.shape}")
-    if len(shape) == 1:
-        return np.matmul(g, coeff, out=out, dtype=g.dtype)
     # the stack lands index-major with no transposed copy
-    return np.matmul(coeff.T, g.T, out=out, dtype=g.dtype)
+    np.matmul(coeff.T, g.T, out=out[None] if single else out, dtype=g.dtype)
+    return out
 
 
 def project_signal(signal, pair, l, phase=0, out=None):
     """Analysis projection of a 1-D signal with group offset ``phase``.
 
-    ``l`` is one projection index or a sequence of them. One index gives
-    ``out[i] = sum_t signal[phase + i*L + t] * forward[t, l]``; a sequence
-    ``idx`` stacks the projections index-major into shape (len(idx), G),
-    ``out[j, i] = sum_t signal[phase + i*L + t] * forward[t, idx[j]]``. A
-    trailing incomplete group is zero-padded.
+    ``l`` is one projection index or a sequence of them. A sequence ``idx``
+    stacks the projections index-major into shape (len(idx), G),
+    ``out[j, i] = sum_t signal[phase + i*L + t] * forward[t, idx[j]]``, and
+    one index gives the one row of that stack as shape (G,). A trailing
+    incomplete group is zero-padded.
 
     ``out``, if given, is a float32 or float64 array of the result's shape,
     such as a view of some columns of a wider buffer, and receives the

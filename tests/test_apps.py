@@ -30,7 +30,7 @@ from pkscale.errors import (
 )
 from pkscale.gemm import gemm_projected
 from pkscale.io import save_matrix, save_pgm, save_signal
-from pkscale.projection import make_dct_pair, make_haar_pair
+from pkscale.projection import make_custom_pair, make_dct_pair, make_haar_pair
 
 EIG_TOL = 1e-9
 
@@ -510,6 +510,25 @@ def test_projected_xcorr_match_counts_bank_once():
         with pytest.warns(ZeroEnergyEntry):
             xcorr_match(np.ones(qlen), db, mode, counter=counter)
         assert counter.count == per_query(phases)
+
+
+@pytest.mark.parametrize("size", [2, 4, 8])
+def test_projected_banks_are_kept_per_pair_matrices(size):
+    # a custom pair of Haar's forward matrix has a numerically solved inverse
+    # that differs from Haar's transpose in the last bits, so it needs a bank
+    # of its own
+    haar = make_haar_pair(size)
+    custom = make_custom_pair(haar.forward)
+    assert np.array_equal(custom.forward, haar.forward)
+    assert not np.array_equal(custom.inverse, haar.inverse)
+    rng = np.random.default_rng(size)
+    entries = [(f"e{i}", synth.ar_signal(4 * size, rng)) for i in range(5)]
+    query = synth.ar_signal(16 * size, rng)
+    db = FeatureDb.from_arrays(entries)
+    xcorr_match(query, db, _projected_mode(haar))
+    mode = _projected_mode(custom)
+    assert xcorr_match(query, db, mode) == xcorr_match(query, FeatureDb.from_arrays(entries),
+                                                       mode)
 
 
 @pytest.mark.parametrize("bad,error", [

@@ -136,6 +136,18 @@ def test_bench_conv_validates_geometry():
                  "--reps", "1"]) == 2
 
 
+@pytest.mark.parametrize("command", [
+    ["bench-conv", "--proj", "3", "--L", "2", "--reps", "1"],
+    ["cost-model", "--l", "-1"],
+    ["match-demo", "--synthetic", "--entry-len", "0"],
+    ["pca-demo", "--synthetic", "--size", "0"],
+])
+def test_out_of_range_flags_are_configuration_errors(command, capsys):
+    # refused before any data is built, so they exit 2, not 3 ("bad input data")
+    assert main(command) == 2
+    assert capsys.readouterr().err.startswith("error: --")
+
+
 def test_bench_conv_takes_any_kernel_length(tmp_path):
     out = tmp_path / "conv.csv"
     rc = main(["bench-conv", "--n", "601", "--L", "2", "--reps", "1",

@@ -268,7 +268,7 @@ def test_peaks_equal_blocked_peaks_property(case, mode):
     bank = project_kernel_bank(kernels, pair, cfg)
     want = np.array([np.abs(conv_projected_blocked(s, k, pair, cfg)).max() for k in kernels],
                     dtype=np.float64)
-    got = conv_projected_peaks(s, bank, pair, cfg).astype(np.float64)
+    got = conv_projected_peaks(s, bank).astype(np.float64)
     if dtype == np.float64:
         assert_allclose(got, want, rtol=1e-12, atol=0)
         assert_allclose(got, _window_peaks(s, kernels, pair, cfg), rtol=1e-12, atol=0)
@@ -299,7 +299,7 @@ def test_peaks_of_long_kernels_and_wide_banks(family, size, used, mode, count, k
     kernels = rng.standard_normal((count, klen))
     bank = project_kernel_bank(kernels, pair, cfg)
     assert bank.block == block
-    got = conv_projected_peaks(s, bank, pair, cfg)
+    got = conv_projected_peaks(s, bank)
     want = [np.abs(conv_projected_blocked(s, k, pair, cfg)).max() for k in kernels]
     assert_allclose(got, want, rtol=1e-12, atol=0)
     assert_allclose(got, _window_peaks(s, kernels, pair, cfg), rtol=1e-12, atol=0)
@@ -329,21 +329,22 @@ def test_peaks_refuse_banks_of_another_block(monkeypatch):
     cfg = PrecisionConfig(2, 1)
     kernels = np.random.default_rng(7).standard_normal((4, 40))
     bank = project_kernel_bank(kernels, pair, cfg)
-    assert (bank.kernel_len, bank.phases, bank.block, len(bank.toeplitz)) == (40, (0, 1), 2, 2)
+    assert bank.pair is pair and bank.config is cfg
+    assert (bank.kernel_len, bank.block, len(bank.toeplitz)) == (40, 2, 2)
     s = np.random.default_rng(8).standard_normal(64)
-    want = conv_projected_peaks(s, bank, pair, cfg)
+    want = conv_projected_peaks(s, bank)
     assert want.shape == (4,)
     # a bank built with a narrower product holds the same taps in blocks of
     # 1 instead of 2 and carries its block, so it gives the same peaks
     monkeypatch.setattr(conv, "CONV_BANK_COLUMNS", 4)
     other = project_kernel_bank(kernels, pair, cfg)
     assert other.block == 1
-    assert_allclose(conv_projected_peaks(s, other, pair, cfg), want, rtol=1e-12, atol=0)
+    assert_allclose(conv_projected_peaks(s, other), want, rtol=1e-12, atol=0)
     # Toeplitz operands of one block under a bank that claims another
     with pytest.raises(DimensionMismatch):
-        conv_projected_peaks(s, dataclasses.replace(bank, block=1), pair, cfg)
+        dataclasses.replace(bank, block=1)
     with pytest.raises(DimensionMismatch):
-        conv_projected_peaks(s, dataclasses.replace(other, block=2), pair, cfg)
+        dataclasses.replace(other, block=2)
     with pytest.raises(ValueError):
         bank.toeplitz[1][0, 0] = 1.0
 
@@ -354,18 +355,17 @@ def test_peaks_validate_bank_and_lengths():
     kernels = np.random.default_rng(7).standard_normal((4, 40))
     bank = project_kernel_bank(kernels, pair, cfg)
     s = np.ones(64)
-    assert conv_projected_peaks(s, bank, pair, cfg).shape == (4,)
-    assert conv_projected_peaks(np.ones(40), bank, pair, cfg).shape == (4,)
-    # a bank of another projection count
+    assert conv_projected_peaks(s, bank).shape == (4,)
+    assert conv_projected_peaks(np.ones(40), bank).shape == (4,)
+    # operands of one projection under a configuration of two
     with pytest.raises(DimensionMismatch):
-        conv_projected_peaks(s, project_kernel_bank(kernels, pair, PrecisionConfig(2, 2)),
-                             pair, cfg)
+        dataclasses.replace(bank, config=PrecisionConfig(2, 2))
     # a kernel longer than the signal
     with pytest.raises(DimensionMismatch):
-        conv_projected_peaks(np.ones(39), bank, pair, cfg)
+        conv_projected_peaks(np.ones(39), bank)
     # a configuration of another pair size
     with pytest.raises(DomainError):
-        conv_projected_peaks(s, bank, pair, PrecisionConfig(4, 1))
+        dataclasses.replace(bank, config=PrecisionConfig(4, 1))
 
 
 def test_peaks_refuse_bank_of_another_kernel_length_or_phase():
@@ -380,21 +380,18 @@ def test_peaks_refuse_bank_of_another_kernel_length_or_phase():
         bank = project_kernel_bank(kernels, pair, cfg)
         assert bank.kernel_len == klen
         want = [np.abs(conv_projected_blocked(s, k, pair, cfg)).max() for k in kernels]
-        assert_allclose(conv_projected_peaks(s, bank, pair, cfg), want, rtol=1e-12, atol=0)
+        assert_allclose(conv_projected_peaks(s, bank), want, rtol=1e-12, atol=0)
     assert (project_kernel_bank(np.ones((3, 8)), pair, cfg).toeplitz[0].shape
             == project_kernel_bank(np.ones((3, 9)), pair, cfg).toeplitz[0].shape)
     # a half-rate bank holds phase 0 alone, and an all-phase bank is not a
     # half-rate one
     half_cfg = PrecisionConfig(2, 1, SampleMode.HALF_INTERPOLATE)
     half = project_kernel_bank(kernels, pair, half_cfg)
-    assert half.phases == (0,)
+    assert len(half.toeplitz) == 1
     with pytest.raises(DimensionMismatch):
-        conv_projected_peaks(s, half, pair, cfg)
+        dataclasses.replace(half, config=cfg)
     with pytest.raises(DimensionMismatch):
-        conv_projected_peaks(s, bank, pair, half_cfg)
-    # phases in another order
-    with pytest.raises(DimensionMismatch):
-        conv_projected_peaks(s, dataclasses.replace(bank, phases=(1, 0)), pair, cfg)
+        dataclasses.replace(bank, config=half_cfg)
 
 
 @pytest.mark.parametrize("kernels,cfg,error", [
@@ -594,7 +591,7 @@ def test_peaks_match_blocked_kernel_per_kernel(mode, family, make):
     for slen in (13, 14, 30):
         s = rng.standard_normal(slen)
         want = [np.abs(conv_projected_blocked(s, k, pair, cfg)).max() for k in kernels]
-        assert_allclose(conv_projected_peaks(s, bank, pair, cfg), want,
+        assert_allclose(conv_projected_peaks(s, bank), want,
                         rtol=1e-12, atol=0)
 
 
@@ -655,11 +652,12 @@ def _blocked_by_copies(s, k, pair, cfg):
     return y.reshape(-1)[:out_len]
 
 
-def _peaks_by_copies(s, bank, pair, cfg):
+def _peaks_by_copies(s, bank):
     """conv_projected_peaks with every intermediate a new array, and each
     product's |y| reduced over rows of E samples, cut at the last stream
     sample inside the output."""
-    used, size, block = cfg.projections_used, pair.size, bank.block
+    pair, block = bank.pair, bank.block
+    used, size = bank.config.projections_used, pair.size
     count = bank.toeplitz[0].shape[1] // block
     compact_len = -(-(bank.kernel_len + size - 1) // size)
     span = block + compact_len - 1
@@ -670,7 +668,7 @@ def _peaks_by_copies(s, bank, pair, cfg):
     peaks = np.zeros(count)
     for lo, hi in _chunk_rows(used, span, rows):
         x = _window_chunk(padded, 0, block, span, lo, hi)
-        for toeplitz, phase in zip(bank.toeplitz, bank.phases):
+        for toeplitz, phase in zip(bank.toeplitz, bank.config.phases()):
             samples = -(-(out_len - phase) // size) - lo * block
             if samples > 0:
                 stream = np.abs(x @ toeplitz).reshape(-1, count)[:samples]
@@ -736,8 +734,8 @@ def test_peaks_equal_copying_pipeline_bitwise(family, size, used, mode, count, k
         s = rng.standard_normal(slen).astype(dtype)
         bank = project_kernel_bank(kernels, pair, cfg)
         assert bank.block == block
-        got = conv_projected_peaks(s, bank, pair, cfg)
-        assert np.array_equal(got, _peaks_by_copies(s, bank, pair, cfg))
+        got = conv_projected_peaks(s, bank)
+        assert np.array_equal(got, _peaks_by_copies(s, bank))
 
 
 def test_kernels_look_up_project_signal_at_call_time(monkeypatch):
@@ -757,26 +755,8 @@ def test_kernels_look_up_project_signal_at_call_time(monkeypatch):
     kernels = rng.standard_normal((3, 20))
     conv_projected_blocked(s, kernels[0], pair, cfg)
     assert calls == [(101,)]
-    conv_projected_peaks(s, project_kernel_bank(kernels, pair, cfg), pair, cfg)
+    conv_projected_peaks(s, project_kernel_bank(kernels, pair, cfg))
     assert calls == [(101,), (101,)]
-
-
-def test_peaks_refuse_bank_of_another_pair():
-    cfg = PrecisionConfig(4, 2)
-    rng = np.random.default_rng(40)
-    kernels = rng.standard_normal((3, 40))
-    s = rng.standard_normal(200)
-    bank = project_kernel_bank(kernels, make_dct_pair(4), cfg)
-    # the same pair built again is accepted: the check compares values
-    want = [np.abs(conv_projected_blocked(s, k, make_dct_pair(4), cfg)).max() for k in kernels]
-    assert_allclose(conv_projected_peaks(s, bank, make_dct_pair(4), cfg), want,
-                    rtol=1e-12, atol=0)
-    # a pair of the same size fits every shape, but gives other peaks
-    with pytest.raises(DomainError):
-        conv_projected_peaks(s, bank, make_haar_pair(4), cfg)
-    swapped = make_custom_pair(make_dct_pair(4).forward[:, [1, 0, 2, 3]])
-    with pytest.raises(DomainError):
-        conv_projected_peaks(s, bank, swapped, cfg)
 
 
 @pytest.mark.parametrize("size,mode,klen,slen", [
@@ -796,10 +776,10 @@ def test_peaks_cut_the_last_product_row_at_the_output_end(size, mode, klen, slen
     s[-size:] = rng.standard_normal(size)
     bank = project_kernel_bank(kernels, pair, cfg)
     assert bank.block == 2
-    got = conv_projected_peaks(s, bank, pair, cfg)
+    got = conv_projected_peaks(s, bank)
     want = [np.abs(conv_projected_blocked(s, k, pair, cfg)).max() for k in kernels]
     assert_allclose(got, want, rtol=1e-12, atol=0)
-    assert np.array_equal(got, _peaks_by_copies(s, bank, pair, cfg))
+    assert np.array_equal(got, _peaks_by_copies(s, bank))
     # every stream sample of every product row, inside the output or not
     compact_len = -(-(klen + size - 1) // size)
     kept = -(-(slen + klen - 1) // size)

@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -261,6 +262,22 @@ def test_stacked_projections_equal_transposing_formula_bitwise(dtype):
         assert got.dtype == dtype
         assert got.flags.c_contiguous
         assert np.array_equal(got, want)
+
+
+def test_single_index_column_projection_allocates_only_its_result():
+    # one index is a stack of one: the batched product reads the operand in
+    # place, where a tensordot contraction copied it transposed (2 MB here)
+    pair = make_dct_pair(8)
+    b = np.random.default_rng(9).standard_normal((512, 512))
+    project_cols(b, pair, 0)
+    tracemalloc.start()
+    try:
+        out = project_cols(b, pair, 0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert out.shape == (64, 512)
+    assert peak < 1.25 * out.nbytes
 
 
 def test_projection_divisibility_required():
