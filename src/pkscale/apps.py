@@ -10,6 +10,7 @@ at reduced precision the benchmarks report how often they still agree.
 from __future__ import annotations
 
 import glob
+import math
 import warnings
 from dataclasses import dataclass, field
 from enum import Enum
@@ -269,7 +270,9 @@ def _checked_signal(x, name):
     x = _as_real(x, 1, name).astype(np.float64, copy=False)
     if x.shape[0] == 0:
         raise DimensionMismatch(f"{name} must be a nonempty 1-D signal")
-    if not np.all(np.isfinite(x)):
+    # an infinity or NaN carries into the sum, so a finite sum means finite
+    # samples; only a sum that overflowed needs the samplewise check
+    if not (math.isfinite(np.add.reduce(x)) or np.isfinite(x).all()):
         raise DomainError(f"{name} contains non-finite values")
     return x
 
@@ -289,10 +292,11 @@ class FeatureDb:
     """Reference signals to correlate queries against.
 
     Entries are checked once, here: each must be a nonempty, finite, real
-    1-D signal, and is stored as a read-only float64 copy. Projected matching
-    scores the nonzero-energy entries of one length together, against a bank
-    of their projections built on first use and kept per (pair matrices,
-    configuration); the copies keep the banks in step with the entries.
+    1-D signal whose energy (sum of squares) is finite, and is stored as a
+    read-only float64 copy. Projected matching scores the nonzero-energy
+    entries of one length together, against a bank of their projections
+    built on first use and kept per (pair matrices, configuration); the
+    copies keep the banks in step with the entries.
     """
 
     entries: tuple            # of (id, 1-D float array)
@@ -311,6 +315,10 @@ class FeatureDb:
             entries.append((entry_id, sig))
         object.__setattr__(self, "entries", tuple(entries))
         energies = tuple(float(np.sum(sig * sig)) for _, sig in entries)
+        for (entry_id, _), energy in zip(entries, energies):
+            # a score divided by an infinite energy is 0 or NaN
+            if math.isinf(energy):
+                raise DomainError(f"entry {entry_id!r} has an energy beyond float64")
         object.__setattr__(self, "_energies", energies)
         object.__setattr__(self, "_dead", tuple(
             entry_id for (entry_id, _), energy in zip(entries, energies) if energy == 0.0))
@@ -402,14 +410,18 @@ def _xcorr_match_projected(query, db, mode, counter):
                       ZeroEnergyEntry, stacklevel=3)
     if not db._groups:
         raise EmptyDb("every database entry was skipped as zero-energy")
-    ids = []
-    scores = []
+    best_id = best = None
     for group in db._groups:
         peaks = conv_projected_peaks(_pad_to(query, group.length),
                                      db._bank(group, mode.pair, mode.config, counter=counter),
                                      counter=counter)
-        ids.extend(group.ids)
-        scores.append(peaks / group.energies)
-    scores = np.concatenate(scores)
-    best = scores.max()
-    return min(ids[i] for i in np.flatnonzero(scores == best)), float(best)
+        scores = peaks / group.energies
+        i = scores.argmax()
+        top = scores[i]
+        # the group's lowest id among its ties; argmax gives the first
+        ties = scores == top
+        entry_id = (min(group.ids[j] for j in np.flatnonzero(ties))
+                    if np.count_nonzero(ties) > 1 else group.ids[i])
+        if best_id is None or top > best or (top == best and entry_id < best_id):
+            best_id, best = entry_id, top
+    return best_id, float(best)

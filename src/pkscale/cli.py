@@ -17,6 +17,7 @@ column is reproducible bit for bit.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 import time
@@ -337,6 +338,8 @@ def _gemm_modes(args):
 def cmd_pca_demo(args):
     _check_positive(args.dims, "--dims")
     if args.images:
+        if args.crop is not None:
+            _check_positive(args.crop, "--crop")
         corpus = ingest_images(args.images, crop=args.crop,
                                fmt=ImageFormat(args.format))
     elif args.synthetic:
@@ -350,6 +353,8 @@ def cmd_pca_demo(args):
                              args.noise)
     else:
         raise ConfigError("pass --synthetic or --images PATTERN")
+    if args.dims > corpus.dim:
+        raise ConfigError(f"--dims {args.dims} exceeds the image size {corpus.dim}")
     corpus = TrainingSet(images=_cast(corpus.images, args.precision),
                          labels=corpus.labels)
     train, test_images, test_labels = _split_by_label(corpus, args.train)
@@ -417,6 +422,8 @@ def synth_queries(db, count, query_len, rng, noise_snr_db):
 
 
 def cmd_match_demo(args):
+    if not math.isfinite(args.noise_snr_db):
+        raise ConfigError(f"--noise-snr-db must be finite, got {args.noise_snr_db}")
     if args.manifest:
         db = FeatureDb.from_manifest(args.manifest)
         rng = np.random.default_rng(args.seed)

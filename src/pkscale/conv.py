@@ -351,13 +351,10 @@ def _compact_signal(s, pair, used, compact_len, columns, dtype):
     """The zero-padded compact signal that :func:`_compact_windows` reads:
     ``padded[l, Q - 1 + i] = sc_l[i]`` for the G = ceil(len(s) / L) compact
     samples of each of the p = ``used`` projections, zero elsewhere, shape
-    (p, ``columns``). The signal is projected straight into its columns, in
-    ``s``'s dtype and cast once to ``dtype``, and only the Q - 1 leading and
-    the trailing columns are zeroed."""
+    (p, ``columns``). The signal is projected straight into the middle columns
+    of a zeroed buffer, in ``s``'s dtype and cast once to ``dtype``."""
     groups = -(-s.shape[0] // pair.size)
-    padded = np.empty((used, columns), dtype=dtype)
-    padded[:, :compact_len - 1] = 0
-    padded[:, compact_len - 1 + groups:] = 0
+    padded = np.zeros((used, columns), dtype=dtype)
     project_signal(s, pair, range(used),
                    out=padded[:, compact_len - 1:compact_len - 1 + groups])
     return padded
@@ -371,18 +368,19 @@ def _compact_windows(padded, block, rows, start, span):
     j*B + B - 1. The windows overlap, so BLAS needs them copied, in chunks of
     about CONV_CHUNK_ELEMENTS. Every chunk is copied into the same buffer, so
     the caller must be done with x before it asks for the next chunk."""
-    used = padded.shape[0]
+    used, columns = padded.shape
     step = padded.itemsize
     # the last window ends at column start + rows*B - B + span - 1, inside
-    # padded for every span <= B + Q - 1 - start
-    windows = as_strided(padded[:, start:], (rows, used, span),
-                         (block * step, padded.strides[0], step), writeable=False)
+    # padded for every span <= B + Q - 1 - start; an ndarray over padded's
+    # buffer is the same view as as_strided's, made without its Python work
+    windows = np.ndarray((rows, used, span), padded.dtype, padded, start * step,
+                         (block * step, columns * step, step))
     chunk = max(1, CONV_CHUNK_ELEMENTS // (used * span))
     buffer = np.empty((min(chunk, rows), used, span), dtype=padded.dtype)
     for lo in range(0, rows, chunk):
         hi = min(lo + chunk, rows)
         x = buffer[:hi - lo]
-        np.copyto(x, windows[lo:hi])
+        x[...] = windows[lo:hi]
         yield lo, hi, x.reshape(hi - lo, used * span)
 
 

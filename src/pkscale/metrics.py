@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import math
-import statistics
 import time
 from dataclasses import dataclass
 
@@ -63,6 +62,17 @@ def _sample_count(result):
     return len(result)
 
 
+def _median(values):
+    """The middle of the sorted values, or the mean of the two middle ones
+    for an even count: ``statistics.median``, without importing
+    ``statistics`` (and through it ``decimal`` and ``fractions``) at start-up."""
+    ordered = sorted(values)
+    mid = len(ordered) // 2
+    if len(ordered) % 2:
+        return ordered[mid]
+    return (ordered[mid - 1] + ordered[mid]) / 2
+
+
 def measure_throughput(task, repetitions=100):
     """Median-of-repetitions wall time of a deterministic zero-arg task.
 
@@ -82,7 +92,7 @@ def measure_throughput(task, repetitions=100):
         t0 = time.perf_counter()
         result = task()
         times.append(time.perf_counter() - t0)
-    median = max(statistics.median(times), 1e-12)
+    median = max(_median(times), 1e-12)
     mean = sum(times) / len(times)
     return ThroughputReport(
         samples=samples,

@@ -37,9 +37,10 @@ def test_kernels_reject_complex_input(call):
 
 # Run in a fresh interpreter: the import, pair construction, the projected
 # kernels and matching, the synthetic generators, the 2D-PCA pipeline and a
-# `bench-gemm` run, then the FFT baselines. Prints the scipy modules
-# loaded before and after the FFT calls, and the FFT baselines' largest
-# deviation from conv_direct.
+# `bench-gemm` run, then the FFT baselines. Prints the standard-library
+# number modules that `import pkscale.cli` loaded, the scipy modules loaded
+# before and after the FFT calls, and the FFT baselines' largest deviation
+# from conv_direct.
 NUMPY_ONLY_SCRIPT = """
 import json
 import os
@@ -48,6 +49,7 @@ import sys
 import numpy as np
 
 import pkscale.cli
+startup = sorted({"statistics", "decimal", "fractions"} & set(sys.modules))
 from pkscale import synth
 from pkscale.apps import (ConvMode, FeatureDb, GemmMode, TrainingSet, pca_extract,
                           pca_match, pca_train, xcorr_match)
@@ -91,7 +93,8 @@ errors = [float(np.abs(conv_fft(s, k) - direct).max())]
 for block_len in (17, 40, 121):
     plan = ConvPlan(block_len, k.shape[0], ConvDomain.FREQ)
     errors.append(float(np.abs(conv_overlap_save(s, k, plan) - direct).max()))
-print(json.dumps({"before": before, "after": scipy_modules(), "errors": errors}))
+print(json.dumps({"startup": startup, "before": before, "after": scipy_modules(),
+                  "errors": errors}))
 """
 
 
@@ -99,6 +102,8 @@ def test_projected_paths_load_no_scipy():
     done = subprocess.run([sys.executable, "-c", NUMPY_ONLY_SCRIPT],
                           capture_output=True, text=True, timeout=120, check=True)
     report = json.loads(done.stdout)
+    # statistics pulls in decimal and fractions, a few ms of every start-up
+    assert report["startup"] == []
     assert report["before"] == []
     # the FFT baselines import scipy.fft on their first call, and still
     # equal the direct kernel

@@ -10,6 +10,7 @@ from pkscale.apps import (
     GemmMode,
     ImageFormat,
     TrainingSet,
+    _checked_signal,
     ingest_images,
     pca_extract,
     pca_match,
@@ -446,6 +447,21 @@ def test_projected_xcorr_match_tie_goes_to_lowest_id():
     assert matched == "aa"
 
 
+def test_projected_xcorr_match_tie_across_length_groups_goes_to_lowest_id():
+    # unit impulses of lengths 8 and 6 take the same floating-point operations
+    # at Haar L2 p1, so their scores tie exactly; each length is its own
+    # group, scored by its own product
+    mode = _projected_mode(make_haar_pair(2))
+    query = np.ones(8)
+    long_, short = np.eye(1, 8)[0], np.eye(1, 6)[0]
+    scores = [xcorr_match(query, FeatureDb.from_arrays([("x", sig)]), mode)[1]
+              for sig in (long_, short)]
+    assert scores[0] == scores[1]
+    # the lowest id in the later group, then in the earlier one
+    for entries in ([("b", long_), ("a", short)], [("a", long_), ("b", short)]):
+        assert xcorr_match(query, FeatureDb.from_arrays(entries), mode) == ("a", scores[0])
+
+
 def test_projected_xcorr_match_skips_zero_energy_entries():
     mode = _projected_mode(make_haar_pair(2))
     db = FeatureDb.from_arrays([("dead", np.zeros(8)), ("live", np.ones(8))])
@@ -531,13 +547,27 @@ def test_projected_banks_are_kept_per_pair_matrices(size):
                                                        mode)
 
 
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+def test_signal_check_accepts_finite_samples_whose_sum_overflows():
+    # the check reads the sum first and goes to the samples only when the
+    # sum is not finite
+    big = np.full(4, 1e308)
+    assert np.array_equal(_checked_signal(big, "query"), big)
+    with pytest.raises(DomainError, match="non-finite"):
+        _checked_signal(np.array([1e308, 1e308, np.inf]), "query")
+
+
 @pytest.mark.parametrize("bad,error", [
     (np.ones(4) + 1j, DomainError),
     (np.ones((2, 4)), DimensionMismatch),
     (np.ones(0), DimensionMismatch),
     (np.array([1.0, np.nan, 2.0]), DomainError),
     (np.array([1.0, np.inf]), DomainError),
-], ids=["complex", "2-d", "empty", "nan", "inf"])
+    # finite samples whose energy overflows: every score against them would
+    # be 0 or NaN
+    (np.full(4, 1e200), DomainError),
+], ids=["complex", "2-d", "empty", "nan", "inf", "energy-overflow"])
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
 def test_feature_db_rejects_bad_entries(bad, error):
     with pytest.raises(error, match="entry 'bad'"):
         FeatureDb.from_arrays([("ok", np.ones(4)), ("bad", bad)])

@@ -148,6 +148,20 @@ def test_out_of_range_flags_are_configuration_errors(command, capsys):
     assert capsys.readouterr().err.startswith("error: --")
 
 
+@pytest.mark.parametrize("command,message", [
+    (["pca-demo", "--synthetic", "--size", "16", "--dims", "20"],
+     "--dims 20 exceeds the image size 16"),
+    (["pca-demo", "--images", "missing/*.pgm", "--crop", "0"],
+     "--crop must be positive, got 0"),
+    (["match-demo", "--synthetic", "--noise-snr-db", "nan"],
+     "--noise-snr-db must be finite, got nan"),
+])
+def test_configuration_mistakes_exit_2_with_their_message(command, message, capsys):
+    # configuration mistakes exit 2; bad input data exits 3
+    assert main(command) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 def test_bench_conv_takes_any_kernel_length(tmp_path):
     out = tmp_path / "conv.csv"
     rc = main(["bench-conv", "--n", "601", "--L", "2", "--reps", "1",

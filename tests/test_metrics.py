@@ -1,3 +1,4 @@
+import statistics
 import weakref
 
 import numpy as np
@@ -6,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pkscale.errors import DimensionMismatch, DomainError, ZeroReference
-from pkscale.metrics import SNR_CAP_DB, measure_throughput, snr
+from pkscale.metrics import SNR_CAP_DB, _median, measure_throughput, snr
 
 
 def test_snr_hand_value():
@@ -67,6 +68,13 @@ def test_throughput_counts_samples_and_reps():
     assert report.msamples_per_sec == pytest.approx(
         1000 / report.median_seconds / 1e6)
     assert not report.low_confidence
+
+
+@pytest.mark.parametrize("count", [1, 2, 5, 8])
+def test_median_equals_statistics_median(count):
+    values = list(np.random.default_rng(count).random(count))
+    assert _median(values) == statistics.median(values)
+    assert _median([3.0] * count) == statistics.median([3.0] * count)
 
 
 def test_throughput_single_rep_low_confidence():
