@@ -25,7 +25,6 @@ from pathlib import Path
 
 import numpy as np
 
-from . import synth
 from .apps import (
     ConvMode,
     GemmMode,
@@ -40,16 +39,6 @@ from .apps import (
 )
 from .config import PrecisionConfig, SampleMode
 from .conv import conv_direct, conv_fft, conv_projected_blocked
-from .costs import (
-    Domain,
-    MacCounter,
-    mac_conv_plain_freq,
-    mac_conv_plain_general,
-    mac_conv_proj_general,
-    mac_gemm_plain_general,
-    mac_gemm_proj_general,
-    ratio_table,
-)
 from .errors import (
     ConfigError,
     DimensionMismatch,
@@ -62,8 +51,10 @@ from .errors import (
     ZeroReference,
 )
 from .gemm import gemm_conventional, gemm_projected
-from .metrics import measure_throughput, snr
 from .projection import make_dct_pair, make_haar_pair
+
+# synth, costs and metrics are imported in the functions that use them, so
+# that importing this module does not execute them
 
 METRIC_HEADER = "kernel,config,snr_db,mse,msamples_per_sec,macs_model,macs_measured"
 COST_HEADER = "domain,N,L,l,ratio_percent"
@@ -144,6 +135,10 @@ def _timing_comment(kernel, config, thr):
 
 
 def cmd_bench_gemm(args):
+    from . import synth
+    from .costs import MacCounter, mac_gemm_plain_general, mac_gemm_proj_general
+    from .metrics import measure_throughput, snr
+
     _check_positive(args.n, "--n")
     _check_positive(args.inner, "--inner")
     _check_positive(args.reps, "--reps")
@@ -193,6 +188,11 @@ def cmd_bench_gemm(args):
 
 
 def cmd_bench_conv(args):
+    from . import synth
+    from .costs import (MacCounter, mac_conv_plain_freq, mac_conv_plain_general,
+                        mac_conv_proj_general)
+    from .metrics import measure_throughput, snr
+
     _check_positive(args.w, "--w")
     _check_positive(args.n, "--n")
     _check_positive(args.reps, "--reps")
@@ -259,10 +259,17 @@ def _parse_int_list(text, name):
 
 
 def cmd_cost_model(args):
+    from .costs import Domain, ratio_table
+
     if args.l < 0:
         raise ConfigError(f"--l must be nonnegative, got {args.l}")
     n_values = _parse_int_list(args.n_list, "--n-list")
+    for n in n_values:
+        _check_positive(n, "--n-list values")
     sizes = _parse_int_list(args.l_list, "--l-list")
+    for size in sizes:
+        if size < 2:
+            raise ConfigError(f"--l-list values must be at least 2, got {size}")
     domains = {
         "gemm": [Domain.GEMM],
         "conv-time": [Domain.CONV_TIME],
@@ -294,6 +301,8 @@ def cmd_cost_model(args):
 
 def synth_faces(subjects, per_subject, size, rng, noise):
     """Subject gallery: a base image per subject plus per-shot variation."""
+    from . import synth
+
     images = []
     labels = []
     for subject in range(subjects):
@@ -336,6 +345,8 @@ def _gemm_modes(args):
 
 
 def cmd_pca_demo(args):
+    from .costs import MacCounter
+
     _check_positive(args.dims, "--dims")
     if args.images:
         if args.crop is not None:
@@ -345,6 +356,8 @@ def cmd_pca_demo(args):
     elif args.synthetic:
         _check_positive(args.subjects, "--subjects")
         _check_positive(args.size, "--size")
+        if not math.isfinite(args.noise):
+            raise ConfigError(f"--noise must be finite, got {args.noise}")
         if args.per_subject <= args.train:
             raise ConfigError(
                 f"--per-subject {args.per_subject} must exceed --train {args.train}")
@@ -404,12 +417,16 @@ def _conv_modes(args):
 
 
 def synth_feature_db(entries, entry_len, rng):
+    from . import synth
+
     return FeatureDb.from_arrays(
         (f"e{i:03d}", synth.ar_signal(entry_len, rng)) for i in range(entries))
 
 
 def synth_queries(db, count, query_len, rng, noise_snr_db):
     """Queries embedding a random entry at a random delay in noise."""
+    from . import synth
+
     queries = []
     for _ in range(count):
         pick = int(rng.integers(len(db.entries)))
@@ -422,6 +439,8 @@ def synth_queries(db, count, query_len, rng, noise_snr_db):
 
 
 def cmd_match_demo(args):
+    from .costs import MacCounter
+
     if not math.isfinite(args.noise_snr_db):
         raise ConfigError(f"--noise-snr-db must be finite, got {args.noise_snr_db}")
     if args.manifest:

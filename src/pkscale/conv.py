@@ -51,7 +51,6 @@ import enum
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import as_strided
 
 from .config import SampleMode
 from .errors import DimensionMismatch, DomainError, IndexOutOfRange
@@ -342,8 +341,9 @@ def _toeplitz_segment(taps, block):
     padded[..., block - 1:span] = taps
     # view[r, l, a, i] = padded[r, l, block - 1 + a - i]: indices 0 .. span + block - 2
     s_r, s_l, step = padded.strides
-    view = as_strided(padded[..., block - 1:], (phases, used, span, block),
-                      (s_r, s_l, step, -step), writeable=False)
+    view = np.ndarray((phases, used, span, block), padded.dtype, padded,
+                      (block - 1) * step, (s_r, s_l, step, -step))
+    view.flags.writeable = False
     return view.transpose(1, 2, 3, 0).reshape(used * span, block * phases)
 
 
@@ -526,9 +526,10 @@ def _kernel_taps(kernels, pair, projections, phases, counter=None):
     compact_len = _compact_kernel_len(klen, size)
     buf = _reversed_kernel(kernels, size)
     step = buf.itemsize
-    groups = as_strided(buf[:, size - 1 - phases[0]:],
-                        (len(phases), count, compact_len, size),
-                        (-step, buf.strides[0], size * step, step), writeable=False)
+    groups = np.ndarray((len(phases), count, compact_len, size), buf.dtype, buf,
+                        (size - 1 - phases[0]) * step,
+                        (-step, buf.strides[0], size * step, step))
+    groups.flags.writeable = False
     compact = groups @ pair.inverse[:projections].T
     if counter is not None:
         counter.add(len(phases) * count * klen * projections)

@@ -155,6 +155,9 @@ def test_out_of_range_flags_are_configuration_errors(command, capsys):
      "--crop must be positive, got 0"),
     (["match-demo", "--synthetic", "--noise-snr-db", "nan"],
      "--noise-snr-db must be finite, got nan"),
+    (["cost-model", "--l-list", "1"], "--l-list values must be at least 2, got 1"),
+    (["cost-model", "--n-list", "0"], "--n-list values must be positive, got 0"),
+    (["pca-demo", "--synthetic", "--noise", "nan"], "--noise must be finite, got nan"),
 ])
 def test_configuration_mistakes_exit_2_with_their_message(command, message, capsys):
     # configuration mistakes exit 2; bad input data exits 3
