@@ -293,14 +293,13 @@ class FeatureDb:
 
     Entries are checked once, here: each must be a nonempty, finite, real
     1-D signal whose energy (sum of squares) is finite, and is stored as a
-    read-only float64 copy. Projected matching scores the nonzero-energy
-    entries of one length together, against a bank of their projections
-    built on first use and kept per (pair matrices, configuration); the
-    copies keep the banks in step with the entries.
+    read-only float64 copy. Matching scores the nonzero-energy entries of
+    one length together; projected matching does so against a bank of their
+    projections built on first use and kept per (pair matrices,
+    configuration), and the copies keep the banks in step with the entries.
     """
 
     entries: tuple            # of (id, 1-D float array)
-    _energies: tuple = field(init=False, repr=False, compare=False)   # per entry
     _dead: tuple = field(init=False, repr=False, compare=False)
     _groups: tuple = field(init=False, repr=False, compare=False)
     _banks: dict = field(default_factory=dict, init=False, repr=False, compare=False)
@@ -319,7 +318,6 @@ class FeatureDb:
             # a score divided by an infinite energy is 0 or NaN
             if math.isinf(energy):
                 raise DomainError(f"entry {entry_id!r} has an energy beyond float64")
-        object.__setattr__(self, "_energies", energies)
         object.__setattr__(self, "_dead", tuple(
             entry_id for (entry_id, _), energy in zip(entries, energies) if energy == 0.0))
         live = [(entry_id, sig, energy) for (entry_id, sig), energy
@@ -367,57 +365,40 @@ def xcorr_match(query, db, mode=ConvMode(), counter=None):
     query, normalized by the entry's energy so a query equal to the entry
     scores 1. Returns (entry id, score); ties go to the lowest id. Entries of
     zero energy are skipped with a :class:`ZeroEnergyEntry` warning; a query
-    shorter than an entry is zero-padded to the entry's length.
+    shorter than an entry is zero-padded to the entry's length. A score that
+    is not finite (a correlation beyond float64) raises :class:`DomainError`.
 
-    The conventional mode correlates the query with each entry in turn and is
-    the reference for the decisions. The projected mode scores the query
-    against all entries of one length at once with
+    The entries of one length are scored together. The conventional mode
+    correlates the query with each of them in turn and is the reference for
+    the decisions. The projected mode takes all their peaks at once with
     :func:`conv_projected_peaks`, using the database's bank of entry
     projections; its scores are those of :meth:`ConvMode.correlate` up to
     rounding.
     """
     query = _checked_signal(query, "query")
-    if mode.is_projected:
-        return _xcorr_match_projected(query, db, mode, counter)
-    best_id = None
-    best_score = -np.inf
-    for (entry_id, signal), energy in zip(db.entries, db._energies):
-        if energy == 0.0:
-            warnings.warn(f"entry {entry_id!r} has zero energy, skipped",
-                          ZeroEnergyEntry, stacklevel=2)
-            continue
-        padded = _pad_to(query, signal.shape[0])
-        corr = mode.correlate(padded, signal, counter=counter)
-        score = float(np.max(np.abs(corr))) / energy
-        if score > best_score or (score == best_score and
-                                  best_id is not None and entry_id < best_id):
-            best_id = entry_id
-            best_score = score
-    if best_id is None:
-        raise EmptyDb("every database entry was skipped as zero-energy")
-    return best_id, best_score
-
-
-def _pad_to(query, length):
-    if query.shape[0] >= length:
-        return query
-    return np.concatenate([query, np.zeros(length - query.shape[0])])
-
-
-def _xcorr_match_projected(query, db, mode, counter):
     for entry_id in db._dead:
         warnings.warn(f"entry {entry_id!r} has zero energy, skipped",
-                      ZeroEnergyEntry, stacklevel=3)
+                      ZeroEnergyEntry, stacklevel=2)
     if not db._groups:
         raise EmptyDb("every database entry was skipped as zero-energy")
     best_id = best = None
     for group in db._groups:
-        peaks = conv_projected_peaks(_pad_to(query, group.length),
-                                     db._bank(group, mode.pair, mode.config, counter=counter),
-                                     counter=counter)
+        padded = _pad_to(query, group.length)
+        if mode.is_projected:
+            peaks = conv_projected_peaks(
+                padded, db._bank(group, mode.pair, mode.config, counter=counter),
+                counter=counter)
+        else:
+            peaks = np.array([np.abs(mode.correlate(padded, signal, counter=counter)).max()
+                              for signal in group.signals])
         scores = peaks / group.energies
+        # argmax returns the first NaN, and an infinity is the maximum, so a
+        # non-finite score anywhere in the group shows up here
         i = scores.argmax()
         top = scores[i]
+        if not math.isfinite(top):
+            raise DomainError(f"the correlation scores of the length-{group.length} "
+                              f"entries are not finite")
         # the group's lowest id among its ties; argmax gives the first
         ties = scores == top
         entry_id = (min(group.ids[j] for j in np.flatnonzero(ties))
@@ -425,3 +406,9 @@ def _xcorr_match_projected(query, db, mode, counter):
         if best_id is None or top > best or (top == best and entry_id < best_id):
             best_id, best = entry_id, top
     return best_id, float(best)
+
+
+def _pad_to(query, length):
+    if query.shape[0] >= length:
+        return query
+    return np.concatenate([query, np.zeros(length - query.shape[0])])

@@ -259,7 +259,7 @@ def _parse_int_list(text, name):
 
 
 def cmd_cost_model(args):
-    from .costs import Domain, ratio_table
+    from .costs import Domain, ratio_percent
 
     if args.l < 0:
         raise ConfigError(f"--l must be nonnegative, got {args.l}")
@@ -290,9 +290,8 @@ def cmd_cost_model(args):
                 if domain is Domain.GEMM and n % size:
                     skipped += 1
                     continue
-                (row,) = ratio_table(domain, [n], [size], l=args.l)
                 lines.append(f"{domain.value},{n},{size},{args.l},"
-                             f"{row.ratio_percent:.4f}")
+                             f"{ratio_percent(domain, n, size, l=args.l):.4f}")
     if skipped:
         lines.append(f"# skipped {skipped} gemm rows where L does not divide N")
     _emit(lines, args.out)
@@ -330,23 +329,46 @@ def _split_by_label(training, per_label):
     return train, training.images[test_idx], [training.labels[i] for i in test_idx]
 
 
-def _demo_row(label, size, used, match_rate, agreement, elapsed, macs):
-    return (f"{label},{size},{used},{match_rate:.4f},{agreement:.4f},"
-            f"{elapsed:.4f},{macs}")
-
-
-def _gemm_modes(args):
-    modes = [GemmMode()]
+def _modes(args, mode_type, **config):
+    """The conventional mode, then one projected mode per ``--L`` size."""
+    modes = [mode_type()]
     for size in _parse_int_list(args.L, "--L"):
         _check_proj(args.proj, size)
         pair = _build_pair(args.family, size)
-        modes.append(GemmMode(pair=pair, config=PrecisionConfig(size, args.proj)))
+        modes.append(mode_type(pair=pair,
+                               config=PrecisionConfig(size, args.proj, **config)))
     return modes
 
 
-def cmd_pca_demo(args):
+def _run_demo(name, lines, modes, decide, truth, out):
+    """One CSV row per mode: ``decide(mode, counter)`` returns the decisions,
+    timed, and they are scored against ``truth`` and against the first
+    mode's decisions. A summary goes to stderr."""
     from .costs import MacCounter
 
+    summary = []
+    baseline = None
+    for mode in modes:
+        counter = MacCounter()
+        start = time.perf_counter()
+        predicted = decide(mode, counter)
+        elapsed = time.perf_counter() - start
+        match_rate = float(np.mean([p == t for p, t in zip(predicted, truth)]))
+        if baseline is None:
+            baseline = predicted
+        agreement = float(np.mean([p == q for p, q in zip(predicted, baseline)]))
+        size = mode.pair.size if mode.is_projected else 0
+        used = mode.config.projections_used if mode.is_projected else 0
+        lines.append(f"{mode.label()},{size},{used},{match_rate:.4f},{agreement:.4f},"
+                     f"{elapsed:.4f},{counter.count}")
+        summary.append(f"{mode.label()} match={match_rate:.3f} "
+                       f"agreement={agreement:.3f}")
+    print(f"{name}: " + "; ".join(summary), file=sys.stderr)
+    _emit(lines, out)
+    return 0
+
+
+def cmd_pca_demo(args):
     _check_positive(args.dims, "--dims")
     if args.images:
         if args.crop is not None:
@@ -376,44 +398,15 @@ def cmd_pca_demo(args):
              f"train={args.train} size={args.size} dims={args.dims} "
              f"noise={args.noise} precision={args.precision} seed={args.seed}",
              _env_comment(), DEMO_HEADER]
-    summary = []
-    baseline = None
-    for mode in _gemm_modes(args):
-        counter = MacCounter()
-        start = time.perf_counter()
+
+    def decide(mode, counter):
         basis, gallery = pca_train(train, dims=args.dims, mode=mode,
                                    counter=counter)
         features = pca_extract(test_images, basis, mode=mode, counter=counter)
-        predicted = [train.labels[j] for j in pca_match(features, gallery)]
-        elapsed = time.perf_counter() - start
-        match_rate = float(np.mean([p == t for p, t in
-                                    zip(predicted, test_labels)]))
-        if baseline is None:
-            baseline = predicted
-        agreement = float(np.mean([p == q for p, q in
-                                   zip(predicted, baseline)]))
-        size = mode.pair.size if mode.is_projected else 0
-        used = mode.config.projections_used if mode.is_projected else 0
-        lines.append(_demo_row(mode.label(), size, used, match_rate, agreement,
-                               elapsed, counter.count))
-        summary.append(f"{mode.label()} match={match_rate:.3f} "
-                       f"agreement={agreement:.3f}")
-    print("pca-demo: " + "; ".join(summary), file=sys.stderr)
-    _emit(lines, args.out)
-    return 0
+        return [train.labels[j] for j in pca_match(features, gallery)]
 
-
-def _conv_modes(args):
-    modes = [ConvMode()]
-    sample = (SampleMode.HALF_INTERPOLATE if args.sample == "half"
-              else SampleMode.ALL_PHASES)
-    for size in _parse_int_list(args.L, "--L"):
-        _check_proj(args.proj, size)
-        pair = _build_pair(args.family, size)
-        modes.append(ConvMode(pair=pair,
-                              config=PrecisionConfig(size, args.proj,
-                                                     sample_mode=sample)))
-    return modes
+    return _run_demo("pca-demo", lines, _modes(args, GemmMode), decide,
+                     test_labels, args.out)
 
 
 def synth_feature_db(entries, entry_len, rng):
@@ -439,8 +432,6 @@ def synth_queries(db, count, query_len, rng, noise_snr_db):
 
 
 def cmd_match_demo(args):
-    from .costs import MacCounter
-
     if not math.isfinite(args.noise_snr_db):
         raise ConfigError(f"--noise-snr-db must be finite, got {args.noise_snr_db}")
     if args.manifest:
@@ -468,29 +459,14 @@ def cmd_match_demo(args):
              f"noise-snr-db={args.noise_snr_db} precision={args.precision} "
              f"seed={args.seed}",
              _env_comment(), DEMO_HEADER]
-    summary = []
-    baseline = None
-    for mode in _conv_modes(args):
-        counter = MacCounter()
-        start = time.perf_counter()
-        predicted = [xcorr_match(query, db, mode=mode, counter=counter)[0]
-                     for _, query in queries]
-        elapsed = time.perf_counter() - start
-        match_rate = float(np.mean([p == t for p, (t, _) in
-                                    zip(predicted, queries)]))
-        if baseline is None:
-            baseline = predicted
-        agreement = float(np.mean([p == q for p, q in
-                                   zip(predicted, baseline)]))
-        size = mode.pair.size if mode.is_projected else 0
-        used = mode.config.projections_used if mode.is_projected else 0
-        lines.append(_demo_row(mode.label(), size, used, match_rate, agreement,
-                               elapsed, counter.count))
-        summary.append(f"{mode.label()} match={match_rate:.3f} "
-                       f"agreement={agreement:.3f}")
-    print("match-demo: " + "; ".join(summary), file=sys.stderr)
-    _emit(lines, args.out)
-    return 0
+
+    def decide(mode, counter):
+        return [xcorr_match(query, db, mode=mode, counter=counter)[0]
+                for _, query in queries]
+
+    modes = _modes(args, ConvMode, sample_mode=SampleMode(args.sample))
+    return _run_demo("match-demo", lines, modes, decide,
+                     [true_id for true_id, _ in queries], args.out)
 
 
 def build_parser():

@@ -30,19 +30,18 @@ Projection paths come in two flavors:
   bank of E equal-length kernels whose projections for every computed phase
   :func:`project_kernel_bank` computed once. It returns only each output's
   peak magnitude, and nothing is placed or interpolated into a full-length
-  output. The bank holds each phase's taps as a block-Toeplitz matrix, built
-  once, with the E kernels where :func:`conv_projected_blocked` has its
-  output phases, so every kernel's compact stream comes from the same
-  windowed products. The overlap of the windows sits in that cached matrix
-  instead of in a copy of the signal's windows made for every call (the
-  memory-efficient convolution of Cho & Brand, "MEC", ICML 2017). Both fast
-  paths take the signal's windows from :func:`_compact_windows`.
+  output. The bank is :func:`conv_projected_blocked`'s block-Toeplitz
+  operand with E kernels per output phase, built once, so one product per
+  chunk of windows gives every phase of every kernel's stream. The overlap
+  of the windows sits in that cached matrix instead of in a copy of the
+  signal's windows made for every call (the memory-efficient convolution of
+  Cho & Brand, "MEC", ICML 2017).
 
-Both fast paths build their compact streams without per-call copies of the
-signal's projections: :func:`_compact_signal` projects the signal straight
-into the columns of its zero-padded buffer, :func:`_compact_windows` copies
-every chunk of windows into one buffer per call, and :func:`_kernel_taps`
-projects the taps of every phase in one batched product.
+Both fast paths share one set-up, :func:`_compact_setup`, which projects the
+signal straight into the columns of its zero-padded compact buffer and
+charges the counter; :func:`_compact_windows` copies every chunk of windows
+into one buffer per call, and :func:`_kernel_taps` projects the taps of
+every phase in one batched product.
 """
 
 from __future__ import annotations
@@ -65,7 +64,7 @@ CONV_ROW_OUTPUTS = 64
 CONV_SEGMENT_TAPS = 512
 CONV_CHUNK_ELEMENTS = 1 << 16
 # Block-Toeplitz bank of conv_projected_peaks: about this many columns per
-# product, B compact samples of each of its E kernels.
+# product, B compact samples of each of its P phases and E kernels.
 CONV_BANK_COLUMNS = 512
 
 
@@ -347,22 +346,42 @@ def _toeplitz_segment(taps, block):
     return view.transpose(1, 2, 3, 0).reshape(used * span, block * phases)
 
 
-def _compact_signal(s, pair, used, compact_len, columns, dtype):
-    """The zero-padded compact signal that :func:`_compact_windows` reads:
-    ``padded[l, Q - 1 + i] = sc_l[i]`` for the G = ceil(len(s) / L) compact
-    samples of each of the p = ``used`` projections, zero elsewhere, shape
-    (p, ``columns``). The signal is projected straight into the middle columns
-    of a zeroed buffer, in ``s``'s dtype and cast once to ``dtype``."""
-    groups = -(-s.shape[0] // pair.size)
-    padded = np.zeros((used, columns), dtype=dtype)
+def _compact_setup(s, pair, cfg, kernel_len, block, count, dtype, counter):
+    """The set-up both fast paths share, for ``s`` against ``count`` kernels
+    of ``kernel_len`` samples in product rows of B = ``block`` compact
+    samples: returns ``(Q, out_len, kept, rows, padded)``, with ``kept`` the
+    compact samples of phase 0 inside the output and ``rows`` the product
+    rows that hold them.
+
+    ``padded`` is the zero-padded compact signal that :func:`_compact_windows`
+    reads, ``padded[l, Q - 1 + i] = sc_l[i]`` for the G = ceil(len(s) / L)
+    compact samples of each of the p kept projections, zero elsewhere, shape
+    (p, rows * B + Q - 1). The signal is projected straight into the middle
+    columns of a zeroed buffer, in ``s``'s dtype and cast once to ``dtype``.
+    The counter is charged p * len(s) for the signal pass and p * G * Q per
+    kernel and computed phase for the compact convolutions."""
+    if not 1 <= kernel_len <= s.shape[0]:
+        raise DimensionMismatch(
+            f"need 1 <= kernel length <= signal length, got {kernel_len} and {s.shape[0]}")
+    size = pair.size
+    used = cfg.projections_used
+    compact_len = _compact_kernel_len(kernel_len, size)
+    out_len = s.shape[0] + kernel_len - 1
+    kept = -(-out_len // size)
+    rows = -(-kept // block)
+    groups = -(-s.shape[0] // size)
+    padded = np.zeros((used, rows * block + compact_len - 1), dtype=dtype)
     project_signal(s, pair, range(used),
                    out=padded[:, compact_len - 1:compact_len - 1 + groups])
-    return padded
+    if counter is not None:
+        counter.add(used * s.shape[0]
+                    + len(cfg.phases()) * used * groups * compact_len * count)
+    return compact_len, out_len, kept, rows, padded
 
 
 def _compact_windows(padded, block, rows, start, span):
     """Yield ``(lo, hi, x)``: x is the (hi - lo, p * span) copy of windows lo
-    .. hi - 1 of a :func:`_compact_signal` ``padded`` (p, columns). Window j
+    .. hi - 1 of a :func:`_compact_setup` ``padded`` (p, columns). Window j
     holds ``padded[l, start + j*B + a]``, a < span, of every l side by side;
     times a :func:`_toeplitz_segment` operand it gives compact samples j*B ..
     j*B + B - 1. The windows overlap, so BLAS needs them copied, in chunks of
@@ -431,23 +450,14 @@ def conv_projected_blocked(s, k, pair, cfg, counter=None):
     cfg.check_pair(pair)
     s = _as_real(s, 1, "signal")
     k = _as_real(k, 1, "kernel")
-    _check_linear(s, k)
-    size = pair.size
-    used = cfg.projections_used
     phases = cfg.phases()
-    out_len = s.shape[0] + k.shape[0] - 1
-    compact_len = _compact_kernel_len(k.shape[0], size)
     dtype = _dtype_of(s, k)
     block = -(-CONV_ROW_OUTPUTS // len(phases))
-    kept = -(-out_len // size)              # compact samples of phase 0
-    rows = -(-kept // block)
-    padded = _compact_signal(s, pair, used, compact_len,
-                             rows * block + compact_len - 1, dtype)
+    compact_len, out_len, kept, rows, padded = _compact_setup(
+        s, pair, cfg, k.shape[0], block, 1, dtype, counter)
     # taps[r, l, q] = kd_{r,l}[Q - 1 - q]
-    taps = _kernel_taps(k[None], pair, used, phases, counter)[:, 0].astype(dtype, copy=False)
-    if counter is not None:
-        groups = -(-s.shape[0] // size)
-        counter.add(used * s.shape[0] + len(phases) * used * groups * compact_len)
+    taps = _kernel_taps(k[None], pair, cfg.projections_used, phases,
+                        counter)[:, 0].astype(dtype, copy=False)
 
     y = np.empty((rows, block * len(phases)), dtype=dtype)
     for first in range(0, compact_len, CONV_SEGMENT_TAPS):
@@ -466,49 +476,48 @@ def conv_projected_blocked(s, k, pair, cfg, counter=None):
     # by about 0.5 MB
     del padded, x, toeplitz
     if cfg.sample_mode is SampleMode.HALF_INTERPOLATE:
-        return _interp_uniform(out_len, size, y.reshape(-1)[:kept], dtype)
+        return _interp_uniform(out_len, pair.size, y.reshape(-1)[:kept], dtype)
     return y.reshape(-1)[:out_len]
 
 
 @dataclass(frozen=True)
 class KernelBank:
-    """Projections of E equal-length kernels of length ``kernel_len`` under
-    ``pair`` for every output phase of ``config``, as
+    """Projections of E = ``count`` equal-length kernels of length
+    ``kernel_len`` under ``pair`` for every output phase of ``config``, as
     :func:`project_kernel_bank` builds them for one configuration.
 
-    ``toeplitz`` holds one read-only right operand of
-    :func:`conv_projected_peaks` per phase of ``config.phases()``, in that
-    order: the (p * (B + Q - 1), B * E) block-Toeplitz matrix of
-    :func:`_toeplitz_segment`, with the E kernels in the role of the output
-    phases and B = ``block`` compact samples per product row, chosen from E
-    and Q by :func:`project_kernel_bank`. One operand is 0.56 MB for 64
-    kernels of 256 samples at L = 2, p = 1 (Q = 129, B = 8). The kernel
+    ``toeplitz`` is the read-only right operand of
+    :func:`conv_projected_peaks`: the (p * (B + Q - 1), B * P * E)
+    block-Toeplitz matrix of :func:`_toeplitz_segment`, laid out as
+    :func:`conv_projected_blocked`'s with E kernels per output phase, so its
+    column ``(i*P + r)*E + e`` holds kernel e's phase-r taps for block sample
+    i. P is the number of ``config.phases()`` and B = ``block`` the compact
+    samples per product row, chosen from P, E and Q by
+    :func:`project_kernel_bank`. The operand is 0.56 MB for 64 kernels of
+    256 samples at L = 2, p = 1, half rate (Q = 129, B = 8). The kernel
     length is kept because the shapes alone cannot tell lengths that share Q
     apart (8 and 9 at L = 2), and it sets how many output samples count
     toward a peak. A bank whose pair size differs from its configuration's
-    is refused (DomainError), and so is one without one operand per phase,
-    each of p * (B + Q - 1) rows and a multiple of B columns
+    is refused (DomainError), and so is an operand of another shape
     (DimensionMismatch).
     """
 
     pair: object
     config: object
     kernel_len: int
+    count: int
     block: int
-    toeplitz: tuple
+    toeplitz: np.ndarray
 
     def __post_init__(self):
         self.config.check_pair(self.pair)
         rows = self.config.projections_used * (
             self.block + _compact_kernel_len(self.kernel_len, self.pair.size) - 1)
-        if len(self.toeplitz) != len(self.config.phases()) or any(
-                operand.shape[0] != rows or operand.shape[1] % self.block
-                for operand in self.toeplitz):
+        shape = (rows, self.block * len(self.config.phases()) * self.count)
+        if self.toeplitz.shape != shape:
             raise DimensionMismatch(
-                f"bank needs one operand of {rows} rows and a multiple of {self.block} "
-                f"columns for each of phases {tuple(self.config.phases())}")
-        for operand in self.toeplitz:
-            operand.setflags(write=False)
+                f"bank needs a {shape} operand, got {self.toeplitz.shape}")
+        self.toeplitz.setflags(write=False)
 
 
 def _kernel_taps(kernels, pair, projections, phases, counter=None):
@@ -544,13 +553,14 @@ def project_kernel_bank(kernels, pair, cfg, counter=None):
     / L) and p = ``cfg.projections_used``, phase r's taps are every kernel's
     ``kd_{r,l}[Q - 1 - q]`` for l < p and q < Q (see
     :func:`conv_projected_blocked`; each projection reversed, so a window of
-    the compact signal times them is a convolution). Each phase's
-    block-Toeplitz operand is built from its taps here, once, so a bank held
-    across queries pays for it once. The bank keeps ``pair`` and ``cfg``, so
-    the queries it scores are projected with them. The counter is charged N
-    per kernel per projection and phase, as :func:`conv_projected_blocked`
-    charges its kernel pass on every call; building the Toeplitz operands
-    only moves taps and is not charged.
+    the compact signal times them is a convolution). The taps of the P
+    phases and E kernels, phase-major, form one block-Toeplitz operand
+    (:class:`KernelBank`), built here, once, so a bank held across queries
+    pays for it once. The bank keeps ``pair`` and ``cfg``, so the queries it
+    scores are projected with them. The counter is charged N per kernel per
+    projection and phase, as :func:`conv_projected_blocked` charges its
+    kernel pass on every call; building the operand only moves taps and is
+    not charged.
     """
     cfg.check_pair(pair)
     k = _as_real(kernels, 2, "kernel stack")
@@ -558,13 +568,17 @@ def project_kernel_bank(kernels, pair, cfg, counter=None):
     if count == 0 or kernel_len == 0:
         raise DimensionMismatch(f"kernel stack needs at least one kernel of at least "
                                 f"one sample, got shape {k.shape}")
+    phases = cfg.phases()
     compact_len = _compact_kernel_len(kernel_len, pair.size)
     # a product about CONV_BANK_COLUMNS wide, and B <= Q / 8, so the Toeplitz
     # zeros add at most (B + Q - 1) / Q <= 1.125 to its work
-    block = max(1, min(-(-CONV_BANK_COLUMNS // count), compact_len // 8))
-    taps = _kernel_taps(k, pair, cfg.projections_used, cfg.phases(), counter)
-    return KernelBank(pair, cfg, kernel_len, block, tuple(
-        np.ascontiguousarray(_toeplitz_segment(phase_taps, block)) for phase_taps in taps))
+    block = max(1, min(-(-CONV_BANK_COLUMNS // (len(phases) * count)), compact_len // 8))
+    taps = _kernel_taps(k, pair, cfg.projections_used, phases, counter)
+    # C-contiguous: at B = 1 the reshaped view can be strided, and BLAS
+    # rounds a product of a strided operand differently
+    toeplitz = np.ascontiguousarray(_toeplitz_segment(
+        taps.reshape(len(phases) * count, cfg.projections_used, compact_len), block))
+    return KernelBank(pair, cfg, kernel_len, count, block, toeplitz)
 
 
 def conv_projected_peaks(s, bank, counter=None):
@@ -575,17 +589,17 @@ def conv_projected_peaks(s, bank, counter=None):
     count and phases are the ones the signal is projected and scored with.
     The result has one peak per kernel. The signal is projected once, as in
     :func:`conv_projected_blocked`, and its compact streams run through the
-    same block-Toeplitz products, with the bank's E kernels where that
-    function has its P output phases: window j of the compact signal
+    same block-Toeplitz products, with P * E columns where that function has
+    its P output phases: window j of the compact signal
     (:func:`_compact_windows`), ``B + Q - 1`` samples of every projection
-    from j*B on, times a phase's Toeplitz operand gives compact samples j*B
-    .. j*B + B - 1 of every kernel's stream, so a product viewed as (rows *
-    B, E) is the streams themselves. Each chunk of windows is multiplied by
-    every phase's operand. Only the stream samples that land inside the
-    output count toward the peak. Nothing else is needed: the remaining
-    output samples are zero, copies of computed ones, or linear
-    interpolations between two computed ones, which never exceed the larger
-    of their magnitudes.
+    from j*B on, times the bank's operand gives compact samples j*B .. j*B +
+    B - 1 of every phase of every kernel's stream, so a product viewed as
+    (rows * B * P, E) is the streams, phases interleaved. One product per
+    chunk of windows. Only the stream samples that land inside the output
+    count toward the peak. Nothing else is needed: the remaining output
+    samples are zero, copies of computed ones, or linear interpolations
+    between two computed ones, which never exceed the larger of their
+    magnitudes.
 
     The counter is charged as :func:`conv_projected_blocked` charges one
     call per kernel, less the kernel projections, which the bank paid for
@@ -595,44 +609,30 @@ def conv_projected_peaks(s, bank, counter=None):
     windows' zero padding and the Toeplitz operand's zeros.
     """
     s = _as_real(s, 1, "signal")
-    size = bank.pair.size
-    used = bank.config.projections_used
-    phases = bank.config.phases()
-    kernel_len, block = bank.kernel_len, bank.block
-    if kernel_len > s.shape[0]:
-        raise DimensionMismatch(
-            f"need kernel length <= signal length, got {kernel_len} and {s.shape[0]}")
-    compact_len = _compact_kernel_len(kernel_len, size)
-    out_len = s.shape[0] + kernel_len - 1
-    kept = -(-out_len // size)              # compact samples of phase 0
-    rows = -(-kept // block)
-    padded = _compact_signal(s, bank.pair, used, compact_len,
-                             rows * block + compact_len - 1, s.dtype)
-    count = bank.toeplitz[0].shape[1] // block
-    if counter is not None:
-        groups = -(-s.shape[0] // size)
-        counter.add(used * s.shape[0] + len(phases) * used * groups * compact_len * count)
-    # compact samples of each phase that land inside the output
-    inside = [-(-(out_len - phase) // size) for phase in phases]
+    block, count = bank.block, bank.count
+    compact_len, out_len, kept, rows, padded = _compact_setup(
+        s, bank.pair, bank.config, bank.kernel_len, block, count, s.dtype, counter)
+    phases = len(bank.config.phases())
+    # phases() is range(L) or range(1), so stream row (j*B + i)*P + r of a
+    # product is output sample (j*B + i)*L + r with every phase, and compact
+    # sample j*B + i of phase 0 at half rate: the rows inside the output are
+    # one prefix, and every product row starts inside it
+    valid = out_len if phases > 1 else kept
+    width = block * phases          # stream rows per product row
     peaks = np.zeros(count)
     for lo, hi, x in _compact_windows(padded, block, rows, 0, block + compact_len - 1):
-        for toeplitz, samples in zip(bank.toeplitz, inside):
-            # samples of this chunk's streams inside the output, and the
-            # product rows that hold only such samples
-            valid = samples - lo * block
-            if valid <= 0:
-                continue
-            full = min(hi - lo, valid // block)
-            y = x @ toeplitz
-            # |y| in place: a second product-sized temporary made the
-            # allocator hand pages back and fault them in on every call
-            np.abs(y, out=y)
-            # the max over whole product rows, B * E wide, then over the B
-            # samples of each kernel; a partial last row on its own
-            if full:
-                np.maximum(peaks, y[:full].max(axis=0).reshape(block, count).max(axis=0),
-                           out=peaks)
-            if full < hi - lo and valid > full * block:
-                tail = y[full, :(valid - full * block) * count]
-                np.maximum(peaks, tail.reshape(-1, count).max(axis=0), out=peaks)
+        y = x @ bank.toeplitz
+        # |y| in place: a second product-sized temporary made the allocator
+        # hand pages back and fault them in on every call
+        np.abs(y, out=y)
+        # the max over the whole product rows inside the output, B * P * E
+        # wide, then over each kernel's samples; a partial last row on its own
+        inside = valid - lo * width
+        full = min(hi - lo, inside // width)
+        if full:
+            np.maximum(peaks, y[:full].max(axis=0).reshape(width, count).max(axis=0),
+                       out=peaks)
+        if full < hi - lo:
+            tail = y[full, :(inside - full * width) * count]
+            np.maximum(peaks, tail.reshape(-1, count).max(axis=0), out=peaks)
     return peaks

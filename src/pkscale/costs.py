@@ -181,30 +181,17 @@ def mem_transfer(domain, n, l, size, repr_bits):
     return MemoryEstimate(plain, projected, reduction)
 
 
-@dataclass(frozen=True)
-class RatioRow:
-    domain: Domain
-    n: int
-    size: int
-    l: int
-    ratio_percent: float
-
-
-def ratio_table(domain, n_values, size_values, l=0):
-    """Projected/plain MAC percentage over an N sweep and projection sizes."""
-    rows = []
-    for n in n_values:
-        for size in size_values:
-            if domain is Domain.GEMM:
-                ratio = mac_gemm_proj(n, l, size) / mac_gemm_plain(n)
-            elif domain is Domain.CONV_TIME:
-                ratio = mac_conv_proj_time(n, l, size) / mac_conv_plain_time(n)
-            elif domain is Domain.CONV_FREQ:
-                ratio = mac_conv_proj_freq(n, l, size) / mac_conv_plain_freq(n)
-            else:
-                raise DomainError(f"unknown domain {domain!r}")
-            rows.append(RatioRow(domain, n, size, l, 100.0 * ratio))
-    return rows
+def ratio_percent(domain, n, size, l=0):
+    """Projected/plain MAC percentage at kernel size N and projection size L."""
+    if domain is Domain.GEMM:
+        ratio = mac_gemm_proj(n, l, size) / mac_gemm_plain(n)
+    elif domain is Domain.CONV_TIME:
+        ratio = mac_conv_proj_time(n, l, size) / mac_conv_plain_time(n)
+    elif domain is Domain.CONV_FREQ:
+        ratio = mac_conv_proj_freq(n, l, size) / mac_conv_plain_freq(n)
+    else:
+        raise DomainError(f"unknown domain {domain!r}")
+    return 100.0 * ratio
 
 
 @dataclass(frozen=True)

@@ -481,6 +481,23 @@ def test_projected_xcorr_match_rejects_matrix_query():
         xcorr_match(np.ones((2, 2)), db, _projected_mode(make_haar_pair(2)))
 
 
+@pytest.mark.parametrize("mode", [
+    ConvMode(),
+    _projected_mode(make_haar_pair(2)),
+    _projected_mode(make_dct_pair(4), 2, SampleMode.ALL_PHASES),
+], ids=lambda mode: mode.label())
+def test_xcorr_match_refuses_correlations_beyond_float64(mode):
+    # finite entries and query whose products overflow: the correlations hold
+    # infinities of both signs and NaNs, so no score can be trusted
+    rng = np.random.default_rng(3)
+    db = FeatureDb.from_arrays([("a", rng.standard_normal(16) * 1e10),
+                                ("b", rng.standard_normal(16) * 1e10)])
+    query = rng.standard_normal(64) * 1e300
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(DomainError, match="not finite"):
+            xcorr_match(query, db, mode)
+
+
 def test_projected_xcorr_match_accepts_any_entry_length():
     rng = np.random.default_rng(12)
     db = FeatureDb.from_arrays([("a", synth.ar_signal(8, rng)),

@@ -285,7 +285,8 @@ def test_peaks_equal_blocked_peaks_property(case, mode):
     # cuts its taps into segments, the bank holds them whole
     ("haar", 2, 1, SampleMode.HALF_INTERPOLATE, 1, 1100, 1500, 68),
     ("haar", 2, 1, SampleMode.HALF_INTERPOLATE, 7, 1100, 1300, 68),
-    ("dct", 4, 2, SampleMode.ALL_PHASES, 300, 2100, 2300, 2),
+    # B = 1: P * E = 1200 columns per block sample, wider than CONV_BANK_COLUMNS
+    ("dct", 4, 2, SampleMode.ALL_PHASES, 300, 2100, 2300, 1),
     # B = 1: a bank wider than CONV_BANK_COLUMNS, and a short kernel
     ("custom", 3, 2, SampleMode.ALL_PHASES, 600, 200, 300, 1),
     ("dct", 8, 3, SampleMode.HALF_INTERPOLATE, 5, 100, 400, 1),
@@ -330,7 +331,9 @@ def test_peaks_refuse_banks_of_another_block(monkeypatch):
     kernels = np.random.default_rng(7).standard_normal((4, 40))
     bank = project_kernel_bank(kernels, pair, cfg)
     assert bank.pair is pair and bank.config is cfg
-    assert (bank.kernel_len, bank.block, len(bank.toeplitz)) == (40, 2, 2)
+    # Q = 21; one operand of both phases of the 4 kernels in blocks of 2
+    assert (bank.kernel_len, bank.count, bank.block) == (40, 4, 2)
+    assert bank.toeplitz.shape == (2 + 21 - 1, 2 * 2 * 4)
     s = np.random.default_rng(8).standard_normal(64)
     want = conv_projected_peaks(s, bank)
     assert want.shape == (4,)
@@ -346,7 +349,7 @@ def test_peaks_refuse_banks_of_another_block(monkeypatch):
     with pytest.raises(DimensionMismatch):
         dataclasses.replace(other, block=2)
     with pytest.raises(ValueError):
-        bank.toeplitz[1][0, 0] = 1.0
+        bank.toeplitz[0, 0] = 1.0
 
 
 def test_peaks_validate_bank_and_lengths():
@@ -360,6 +363,10 @@ def test_peaks_validate_bank_and_lengths():
     # operands of one projection under a configuration of two
     with pytest.raises(DimensionMismatch):
         dataclasses.replace(bank, config=PrecisionConfig(2, 2))
+    # an operand of four kernels under a bank that claims another count
+    for count in (3, 8):
+        with pytest.raises(DimensionMismatch):
+            dataclasses.replace(bank, count=count)
     # a kernel longer than the signal
     with pytest.raises(DimensionMismatch):
         conv_projected_peaks(np.ones(39), bank)
@@ -381,13 +388,14 @@ def test_peaks_refuse_bank_of_another_kernel_length_or_phase():
         assert bank.kernel_len == klen
         want = [np.abs(conv_projected_blocked(s, k, pair, cfg)).max() for k in kernels]
         assert_allclose(conv_projected_peaks(s, bank), want, rtol=1e-12, atol=0)
-    assert (project_kernel_bank(np.ones((3, 8)), pair, cfg).toeplitz[0].shape
-            == project_kernel_bank(np.ones((3, 9)), pair, cfg).toeplitz[0].shape)
+    assert (project_kernel_bank(np.ones((3, 8)), pair, cfg).toeplitz.shape
+            == project_kernel_bank(np.ones((3, 9)), pair, cfg).toeplitz.shape)
     # a half-rate bank holds phase 0 alone, and an all-phase bank is not a
     # half-rate one
     half_cfg = PrecisionConfig(2, 1, SampleMode.HALF_INTERPOLATE)
     half = project_kernel_bank(kernels, pair, half_cfg)
-    assert len(half.toeplitz) == 1
+    assert half.count == bank.count == 3
+    assert half.toeplitz.shape[1] * 2 == bank.toeplitz.shape[1]
     with pytest.raises(DimensionMismatch):
         dataclasses.replace(half, config=cfg)
     with pytest.raises(DimensionMismatch):
@@ -655,24 +663,23 @@ def _blocked_by_copies(s, k, pair, cfg):
 def _peaks_by_copies(s, bank):
     """conv_projected_peaks with every intermediate a new array, and each
     product's |y| reduced over rows of E samples, cut at the last stream
-    sample inside the output."""
-    pair, block = bank.pair, bank.block
+    sample inside the output: output sample out_len - 1 with every phase,
+    compact sample ceil(out_len / L) - 1 of phase 0 at half rate."""
+    pair, block, count = bank.pair, bank.block, bank.count
     used, size = bank.config.projections_used, pair.size
-    count = bank.toeplitz[0].shape[1] // block
     compact_len = -(-(bank.kernel_len + size - 1) // size)
     span = block + compact_len - 1
     out_len = s.shape[0] + bank.kernel_len - 1
     kept = -(-out_len // size)
     rows = -(-kept // block)
+    valid = out_len if bank.config.sample_mode is SampleMode.ALL_PHASES else kept
+    width = block * len(bank.config.phases())
     padded = _padded_by_copy(s, pair, used, compact_len, block, rows, s.dtype)
     peaks = np.zeros(count)
     for lo, hi in _chunk_rows(used, span, rows):
         x = _window_chunk(padded, 0, block, span, lo, hi)
-        for toeplitz, phase in zip(bank.toeplitz, bank.config.phases()):
-            samples = -(-(out_len - phase) // size) - lo * block
-            if samples > 0:
-                stream = np.abs(x @ toeplitz).reshape(-1, count)[:samples]
-                peaks = np.maximum(peaks, stream.max(axis=0))
+        stream = np.abs(x @ bank.toeplitz).reshape(-1, count)[:valid - lo * width]
+        peaks = np.maximum(peaks, stream.max(axis=0))
     return peaks
 
 
@@ -786,6 +793,5 @@ def test_peaks_cut_the_last_product_row_at_the_output_end(size, mode, klen, slen
     rows = -(-kept // 2)
     padded = _padded_by_copy(s, pair, 1, compact_len, 2, rows, s.dtype)
     x = _window_chunk(padded, 0, 2, compact_len + 1, 0, rows)
-    uncut = np.max([np.abs(x @ toeplitz).reshape(-1, 2).max(axis=0)
-                    for toeplitz in bank.toeplitz], axis=0)
+    uncut = np.abs(x @ bank.toeplitz).reshape(-1, 2).max(axis=0)
     assert np.any(uncut > got)

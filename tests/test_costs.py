@@ -19,7 +19,7 @@ from pkscale.costs import (
     mac_gemm_proj,
     mac_gemm_proj_general,
     mem_transfer,
-    ratio_table,
+    ratio_percent,
     validate_conv_plain_time,
     validate_conv_projected_time,
     validate_gemm_plain,
@@ -110,8 +110,7 @@ def test_memory_validation():
 
 
 def test_gemm_ratio_golden_values():
-    rows = ratio_table(Domain.GEMM, [144], [2, 4, 8, 16])
-    got = {row.size: row.ratio_percent for row in rows}
+    got = {size: ratio_percent(Domain.GEMM, 144, size) for size in (2, 4, 8, 16)}
     assert got[2] == pytest.approx(51.3889, abs=5e-5)
     assert got[4] == pytest.approx(26.3889, abs=5e-5)
     assert got[8] == pytest.approx(13.8889, abs=5e-5)
@@ -120,9 +119,7 @@ def test_gemm_ratio_golden_values():
 
 def test_ratio_table_other_domains_run():
     for domain in (Domain.CONV_TIME, Domain.CONV_FREQ):
-        (row,) = ratio_table(domain, [600], [2])
-        assert 0.0 < row.ratio_percent < 100.0
-        assert row.domain is domain
+        assert 0.0 < ratio_percent(domain, 600, 2) < 100.0
 
 
 def test_counted_block_conv_is_steady_state_slice():
