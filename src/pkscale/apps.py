@@ -384,14 +384,18 @@ def xcorr_match(query, db, mode=ConvMode(), counter=None):
     best_id = best = None
     for group in db._groups:
         padded = _pad_to(query, group.length)
-        if mode.is_projected:
-            peaks = conv_projected_peaks(
-                padded, db._bank(group, mode.pair, mode.config, counter=counter),
-                counter=counter)
-        else:
-            peaks = np.array([np.abs(mode.correlate(padded, signal, counter=counter)).max()
-                              for signal in group.signals])
-        scores = peaks / group.energies
+        # correlations beyond float64 become infinities and NaNs, which the
+        # check below turns into DomainError; numpy's overflow warnings on
+        # the way would reach a caller who made warnings errors first
+        with np.errstate(over="ignore", invalid="ignore"):
+            if mode.is_projected:
+                peaks = conv_projected_peaks(
+                    padded, db._bank(group, mode.pair, mode.config, counter=counter),
+                    counter=counter)
+            else:
+                peaks = np.array([np.abs(mode.correlate(padded, signal, counter=counter)).max()
+                                  for signal in group.signals])
+            scores = peaks / group.energies
         # argmax returns the first NaN, and an infinity is the maximum, so a
         # non-finite score anywhere in the group shows up here
         i = scores.argmax()

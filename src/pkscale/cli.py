@@ -38,7 +38,7 @@ from .apps import (
     xcorr_match,
 )
 from .config import PrecisionConfig, SampleMode
-from .conv import conv_direct, conv_fft, conv_projected_blocked
+from .conv import _blocked_domain, conv_direct, conv_fft, conv_projected_blocked
 from .errors import (
     ConfigError,
     DimensionMismatch,
@@ -129,8 +129,9 @@ def _metric_row(kernel, config, rep, thr, macs_model, macs_measured):
             f"{thr.msamples_per_sec:.4f},{macs_model},{macs_measured}")
 
 
-def _timing_comment(kernel, config, thr):
-    return (f"# timing {kernel} {config}: median_s={thr.median_seconds:.6e} "
+def _timing_comment(kernel, config, thr, domain=None):
+    ran = "" if domain is None else f" domain={domain.value}"
+    return (f"# timing {kernel} {config}:{ran} median_s={thr.median_seconds:.6e} "
             f"mean_s={thr.mean_seconds:.6e} reps={thr.repetitions}")
 
 
@@ -223,7 +224,9 @@ def cmd_bench_conv(args):
         config = f"{geometry}.L{args.L}.p{args.proj}.{tag}"
         lines.append(_metric_row("conv-projected", config, rep, thr,
                                  model, counter.count))
-        timing.append(_timing_comment("conv-projected", config, thr))
+        # the domain conv_projected_blocked chose for this geometry
+        domain, _ = _blocked_domain(args.w, args.n, args.L, args.proj, len(cfg.phases()))
+        timing.append(_timing_comment("conv-projected", config, thr, domain))
 
     counter = MacCounter()
     direct = conv_direct(s, k, counter=counter)

@@ -21,10 +21,14 @@ Projection paths come in two flavors:
   groups are projected; convolving the compact sequences at 1/L the rate
   gives output samples r, r + L, r + 2L, ... directly. Keeping the first p
   projections is the graceful approximation, keeping all L reproduces
-  :func:`conv_direct` to rounding, and any kernel length works. All the
-  compact convolutions run as matrix products of the compact signal's
-  windows with a block-Toeplitz matrix of the projected kernel taps, whose
-  output rows, flattened, are the phases already interleaved.
+  :func:`conv_direct` to rounding, and any kernel length works. The compact
+  convolutions run in one of two domains, chosen on every call by comparing
+  operation counts: as matrix products of the compact signal's windows with
+  a block-Toeplitz matrix of the projected kernel taps, whose output rows,
+  flattened, are the phases already interleaved, or as overlap-save FFTs of
+  the same windows (Oppenheim & Schafer, *Discrete-Time Signal
+  Processing*, section 8.7) written into the same layout. Short kernels
+  take the products, long kernels on long signals the FFTs.
 
 * :func:`conv_projected_peaks` runs the same path for one signal against a
   bank of E equal-length kernels whose projections for every computed phase
@@ -39,9 +43,10 @@ Projection paths come in two flavors:
 
 Both fast paths share one set-up, :func:`_compact_setup`, which projects the
 signal straight into the columns of its zero-padded compact buffer and
-charges the counter; :func:`_compact_windows` copies every chunk of windows
-into one buffer per call, and :func:`_kernel_taps` projects the taps of
-every phase in one batched product.
+charges the counter; :func:`_window_view` is the windows of that buffer,
+which :func:`_compact_windows` copies chunk by chunk into one buffer per
+call for the products, and :func:`_kernel_taps` projects the taps of every
+phase in one batched product.
 """
 
 from __future__ import annotations
@@ -59,10 +64,24 @@ from .projection import _as_real, project_signal, project_signal_dual  # noqa: F
 
 # Block-Toeplitz products of conv_projected_blocked: output samples per row
 # of the product, most compact kernel taps per Toeplitz segment, and most
-# window elements copied for one product.
+# window elements copied for one product (for its FFTs, about the most
+# values one chunk of windows holds in their buffers).
 CONV_ROW_OUTPUTS = 64
 CONV_SEGMENT_TAPS = 512
 CONV_CHUNK_ELEMENTS = 1 << 16
+# conv_projected_blocked runs its compact convolutions as FFTs when
+# CONV_FFT_COST times their operation count plus CONV_FFT_OVERHEAD is below
+# the block-Toeplitz products' multiply-adds (_blocked_domain): BLAS makes
+# about CONV_FFT_COST multiply-adds in the time of one FFT or spectral
+# operation, and the FFTs' extra fixed work (transform set-up, calls per
+# chunk) takes as long as CONV_FFT_OVERHEAD of them. Fitted to both
+# producers' times at 105 geometries (signals of 16 to 200000 samples,
+# kernels of 16 to 2000 taps, L 2 to 8; one OpenBLAS thread, 2-core x86-64
+# VM), where the rule picked the faster one at 105 and at 102 in two runs;
+# the fixed work also keeps every geometry of up to 300 samples on the
+# products.
+CONV_FFT_COST = 9
+CONV_FFT_OVERHEAD = 100_000
 # Block-Toeplitz bank of conv_projected_peaks: about this many columns per
 # product, B compact samples of each of its P phases and E kernels.
 CONV_BANK_COLUMNS = 512
@@ -353,10 +372,10 @@ def _compact_setup(s, pair, cfg, kernel_len, block, count, dtype, counter):
     compact samples of phase 0 inside the output and ``rows`` the product
     rows that hold them.
 
-    ``padded`` is the zero-padded compact signal that :func:`_compact_windows`
-    reads, ``padded[l, Q - 1 + i] = sc_l[i]`` for the G = ceil(len(s) / L)
-    compact samples of each of the p kept projections, zero elsewhere, shape
-    (p, rows * B + Q - 1). The signal is projected straight into the middle
+    ``padded`` is the zero-padded compact signal whose windows
+    :func:`_window_view` gives, ``padded[l, Q - 1 + i] = sc_l[i]`` for the
+    G = ceil(len(s) / L) compact samples of each of the p kept projections,
+    zero elsewhere, shape (p, rows * B + Q - 1). The signal is projected straight into the middle
     columns of a zeroed buffer, in ``s``'s dtype and cast once to ``dtype``.
     The counter is charged p * len(s) for the signal pass and p * G * Q per
     kernel and computed phase for the compact convolutions."""
@@ -379,21 +398,30 @@ def _compact_setup(s, pair, cfg, kernel_len, block, count, dtype, counter):
     return compact_len, out_len, kept, rows, padded
 
 
+def _window_view(padded, block, rows, start, span):
+    """The read-only (rows, p, span) windows of a :func:`_compact_setup`
+    ``padded`` (p, columns): window j holds ``padded[l, start + j*B + a]``,
+    a < span, of every l. The last window ends at column start + rows*B - B +
+    span - 1, inside padded for every span <= B + Q - 1 - start. An ndarray
+    over padded's buffer is the same view as as_strided's, made without its
+    Python work."""
+    used, columns = padded.shape
+    step = padded.itemsize
+    view = np.ndarray((rows, used, span), padded.dtype, padded, start * step,
+                      (block * step, columns * step, step))
+    view.flags.writeable = False
+    return view
+
+
 def _compact_windows(padded, block, rows, start, span):
     """Yield ``(lo, hi, x)``: x is the (hi - lo, p * span) copy of windows lo
-    .. hi - 1 of a :func:`_compact_setup` ``padded`` (p, columns). Window j
-    holds ``padded[l, start + j*B + a]``, a < span, of every l side by side;
-    times a :func:`_toeplitz_segment` operand it gives compact samples j*B ..
+    .. hi - 1 of :func:`_window_view`, every projection side by side; times a
+    :func:`_toeplitz_segment` operand, window j gives compact samples j*B ..
     j*B + B - 1. The windows overlap, so BLAS needs them copied, in chunks of
     about CONV_CHUNK_ELEMENTS. Every chunk is copied into the same buffer, so
     the caller must be done with x before it asks for the next chunk."""
-    used, columns = padded.shape
-    step = padded.itemsize
-    # the last window ends at column start + rows*B - B + span - 1, inside
-    # padded for every span <= B + Q - 1 - start; an ndarray over padded's
-    # buffer is the same view as as_strided's, made without its Python work
-    windows = np.ndarray((rows, used, span), padded.dtype, padded, start * step,
-                         (block * step, columns * step, step))
+    windows = _window_view(padded, block, rows, start, span)
+    used = padded.shape[0]
     chunk = max(1, CONV_CHUNK_ELEMENTS // (used * span))
     buffer = np.empty((min(chunk, rows), used, span), dtype=padded.dtype)
     for lo in range(0, rows, chunk):
@@ -401,6 +429,105 @@ def _compact_windows(padded, block, rows, start, span):
         x = buffer[:hi - lo]
         x[...] = windows[lo:hi]
         yield lo, hi, x.reshape(hi - lo, used * span)
+
+
+def _blocked_domain(signal_len, kernel_len, size, used, phases):
+    """The producer :func:`conv_projected_blocked` runs, with its block:
+    ``(ConvDomain.TIME, B)`` or ``(ConvDomain.FREQ, H)``.
+
+    With Q compact taps, ``kept`` compact samples per phase and S =
+    CONV_SEGMENT_TAPS, the block-Toeplitz products make ``rows * p * B * P *
+    (Q + ceil(Q / S) * (B - 1))`` multiply-adds (rows = ceil(kept / B), B =
+    ceil(CONV_ROW_OUTPUTS / P)), zeros of the Toeplitz matrices included.
+    Overlap-save FFTs of length n, a power of two of at least 2Q, advance H =
+    n - Q + 1 compact samples per block. Counting ``f = 1.25 * n * log2(n)``
+    operations per real transform and 4 per complex product, they make
+    ``nb * ((p + P) * f + 4 * p * P * (n/2 + 1)) + p * P * f``: per block, p
+    forward and P inverse transforms and the spectral products, nb =
+    ceil(kept / H), and once the kernel spectra. The n with the fewest
+    operations is the candidate; see CONV_FFT_COST for the comparison."""
+    compact_len = _compact_kernel_len(kernel_len, size)
+    kept = -(-(signal_len + kernel_len - 1) // size)
+    block = -(-CONV_ROW_OUTPUTS // phases)
+    segments = -(-compact_len // CONV_SEGMENT_TAPS)
+    time = (-(-kept // block) * used * block * phases
+            * (compact_len + segments * (block - 1)))
+    freq, hop = None, 0
+    n = _next_pow2(2 * compact_len)
+    while True:
+        blocks = -(-kept // (n - compact_len + 1))
+        transform = 1.25 * n * (n.bit_length() - 1)
+        count = (blocks * ((used + phases) * transform + 4 * used * phases * (n // 2 + 1))
+                 + used * phases * transform)
+        if freq is None or count < freq:
+            freq, hop = count, n - compact_len + 1
+        # past one block a longer transform only adds work
+        if blocks == 1:
+            break
+        n *= 2
+    if CONV_FFT_COST * freq + CONV_FFT_OVERHEAD < time:
+        return ConvDomain.FREQ, hop
+    return ConvDomain.TIME, block
+
+
+def _toeplitz_products(padded, taps, block, rows, y):
+    """The compact convolutions as block-Toeplitz products of B = ``block``
+    samples per row, one tap segment at a time, into the (rows, B * P)
+    output ``y`` of :func:`conv_projected_blocked`."""
+    compact_len = taps.shape[-1]
+    for first in range(0, compact_len, CONV_SEGMENT_TAPS):
+        width = min(CONV_SEGMENT_TAPS, compact_len - first)
+        # window j of tap segment o reads sc_l[j*B + a - o - w + 1]
+        start = compact_len - first - width
+        toeplitz = _toeplitz_segment(taps[..., start:start + width], block)
+        for lo, hi, x in _compact_windows(padded, block, rows, start, block + width - 1):
+            if first == 0:
+                np.matmul(x, toeplitz, out=y[lo:hi])
+            else:
+                y[lo:hi] += x @ toeplitz
+
+
+def _spectral_products(padded, taps, block, rows, y):
+    """The compact convolutions as overlap-save FFTs of length n = H + Q - 1,
+    H = ``block``, into the (rows, H * P) output ``y`` of
+    :func:`conv_projected_blocked`, in its layout for B = H.
+
+    Window j of the compact signal, n samples of every projection from j*H on
+    (:func:`_window_view`), is transformed once. Its spectra times those of
+    the P * p kernels ``kd_{r,l}``, summed over l, are transformed back;
+    samples Q - 1 .. n - 1 of phase r's circular convolution are its linear
+    one, compact samples j*H .. j*H + H - 1 of phase r's stream. The FFTs
+    read the windows in place. A chunk of windows holds, per window, p
+    forward spectra, P mixed spectra and P rows of n + 2 reals that take one
+    term of the mix and then the inverse transforms: about (p + 2P) * n
+    values, CONV_CHUNK_ELEMENTS in all, in buffers every chunk reuses, so a
+    chunk's work stays in cache."""
+    # imported here: only this producer needs FFTs, and numpy loads
+    # numpy.fft on first use
+    from numpy import fft
+
+    phases, used, compact_len = taps.shape
+    span = block + compact_len - 1
+    bins = span // 2 + 1
+    # spectra[r, l] = rfft of kd_{r,l} zero-padded to n
+    spectra = fft.rfft(taps[..., ::-1], span)
+    windows = _window_view(padded, block, rows, 0, span)
+    chunk = min(rows, max(1, CONV_CHUNK_ELEMENTS // ((used + 2 * phases) * span)))
+    forward = np.empty((chunk, used, bins), dtype=spectra.dtype)
+    mixed = np.empty((chunk, phases, bins), dtype=spectra.dtype)
+    scratch = np.empty((chunk, phases, 2 * bins), dtype=y.dtype)
+    streams = y.reshape(rows, block, phases)
+    for lo in range(0, rows, chunk):
+        hi = min(lo + chunk, rows)
+        xf = fft.rfft(windows[lo:hi], out=forward[:hi - lo])
+        # every phase of one projection per product: fewer, longer SIMD
+        # loops than one product per phase, or than einsum's complex loop
+        yf = np.multiply(xf[:, None, 0], spectra[:, 0], out=mixed[:hi - lo])
+        term = scratch[:hi - lo].view(spectra.dtype)
+        for l in range(1, used):
+            yf += np.multiply(xf[:, None, l], spectra[:, l], out=term)
+        z = fft.irfft(yf, span, out=scratch[:hi - lo, :, :span])
+        streams[lo:hi] = z[..., compact_len - 1:].transpose(0, 2, 1)
 
 
 def conv_projected_blocked(s, k, pair, cfg, counter=None):
@@ -420,61 +547,57 @@ def conv_projected_blocked(s, k, pair, cfg, counter=None):
     linear interpolation between computed neighbors (positions past the last
     computed sample take its value).
 
-    All compact convolutions of the p kept projections and the P computed
-    phases run as matrix products. The output is held as a matrix Y of
-    B = ceil(CONV_ROW_OUTPUTS / P) compact samples per row,
+    The output is held as a matrix Y of B compact samples per row,
     ``Y[j, i*P + r] = y[(j*B + i)*L + r]``, so its rows, flattened, are the
-    interleaved output. Row j of Y is the window of the zero-padded compact
-    signal starting at j*B, all p projections side by side, times the
-    block-Toeplitz matrix of the projected kernel taps
-    (:func:`_toeplitz_segment`).
+    interleaved output. Row j comes from the window of the zero-padded
+    compact signal starting at j*B, all p projections side by side
+    (:func:`_window_view`), in one of two domains, chosen on every call by
+    comparing their operation counts (:func:`_blocked_domain`):
 
-    * B: a product row of CONV_ROW_OUTPUTS output samples is wide enough
-      for an efficient BLAS product, while each window is only B - 1
-      samples longer than the taps it meets.
-    * S: the taps are cut into segments of at most S = CONV_SEGMENT_TAPS,
-      each a product of its own added into Y. A segment's Toeplitz matrix
-      has p * (B + S - 1) rows, so its size does not grow with the kernel;
-      unsegmented it would hold B copies of the whole compact kernel.
-    * Chunks: the windows are copied in chunks of rows, each into the same
-      buffer (:func:`_compact_windows`).
+    * time: the window times the block-Toeplitz matrix of the projected
+      kernel taps (:func:`_toeplitz_segment`), B = ceil(CONV_ROW_OUTPUTS /
+      P). A product row of CONV_ROW_OUTPUTS output samples is wide enough
+      for an efficient BLAS product, while each window is only B - 1 samples
+      longer than the taps it meets. The taps are cut into segments of at
+      most S = CONV_SEGMENT_TAPS, each a product of its own added into Y; a
+      segment's Toeplitz matrix has p * (B + S - 1) rows, so its size does
+      not grow with the kernel. The windows are copied in chunks of rows,
+      each into the same buffer (:func:`_compact_windows`).
+    * frequency: B = H, the hop of overlap-save FFTs of length n = H + Q - 1
+      against the spectra of the projected kernel taps
+      (:func:`_spectral_products`). Per output sample the products grow with
+      Q and the FFTs with log n, so long kernels run here, unless the signal
+      is too short to pay for the transforms' fixed work.
 
-    Output length is ``len(s) + len(k) - 1``. The counter charges p * len(s)
-    for the signal pass, and per computed phase p * N for the kernel pass plus
-    p * G * Q for the compact convolutions (G = ceil(len(s) / L) compact
-    signal samples); partial-sum additions and interpolation are not charged.
-    The count is that per-slice convention, not a trace of the products,
-    which also multiply the Toeplitz matrix's zeros (a factor of about
-    (B + S - 1) / S for a segment of S taps).
+    The two domains agree to rounding. Output length is ``len(s) + len(k) -
+    1``. The counter charges, in both domains, p * len(s) for the signal
+    pass, and per computed phase p * N for the kernel pass plus p * G * Q
+    for the compact convolutions (G = ceil(len(s) / L) compact signal
+    samples); partial-sum additions and interpolation are not charged. The
+    count is that per-slice convention, not a trace of the work: the
+    products also multiply the Toeplitz matrix's zeros, and the FFTs do
+    other work.
     """
     cfg.check_pair(pair)
     s = _as_real(s, 1, "signal")
     k = _as_real(k, 1, "kernel")
     phases = cfg.phases()
     dtype = _dtype_of(s, k)
-    block = -(-CONV_ROW_OUTPUTS // len(phases))
+    domain, block = _blocked_domain(s.shape[0], k.shape[0], pair.size,
+                                    cfg.projections_used, len(phases))
     compact_len, out_len, kept, rows, padded = _compact_setup(
         s, pair, cfg, k.shape[0], block, 1, dtype, counter)
     # taps[r, l, q] = kd_{r,l}[Q - 1 - q]
     taps = _kernel_taps(k[None], pair, cfg.projections_used, phases,
                         counter)[:, 0].astype(dtype, copy=False)
-
     y = np.empty((rows, block * len(phases)), dtype=dtype)
-    for first in range(0, compact_len, CONV_SEGMENT_TAPS):
-        width = min(CONV_SEGMENT_TAPS, compact_len - first)
-        # window j of tap segment o reads sc_l[j*B + a - o - w + 1]
-        start = compact_len - first - width
-        toeplitz = _toeplitz_segment(taps[..., start:start + width], block)
-        for lo, hi, x in _compact_windows(padded, block, rows, start, block + width - 1):
-            if first == 0:
-                np.matmul(x, toeplitz, out=y[lo:hi])
-            else:
-                y[lo:hi] += x @ toeplitz
-    # free the compact signal, the window buffer and the Toeplitz operand
-    # before the output is allocated: held across that allocation, they
-    # raised the peak RSS of a caller keeping 64 short half-rate outputs
-    # by about 0.5 MB
-    del padded, x, toeplitz
+    produce = _toeplitz_products if domain is ConvDomain.TIME else _spectral_products
+    produce(padded, taps, block, rows, y)
+    # free the compact signal before a half-rate output is allocated (the
+    # producer's buffers are gone with its return): held across that
+    # allocation, they raised the peak RSS of a caller keeping 64 short
+    # half-rate outputs by about 0.5 MB
+    del padded, taps
     if cfg.sample_mode is SampleMode.HALF_INTERPOLATE:
         return _interp_uniform(out_len, pair.size, y.reshape(-1)[:kept], dtype)
     return y.reshape(-1)[:out_len]

@@ -28,8 +28,12 @@ only, block products charge h*c*w, GEMM partial-sum accumulation charges one
 count per output element, CONV accumulation and output interpolation are
 free (matching the closed forms above). Validation convolutions run the
 minimum blocking and keep the 2N steady-state outputs starting at the first
-full-overlap position, each costing N counts; the frequency-domain path is
-model-only and carries no validated counter.
+full-overlap position, each costing N counts; the frequency-domain closed
+forms have no instrumented counterpart. The shipping projected convolution,
+:func:`pkscale.conv.conv_projected_blocked`, runs its compact convolutions
+in either domain, chosen per call by an operation count, and charges the
+same per-slice count in both, so :func:`mac_conv_proj_general` counts it in
+either.
 """
 
 from __future__ import annotations

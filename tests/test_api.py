@@ -30,7 +30,7 @@ def test_kernels_reject_complex_input(call):
 
 
 # Run in a fresh interpreter: the imports, pair construction, the projected
-# kernels and matching, the synthetic generators, the 2D-PCA pipeline and a
+# kernels (the convolution in both domains) and matching, the synthetic generators, the 2D-PCA pipeline and a
 # `bench-gemm` run, then the FFT baselines. Prints the package modules that
 # `import pkscale` and `import pkscale.cli` loaded, the standard-library
 # number modules the latter loaded, the scipy modules loaded before and
@@ -57,6 +57,7 @@ from pkscale import synth
 from pkscale.apps import (ConvMode, FeatureDb, GemmMode, TrainingSet, pca_extract,
                           pca_match, pca_train, xcorr_match)
 from pkscale.config import PrecisionConfig, SampleMode
+from pkscale import conv
 from pkscale.conv import (ConvDomain, ConvPlan, conv_direct, conv_fft,
                           conv_overlap_save, conv_projected_blocked)
 from pkscale.gemm import gemm_projected
@@ -77,6 +78,10 @@ k = rng.standard_normal(17)
 for pair in pairs:
     gemm_projected(a, b, pair, PrecisionConfig(pair.size, 2))
     conv_projected_blocked(s, k, pair, PrecisionConfig(pair.size, 2))
+# long enough for the frequency domain
+assert conv._blocked_domain(20000, 2000, 8, 2, 8)[0] is ConvDomain.FREQ
+conv_projected_blocked(rng.standard_normal(20000), rng.standard_normal(2000), pairs[0],
+                       PrecisionConfig(8, 2))
 db = FeatureDb.from_arrays((f"e{i}", rng.standard_normal(32)) for i in range(4))
 half = PrecisionConfig(2, 1, SampleMode.HALF_INTERPOLATE)
 xcorr_match(rng.standard_normal(128), db, ConvMode(make_haar_pair(2), half))

@@ -486,16 +486,17 @@ def test_projected_xcorr_match_rejects_matrix_query():
     _projected_mode(make_haar_pair(2)),
     _projected_mode(make_dct_pair(4), 2, SampleMode.ALL_PHASES),
 ], ids=lambda mode: mode.label())
+@pytest.mark.filterwarnings("error")
 def test_xcorr_match_refuses_correlations_beyond_float64(mode):
     # finite entries and query whose products overflow: the correlations hold
-    # infinities of both signs and NaNs, so no score can be trusted
+    # infinities of both signs and NaNs, so no score can be trusted; the
+    # error comes before any overflow warning numpy would raise on the way
     rng = np.random.default_rng(3)
     db = FeatureDb.from_arrays([("a", rng.standard_normal(16) * 1e10),
                                 ("b", rng.standard_normal(16) * 1e10)])
     query = rng.standard_normal(64) * 1e300
-    with np.errstate(over="ignore", invalid="ignore"):
-        with pytest.raises(DomainError, match="not finite"):
-            xcorr_match(query, db, mode)
+    with pytest.raises(DomainError, match="not finite"):
+        xcorr_match(query, db, mode)
 
 
 def test_projected_xcorr_match_accepts_any_entry_length():

@@ -100,6 +100,10 @@ def test_bench_conv_small_run(tmp_path):
         assert row[6] == "0"
         assert float(row[2]) > 200.0
     assert "# macs_measured=0" in text
+    # a 256-sample signal runs as block-Toeplitz products
+    assert "# timing conv-projected W256.N8.L2.p1.half: domain=time median_s=" in text
+    assert "# timing conv-projected W256.N8.L2.p1.all: domain=time median_s=" in text
+    assert "# timing conv-time W256.N8: median_s=" in text
 
 
 @pytest.mark.parametrize("command", [
@@ -170,9 +174,13 @@ def test_bench_conv_takes_any_kernel_length(tmp_path):
     rc = main(["bench-conv", "--n", "601", "--L", "2", "--reps", "1",
                "--out", str(out)])
     assert rc == 0
-    rows = _rows(out.read_text(), METRIC_HEADER)
+    text = out.read_text()
+    rows = _rows(text, METRIC_HEADER)
     assert [r[1] for r in rows[:2]] == ["W20000.N601.L2.p1.half",
                                         "W20000.N601.L2.p1.all"]
+    # the default 20000-sample signal against 601 taps runs as FFTs
+    assert "# timing conv-projected W20000.N601.L2.p1.half: domain=freq " in text
+    assert "# timing conv-projected W20000.N601.L2.p1.all: domain=freq " in text
 
 
 def test_bench_gemm_rejects_bad_family_size():

@@ -414,6 +414,23 @@ def test_kernel_bank_refuses_bad_input(kernels, cfg, error):
         project_kernel_bank(kernels, make_haar_pair(2), cfg)
 
 
+def _time_rule(signal_len, kernel_len, size, used, phases):
+    """conv_projected_blocked's block-Toeplitz products, at their usual B."""
+    return ConvDomain.TIME, -(-conv.CONV_ROW_OUTPUTS // phases)
+
+
+def _fft_rule(fft_len):
+    """conv_projected_blocked's overlap-save FFTs of ``fft_len`` samples."""
+    def rule(signal_len, kernel_len, size, used, phases):
+        return ConvDomain.FREQ, fft_len - conv._compact_kernel_len(kernel_len, size) + 1
+    return rule
+
+
+@pytest.fixture
+def time_domain(monkeypatch):
+    monkeypatch.setattr(conv, "_blocked_domain", _time_rule)
+
+
 def _per_index_oracle(s, k, pair, cfg):
     """The projected convolution one compact convolution at a time:
     ``y[j*L + r] = sum_l (sc_l * kd_{r,l})[j]`` with ``sc_l`` the single-index
@@ -469,6 +486,10 @@ def test_blocked_equals_per_index_oracle_property(case, mode):
     rng = np.random.default_rng(seed)
     s = rng.standard_normal(slen).astype(dtype)
     k = rng.standard_normal(klen).astype(dtype)
+    # every geometry of at most 300 samples (pairs of L <= 8, every p and
+    # both modes, checked one by one) runs as block-Toeplitz products; the
+    # FFTs have property tests of their own
+    assert conv._blocked_domain(slen, klen, size, used, len(cfg.phases()))[0] is ConvDomain.TIME
     counter = MacCounter()
     got = conv_projected_blocked(s, k, pair, cfg, counter=counter)
     assert got.dtype == dtype
@@ -476,11 +497,96 @@ def test_blocked_equals_per_index_oracle_property(case, mode):
     assert counter.count == mac_conv_proj_general(slen, klen, size, used, len(cfg.phases()))
 
 
+@settings(max_examples=80, deadline=None)
+@given(blocked_case(), st.sampled_from(list(SampleMode)), st.integers(0, 2),
+       st.integers(1, 1 << 12))
+def test_spectral_products_equal_per_index_oracle_property(case, mode, doublings, elements):
+    # FFTs from the shortest the domain rule considers, a power of two of at
+    # least 2Q, to 4x that, in chunks of one window and up, so many cases end
+    # in a partial block or run several chunks
+    family, size, seed, dtype, used, slen, klen = case
+    pair = random_pair(family, size, seed)
+    cfg = PrecisionConfig(size, used, sample_mode=mode)
+    rng = np.random.default_rng(seed)
+    s = rng.standard_normal(slen).astype(dtype)
+    k = rng.standard_normal(klen).astype(dtype)
+    fft_len = conv._next_pow2(2 * conv._compact_kernel_len(klen, size)) << doublings
+    counter = MacCounter()
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(conv, "_blocked_domain", _fft_rule(fft_len))
+        patch.setattr(conv, "CONV_CHUNK_ELEMENTS", elements)
+        got = conv_projected_blocked(s, k, pair, cfg, counter=counter)
+    assert got.dtype == dtype
+    _assert_matches_oracle(got, s, k, pair, cfg)
+    assert counter.count == mac_conv_proj_general(slen, klen, size, used, len(cfg.phases()))
+
+
+@pytest.mark.parametrize("family", ["dct", "haar", "custom"])
+@pytest.mark.parametrize("mode", list(SampleMode))
+@pytest.mark.parametrize("s_dtype,k_dtype", [(np.float64, np.float64),
+                                             (np.float32, np.float32),
+                                             (np.float32, np.float64)])
+def test_spectral_products_equal_oracle_across_blocks_and_chunks(monkeypatch, family, mode,
+                                                                 s_dtype, k_dtype):
+    # Q = 34 compact taps and FFTs of 128 samples: hops of 95 compact
+    # samples, 783 of them per phase, so 9 blocks, the last partial, in
+    # chunks of 2 windows
+    pair = random_pair(family, 4, 8)
+    cfg = PrecisionConfig(4, 2, sample_mode=mode)
+    monkeypatch.setattr(conv, "_blocked_domain", _fft_rule(128))
+    monkeypatch.setattr(conv, "CONV_CHUNK_ELEMENTS", 2 * (2 + 2 * len(cfg.phases())) * 128)
+    rng = np.random.default_rng(3001)
+    s = rng.standard_normal(3001).astype(s_dtype)
+    k = rng.standard_normal(130).astype(k_dtype)
+    got = conv_projected_blocked(s, k, pair, cfg)
+    monkeypatch.setattr(conv, "_blocked_domain", _time_rule)
+    products = conv_projected_blocked(s, k, pair, cfg)
+    assert got.dtype == products.dtype == (
+        np.float32 if s_dtype == k_dtype == np.float32 else np.float64)
+    if s_dtype == k_dtype:
+        _assert_matches_oracle(got, s, k, pair, cfg)
+    else:
+        # a float32 signal is projected in float32 in both domains, so only
+        # they agree to float64 rounding; the oracle projects in float64
+        want = _per_index_oracle(s, k, pair, cfg)
+        assert np.abs(got - want).max() <= 1e-5 * np.abs(s).max() * np.abs(k).sum()
+        assert np.abs(got - products).max() <= 1e-12 * np.abs(products).max()
+
+
+@pytest.mark.parametrize("family", ["dct", "haar", "custom"])
+@pytest.mark.parametrize("size", [2, 4, 8])
+def test_spectral_products_with_every_projection_equal_convolve(monkeypatch, family, size):
+    rng = np.random.default_rng(size)
+    pair = random_pair(family, size, size)
+    for slen, klen in ((1000, 1), (1000, 3 * size + 1), (2000, 700)):
+        s = rng.standard_normal(slen)
+        k = rng.standard_normal(klen)
+        compact_len = conv._compact_kernel_len(klen, size)
+        monkeypatch.setattr(conv, "_blocked_domain", _fft_rule(conv._next_pow2(2 * compact_len)))
+        out = conv_projected_blocked(s, k, pair, PrecisionConfig(size, size))
+        ref = np.convolve(s, k)
+        assert np.abs(out - ref).max() <= EXACT_ATOL * np.abs(ref).max()
+
+
+def test_blocked_domain_runs_long_kernels_as_ffts():
+    # 200000 samples against 600 taps, DCT L = 4, every phase: FFTs of 1024
+    # samples, hops of 874 compact samples
+    assert conv._blocked_domain(200_000, 600, 4, 2, 4) == (ConvDomain.FREQ, 874)
+    assert conv._blocked_domain(200_000, 600, 4, 4, 4)[0] is ConvDomain.FREQ
+    rng = np.random.default_rng(600)
+    s = rng.standard_normal(200_000)
+    k = rng.standard_normal(600)
+    out = conv_projected_blocked(s, k, make_dct_pair(4), PrecisionConfig(4, 4))
+    ref = np.convolve(s, k)
+    assert np.abs(out - ref).max() <= EXACT_ATOL * np.abs(ref).max()
+
+
 @pytest.mark.parametrize("mode", list(SampleMode))
 @pytest.mark.parametrize("used", [1, 2, 4])
-def test_blocked_equals_oracle_across_segments_and_chunks(mode, used):
+def test_blocked_equals_oracle_across_segments_and_chunks(time_domain, mode, used):
     # Q = 626 compact taps: more than one Toeplitz segment, and (in all but
-    # the half-rate p = 1, 2 cases) more output rows than one chunk holds
+    # the half-rate p = 1, 2 cases) more output rows than one chunk holds;
+    # the domain rule runs this geometry as FFTs, so the products are pinned
     assert -(-(2500 + 3) // 4) > conv.CONV_SEGMENT_TAPS
     rng = np.random.default_rng(6000)
     pair = make_dct_pair(4)
@@ -491,15 +597,41 @@ def test_blocked_equals_oracle_across_segments_and_chunks(mode, used):
 
 
 def test_blocked_scratch_memory_stays_near_output_size():
-    # Without tap segments the Toeplitz operand alone holds B copies of the
-    # compact kernel (about 39x the output here). Allowed: a few arrays of the
-    # output's size (signal and kernel projections, padding, the product),
-    # plus one tap segment's Toeplitz matrix and one chunk of windows.
+    # The domain rule runs this 20000-tap kernel as FFTs. Allowed: a few
+    # arrays of the output's size (signal and kernel projections, padding,
+    # the product or the kernel spectra), plus one chunk's buffers.
     rng = np.random.default_rng(20)
     pair = make_haar_pair(2)
     cfg = PrecisionConfig(2, 2)
     s = rng.standard_normal(20_000)
     k = rng.standard_normal(20_000)
+    conv_projected_blocked(s, k, pair, cfg)
+    tracemalloc.start()
+    try:
+        out = conv_projected_blocked(s, k, pair, cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 6 * out.nbytes + 2 * 2**20
+
+
+@pytest.mark.parametrize("pin_time,make,size,slen,klen", [
+    # 200000 samples against 600 taps as FFTs
+    (False, make_dct_pair, 4, 200_000, 600),
+    # the 20000-tap kernel above as products: without tap segments the
+    # Toeplitz operand alone would hold B copies of the compact kernel,
+    # about 39x the output
+    (True, make_haar_pair, 2, 20_000, 20_000),
+], ids=["ffts", "products"])
+def test_blocked_scratch_memory_stays_near_output_size_in_both_domains(
+        monkeypatch, pin_time, make, size, slen, klen):
+    if pin_time:
+        monkeypatch.setattr(conv, "_blocked_domain", _time_rule)
+    rng = np.random.default_rng(slen)
+    pair = make(size)
+    cfg = PrecisionConfig(size, 2)
+    s = rng.standard_normal(slen)
+    k = rng.standard_normal(klen)
     conv_projected_blocked(s, k, pair, cfg)
     tracemalloc.start()
     try:
@@ -626,10 +758,11 @@ def _window_chunk(padded, start, block, span, lo, hi):
 
 
 def _blocked_by_copies(s, k, pair, cfg):
-    """conv_projected_blocked with every intermediate a new array: the
-    compact signal from project_signal's returned stack, each chunk of
-    windows copied fresh, and the taps projected one phase at a time. It
-    makes the same products as the kernel, so it gives the same bits."""
+    """conv_projected_blocked's block-Toeplitz products with every
+    intermediate a new array: the compact signal from project_signal's
+    returned stack, each chunk of windows copied fresh, and the taps
+    projected one phase at a time. It makes the same products as the
+    kernel, so it gives the same bits."""
     size, used, phases = pair.size, cfg.projections_used, cfg.phases()
     dtype = np.float32 if s.dtype == k.dtype == np.float32 else np.float64
     out_len = s.shape[0] + k.shape[0] - 1
@@ -684,7 +817,7 @@ def _peaks_by_copies(s, bank):
 
 
 @pytest.mark.parametrize("size", [2, 3, 4, 8])
-def test_blocked_equals_copying_pipeline_bitwise(size):
+def test_blocked_equals_copying_pipeline_bitwise(time_domain, size):
     rng = np.random.default_rng(size)
     dtypes = [(np.float64, np.float64), (np.float32, np.float32), (np.float32, np.float64)]
     for family in ("dct", "custom"):
@@ -704,7 +837,7 @@ def test_blocked_equals_copying_pipeline_bitwise(size):
 
 
 @pytest.mark.parametrize("mode", list(SampleMode))
-def test_blocked_segmented_kernel_equals_copying_pipeline_bitwise(mode):
+def test_blocked_segmented_kernel_equals_copying_pipeline_bitwise(time_domain, mode):
     # Q = 626 compact taps: two Toeplitz segments
     assert -(-(2500 + 3) // 4) > conv.CONV_SEGMENT_TAPS
     rng = np.random.default_rng(2500)
