@@ -38,7 +38,7 @@ from .apps import (
     xcorr_match,
 )
 from .config import PrecisionConfig, SampleMode
-from .conv import _blocked_domain, conv_direct, conv_fft, conv_projected_blocked
+from .conv import _blocked_plan, conv_direct, conv_fft, conv_projected_blocked
 from .errors import (
     ConfigError,
     DimensionMismatch,
@@ -224,8 +224,7 @@ def cmd_bench_conv(args):
         config = f"{geometry}.L{args.L}.p{args.proj}.{tag}"
         lines.append(_metric_row("conv-projected", config, rep, thr,
                                  model, counter.count))
-        # the domain conv_projected_blocked chose for this geometry
-        domain, _ = _blocked_domain(args.w, args.n, args.L, args.proj, len(cfg.phases()))
+        domain, _ = _blocked_plan(s, k, pair, cfg)
         timing.append(_timing_comment("conv-projected", config, thr, domain))
 
     counter = MacCounter()

@@ -470,6 +470,14 @@ def _blocked_domain(signal_len, kernel_len, size, used, phases):
     return ConvDomain.TIME, block
 
 
+def _blocked_plan(s, k, pair, cfg):
+    """:func:`_blocked_domain` for :func:`conv_projected_blocked`'s
+    operands: the domain and block it runs signal ``s`` against kernel
+    ``k`` with."""
+    return _blocked_domain(s.shape[0], k.shape[0], pair.size, cfg.projections_used,
+                           len(cfg.phases()))
+
+
 def _toeplitz_products(padded, taps, block, rows, y):
     """The compact convolutions as block-Toeplitz products of B = ``block``
     samples per row, one tap segment at a time, into the (rows, B * P)
@@ -569,22 +577,28 @@ def conv_projected_blocked(s, k, pair, cfg, counter=None):
       Q and the FFTs with log n, so long kernels run here, unless the signal
       is too short to pay for the transforms' fixed work.
 
-    The two domains agree to rounding. Output length is ``len(s) + len(k) -
-    1``. The counter charges, in both domains, p * len(s) for the signal
-    pass, and per computed phase p * N for the kernel pass plus p * G * Q
-    for the compact convolutions (G = ceil(len(s) / L) compact signal
-    samples); partial-sum additions and interpolation are not charged. The
-    count is that per-slice convention, not a trace of the work: the
-    products also multiply the Toeplitz matrix's zeros, and the FFTs do
-    other work.
+    The two domains differ in what their rounding is relative to. A product
+    sample's error is relative to its own terms; an FFT block's error is
+    relative to the largest values of the n compact samples it transforms,
+    so where a quiet stretch of the signal follows a loud one within about
+    n * L samples, its outputs keep only the loud part's absolute accuracy
+    (a 1e6 step before 600 taps at DCT L = 4, p = 4: 2.4e-10 of the quiet
+    part's peak, against 1e-15 in the time domain). Relative to the
+    output's peak both are exact to rounding at p = L. Output length is
+    ``len(s) + len(k) - 1``. The counter charges, in both domains, p *
+    len(s) for the signal pass, and per computed phase p * N for the kernel
+    pass plus p * G * Q for the compact convolutions (G = ceil(len(s) / L)
+    compact signal samples); partial-sum additions and interpolation are
+    not charged. The count is that per-slice convention, not a trace of
+    the work: the products also multiply the Toeplitz matrix's zeros, and
+    the FFTs do other work.
     """
     cfg.check_pair(pair)
     s = _as_real(s, 1, "signal")
     k = _as_real(k, 1, "kernel")
     phases = cfg.phases()
     dtype = _dtype_of(s, k)
-    domain, block = _blocked_domain(s.shape[0], k.shape[0], pair.size,
-                                    cfg.projections_used, len(phases))
+    domain, block = _blocked_plan(s, k, pair, cfg)
     compact_len, out_len, kept, rows, padded = _compact_setup(
         s, pair, cfg, k.shape[0], block, 1, dtype, counter)
     # taps[r, l, q] = kd_{r,l}[Q - 1 - q]

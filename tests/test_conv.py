@@ -581,6 +581,29 @@ def test_blocked_domain_runs_long_kernels_as_ffts():
     assert np.abs(out - ref).max() <= EXACT_ATOL * np.abs(ref).max()
 
 
+def test_blocked_domains_round_relative_to_their_operands(monkeypatch):
+    # A signal 1e6 times louder in its first half, 600 taps, DCT L = 4, p = 4.
+    # The products stay exact relative to the quiet half's own peak; the
+    # FFTs of 1024 compact samples lose that near the step (their rounding
+    # follows the block's largest values) and regain it once a block holds
+    # no loud sample, 1024 * L output samples past the step.
+    rng = np.random.default_rng(1)
+    slen, klen, size = 40_000, 600, 4
+    s = rng.standard_normal(slen)
+    s[:slen // 2] *= 1e6
+    k = rng.standard_normal(klen)
+    ref = np.convolve(s, k)
+    cfg = PrecisionConfig(size, size)
+    for rule, first in ((_time_rule, slen // 2 + klen),
+                        (_fft_rule(1024), slen // 2 + klen + 1024 * size)):
+        monkeypatch.setattr(conv, "_blocked_domain", rule)
+        out = conv_projected_blocked(s, k, make_dct_pair(size), cfg)
+        assert np.abs(out - ref).max() <= EXACT_ATOL * np.abs(ref).max()
+        quiet = slice(first, slen)
+        assert (np.abs(out[quiet] - ref[quiet]).max()
+                <= EXACT_ATOL * np.abs(ref[quiet]).max())
+
+
 @pytest.mark.parametrize("mode", list(SampleMode))
 @pytest.mark.parametrize("used", [1, 2, 4])
 def test_blocked_equals_oracle_across_segments_and_chunks(time_domain, mode, used):
