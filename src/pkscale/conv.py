@@ -582,16 +582,16 @@ def conv_projected_blocked(s, k, pair, cfg, counter=None):
     relative to the largest values of the n compact samples it transforms,
     so where a quiet stretch of the signal follows a loud one within about
     n * L samples, its outputs keep only the loud part's absolute accuracy
-    (a 1e6 step before 600 taps at DCT L = 4, p = 4: 2.4e-10 of the quiet
-    part's peak, against 1e-15 in the time domain). Relative to the
-    output's peak both are exact to rounding at p = L. Output length is
-    ``len(s) + len(k) - 1``. The counter charges, in both domains, p *
-    len(s) for the signal pass, and per computed phase p * N for the kernel
-    pass plus p * G * Q for the compact convolutions (G = ceil(len(s) / L)
-    compact signal samples); partial-sum additions and interpolation are
-    not charged. The count is that per-slice convention, not a trace of
-    the work: the products also multiply the Toeplitz matrix's zeros, and
-    the FFTs do other work.
+    (a signal 1e6 times louder before a step, 600 taps, DCT L = 4, p = 4:
+    2.4e-10 of the quiet part's peak, against 1e-15 in the time domain).
+    Relative to the output's peak both are exact to rounding at p = L.
+    Output length is ``len(s) + len(k) - 1``. The counter charges, in
+    both domains, p * len(s) for the signal pass, and per computed phase p
+    * N for the kernel pass plus p * G * Q for the compact convolutions (G
+    = ceil(len(s) / L) compact signal samples); partial-sum additions and
+    interpolation are not charged. The count is that per-slice convention,
+    not a trace of the work: the products also multiply the Toeplitz
+    matrix's zeros, and the FFTs do other work.
     """
     cfg.check_pair(pair)
     s = _as_real(s, 1, "signal")
