@@ -38,7 +38,7 @@ from .apps import (
     xcorr_match,
 )
 from .config import PrecisionConfig, SampleMode
-from .conv import _blocked_plan, conv_direct, conv_fft, conv_projected_blocked
+from .conv import _blocked_plan, _screens, conv_direct, conv_fft, conv_projected_blocked
 from .errors import (
     ConfigError,
     DimensionMismatch,
@@ -342,13 +342,15 @@ def _modes(args, mode_type, **config):
     return modes
 
 
-def _run_demo(name, lines, modes, decide, truth, out):
+def _run_demo(name, lines, modes, decide, truth, out, note=None):
     """One CSV row per mode: ``decide(mode, counter)`` returns the decisions,
     timed, and they are scored against ``truth`` and against the first
-    mode's decisions. A summary goes to stderr."""
+    mode's decisions. ``note(mode)``, if given, is a comment line for each
+    projected mode, written after the rows. A summary goes to stderr."""
     from .costs import MacCounter
 
     summary = []
+    notes = []
     baseline = None
     for mode in modes:
         counter = MacCounter()
@@ -365,8 +367,10 @@ def _run_demo(name, lines, modes, decide, truth, out):
                      f"{elapsed:.4f},{counter.count}")
         summary.append(f"{mode.label()} match={match_rate:.3f} "
                        f"agreement={agreement:.3f}")
+        if note is not None and mode.is_projected:
+            notes.append(note(mode))
     print(f"{name}: " + "; ".join(summary), file=sys.stderr)
-    _emit(lines, out)
+    _emit(lines + notes, out)
     return 0
 
 
@@ -466,9 +470,20 @@ def cmd_match_demo(args):
         return [xcorr_match(query, db, mode=mode, counter=counter)[0]
                 for _, query in queries]
 
+    def peaks_path(mode):
+        # the path conv_projected_peaks takes for each length's bank, which
+        # the timed run built
+        paths = " ".join(
+            f"length={group.length} path="
+            + ("float32-screen" if _screens(args.query_len,
+                                            db._bank(group, mode.pair, mode.config))
+               else "float64-product")
+            for group in db._groups)
+        return f"# peaks {mode.label()}: {paths}"
+
     modes = _modes(args, ConvMode, sample_mode=SampleMode(args.sample))
     return _run_demo("match-demo", lines, modes, decide,
-                     [true_id for true_id, _ in queries], args.out)
+                     [true_id for true_id, _ in queries], args.out, peaks_path)
 
 
 def build_parser():

@@ -39,7 +39,11 @@ Projection paths come in two flavors:
   chunk of windows gives every phase of every kernel's stream. The overlap
   of the windows sits in that cached matrix instead of in a copy of the
   signal's windows made for every call (the memory-efficient convolution of
-  Cho & Brand, "MEC", ICML 2017).
+  Cho & Brand, "MEC", ICML 2017). A float64 bank's products run in float32
+  when they are large enough, and a rounding bound leaves the few samples
+  that may hold a kernel's peak, which are recomputed in float64, so the
+  peaks are float64 values and the decisions taken on them are those of
+  the float64 products.
 
 Both fast paths share one set-up, :func:`_compact_setup`, which projects the
 signal straight into the columns of its zero-padded compact buffer and
@@ -52,7 +56,8 @@ phase in one batched product.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -85,6 +90,17 @@ CONV_FFT_OVERHEAD = 100_000
 # Block-Toeplitz bank of conv_projected_peaks: about this many columns per
 # product, B compact samples of each of its P phases and E kernels.
 CONV_BANK_COLUMNS = 512
+# conv_projected_peaks screens a float64 bank's products in float32 when a
+# call's product makes at least CONV_SCREEN_MACS multiply-adds; below, the
+# screen's fixed work (about 80 us) costs more than float32 saves. Fitted
+# to both paths' times at 16 geometries (0.7 to 200 million multiply-adds,
+# L 2 to 8, 4 to 256 kernels; one OpenBLAS thread, 2-core x86-64 VM), where
+# the rule picked the faster path at 15.
+CONV_SCREEN_MACS = 4_000_000
+# A screened chunk runs its float64 product instead when CONV_REFINE_COST
+# times its candidates reaches its product's entries: refining a candidate
+# took as long as the float64 product spends on 24 to 170 entries.
+CONV_REFINE_COST = 64
 
 
 class ConvVariant(enum.Enum):
@@ -375,10 +391,11 @@ def _compact_setup(s, pair, cfg, kernel_len, block, count, dtype, counter):
     ``padded`` is the zero-padded compact signal whose windows
     :func:`_window_view` gives, ``padded[l, Q - 1 + i] = sc_l[i]`` for the
     G = ceil(len(s) / L) compact samples of each of the p kept projections,
-    zero elsewhere, shape (p, rows * B + Q - 1). The signal is projected straight into the middle
-    columns of a zeroed buffer, in ``s``'s dtype and cast once to ``dtype``.
-    The counter is charged p * len(s) for the signal pass and p * G * Q per
-    kernel and computed phase for the compact convolutions."""
+    zero elsewhere, shape (p, rows * B + Q - 1). The signal is cast to
+    ``dtype`` and projected straight into the middle columns of a zeroed
+    buffer, so a float32 signal against float64 kernels is projected in
+    float64. The counter is charged p * len(s) for the signal pass and p * G
+    * Q per kernel and computed phase for the compact convolutions."""
     if not 1 <= kernel_len <= s.shape[0]:
         raise DimensionMismatch(
             f"need 1 <= kernel length <= signal length, got {kernel_len} and {s.shape[0]}")
@@ -390,7 +407,7 @@ def _compact_setup(s, pair, cfg, kernel_len, block, count, dtype, counter):
     rows = -(-kept // block)
     groups = -(-s.shape[0] // size)
     padded = np.zeros((used, rows * block + compact_len - 1), dtype=dtype)
-    project_signal(s, pair, range(used),
+    project_signal(s.astype(dtype, copy=False), pair, range(used),
                    out=padded[:, compact_len - 1:compact_len - 1 + groups])
     if counter is not None:
         counter.add(used * s.shape[0]
@@ -637,6 +654,13 @@ class KernelBank:
     toward a peak. A bank whose pair size differs from its configuration's
     is refused (DomainError), and so is an operand of another shape
     (DimensionMismatch).
+
+    ``screen`` is derived from a finite float64 operand, and None for any
+    other: the :class:`_Screen` that :func:`conv_projected_peaks` screens
+    its products with, a float32 copy of the operand scaled by a power of
+    two, each kernel's largest column 2-norm, and the taps of every phase
+    and kernel, one row each, that its float64 refinement reads. It adds
+    0.28 MB for the float32 copy and 0.07 MB for the taps to the bank above.
     """
 
     pair: object
@@ -645,6 +669,7 @@ class KernelBank:
     count: int
     block: int
     toeplitz: np.ndarray
+    screen: object = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.config.check_pair(self.pair)
@@ -655,6 +680,50 @@ class KernelBank:
             raise DimensionMismatch(
                 f"bank needs a {shape} operand, got {self.toeplitz.shape}")
         self.toeplitz.setflags(write=False)
+        object.__setattr__(self, "screen", _screen_operand(self))
+
+
+@dataclass(frozen=True)
+class _Screen:
+    """A float64 bank operand T's screen: ``operand`` is T * 2**``shift``,
+    max |T| * 2**shift in [1/2, 1), rounded to float32; ``norms[e]`` the
+    largest 2-norm of kernel e's scaled columns, rounded up; row r*E + e of
+    ``taps`` kernel e's phase-r taps, column r*E + e of T in rows l*(B + Q
+    - 1) + q, q < Q."""
+
+    shift: int
+    operand: np.ndarray
+    norms: np.ndarray
+    taps: np.ndarray
+
+
+def _screen_operand(bank):
+    """The :class:`_Screen` of a :class:`KernelBank`'s operand, or None for
+    a float32 or non-finite one."""
+    toeplitz, count = bank.toeplitz, bank.count
+    if toeplitz.dtype != np.float64:
+        return None
+    top = float(max(toeplitz.max(), -toeplitz.min()))
+    if not math.isfinite(top):
+        return None
+    shift = -math.frexp(top)[1]
+    # scaled in float64, rounded once, and no float64 copy
+    operand = np.ldexp(toeplitz, shift, out=np.empty(toeplitz.shape, np.float32))
+    operand.setflags(write=False)
+    # block sample 0's columns as rows: a refined sample reads one row, not
+    # an element in every operand row (on a 4 MB operand such reads cost
+    # more than the float64 product)
+    used = bank.config.projections_used
+    taps = toeplitz.reshape(used, -1, toeplitz.shape[1])[
+        :, :_compact_kernel_len(bank.kernel_len, bank.pair.size), :toeplitz.shape[1] // bank.block]
+    taps = np.ascontiguousarray(taps.transpose(2, 0, 1)).reshape(taps.shape[2], -1)
+    taps.setflags(write=False)
+    # every column of phase r and kernel e holds those taps; a computed sum
+    # of n squares is within about (n + 1) * 2**-53 of itself
+    scaled = np.ldexp(taps, shift)
+    squares = np.einsum("ij,ij->i", scaled, scaled).reshape(-1, count).max(axis=0)
+    norms = np.sqrt(squares * (1 + (taps.shape[1] + 1) * 2.0 ** -52))
+    return _Screen(shift, operand, norms, taps)
 
 
 def _kernel_taps(kernels, pair, projections, phases, counter=None):
@@ -718,6 +787,92 @@ def project_kernel_bank(kernels, pair, cfg, counter=None):
     return KernelBank(pair, cfg, kernel_len, count, block, toeplitz)
 
 
+def _screens(signal_len, bank):
+    """Whether :func:`conv_projected_peaks` screens a signal of
+    ``signal_len`` samples against ``bank``: the bank has a screen and the
+    call's product makes at least CONV_SCREEN_MACS multiply-adds."""
+    if bank.screen is None:
+        return False
+    kept = -(-(signal_len + bank.kernel_len - 1) // bank.pair.size)
+    return -(-kept // bank.block) * bank.toeplitz.size >= CONV_SCREEN_MACS
+
+
+def _screen_signal(padded, screen):
+    """``(compact, norm)``: the compact signal times the power of two that
+    puts its largest magnitude in [1/2, 1), rounded to float32, and the
+    scaled signal's 2-norm, rounded up. None for a signal that is not
+    finite, or whose products could overflow float64 or underflow it by
+    more than 2**-126 in scaled units."""
+    padded = padded.astype(np.float64, copy=False)
+    top = float(np.abs(padded).max())
+    if not math.isfinite(top):
+        return None
+    exponent = math.frexp(top)[1]
+    # every product sample and partial sum is below K * 2**scale
+    scale = exponent - screen.shift
+    if scale + screen.operand.shape[0].bit_length() > 1023 or scale < -896:
+        return None
+    scaled = np.ldexp(padded, -exponent)
+    flat = scaled.reshape(-1)
+    norm = math.sqrt(float(flat @ flat) * (1 + (flat.shape[0] + 1) * 2.0 ** -52))
+    return scaled.astype(np.float32), norm
+
+
+def _rounding_gap(depth):
+    """c_K for K = ``depth`` terms: 2u + u**2 for rounding both operands to
+    float32, gamma_K(u) * (1 + u)**2 for the float32 sum and gamma_K(2**-53)
+    for a float64 sum in any order, with u = 2**-24 and gamma_n(v) = n*v /
+    (1 - n*v); raised by 2**-40 of itself for the roundings of a slack."""
+    def gamma(n, v):
+        return n * v / (1 - n * v) if n * v < 1 else math.inf
+
+    u = 2.0 ** -24
+    return ((2 * u + u * u + gamma(depth, u) * (1 + u) ** 2 + gamma(depth, 2.0 ** -53))
+            * (1 + 2.0 ** -40))
+
+
+def _screen_slack(depth, signal_norm, norms):
+    """Delta_e of every kernel in scaled units: c_K * ||x|| * ||T_e||, plus
+    2**-126 for each of 8 operations per term (two roundings, a product and
+    a sum in float32, a product and a sum in float64, their spread through
+    the float32 sum), which covers underflow and flush-to-zero."""
+    return _rounding_gap(depth) * signal_norm * norms + depth * 2.0 ** -123
+
+
+def _screen_thresholds(peaks, slack):
+    """M_e - 2 * Delta_e rounded down to float32, strictly below its
+    float64 value, so never above the exact one."""
+    exact = peaks - 2 * slack
+    low = exact.astype(np.float32)
+    return np.nextafter(low, -np.inf, out=low, where=low >= exact)
+
+
+def _column_maxima(y, stop, fill):
+    """|y| of a product chunk in place, its samples from flat index
+    ``stop`` on (past the output's end, all in the last row) set to
+    ``fill``, and the maximum of each column."""
+    # |y| in place: a second product-sized temporary made the allocator
+    # hand pages back and fault them in on every call
+    np.abs(y, out=y)
+    y.reshape(-1)[stop:] = fill
+    return y.max(axis=0)
+
+
+def _screened_chunk(y, stop, top, slack):
+    """The flat indices of the candidates in float32 product chunk ``y``:
+    samples before ``stop`` at least their kernel's threshold, after
+    ``top``, the kernels' float32 peaks so far, is raised in place. Index
+    (j*B + i)*P*E + r*E + e is kernel e's phase r at compact sample j*B + i
+    of the chunk."""
+    count = top.shape[0]
+    chunk = _column_maxima(y, stop, -np.inf).reshape(-1, count).max(axis=0)
+    np.maximum(top, chunk, out=top)
+    # one comparison over the chunk: gathering the columns that hold a
+    # candidate took 5 times as long on chunks of thousands of rows
+    hits = y.reshape(y.shape[0], -1, count) >= _screen_thresholds(top, slack)
+    return hits.ravel().nonzero()[0]
+
+
 def conv_projected_peaks(s, bank, counter=None):
     """``max(abs(conv_projected_blocked(s, k, bank.pair, bank.config)))`` for
     every kernel of a bank.
@@ -738,12 +893,37 @@ def conv_projected_peaks(s, bank, counter=None):
     between two computed ones, which never exceed the larger of their
     magnitudes.
 
+    A float64 bank's products are screened in float32 and refined in
+    float64 (filter and refine: Faloutsos et al., SIGMOD 1994). Each chunk's
+    product runs in float32, on the compact signal and the bank's
+    :class:`_Screen` operand, each scaled by a power of two. With K = p * (B
+    + Q - 1) terms per sample, a sample's float32 product and its float64
+    product, in any summation order, differ by at most Delta_e = c_K *
+    ||x|| * ||T_e|| plus 2**-126 per operation in the scaled units
+    (:func:`_rounding_gap`, :func:`_screen_slack`; Higham, *Accuracy and
+    Stability of Numerical Algorithms*, 2002, sections 2.1 and 3.1), with
+    ||x|| the compact signal's 2-norm and ||T_e|| kernel e's largest column
+    norm. So a sample whose float32 |y| is below M_e - 2 * Delta_e, M_e the
+    largest float32 |y| of kernel e inside the output so far, can be
+    neither kernel e's float64 peak nor its exact one. The other samples,
+    the candidates (about one per kernel on a match query), are recomputed
+    in float64 from the float64 compact signal and the kernel's taps, and
+    each kernel's peak is the largest of them: a float64 value of the same
+    sum as the float64 product's peak, differing from it in the last bits.
+    A chunk whose candidates would cost more to refine than its float64
+    product (CONV_REFINE_COST) runs that product instead. So does a whole
+    call whose product is small (:func:`_screens`), whose signal is not
+    finite or could overflow or underflow float64 in the products
+    (:func:`_screen_signal`), or whose bank is float32: those calls run,
+    round and warn as before.
+
     The counter is charged as :func:`conv_projected_blocked` charges one
     call per kernel, less the kernel projections, which the bank paid for
     once, and with the signal pass charged once for all kernels: p * len(s),
     plus p * G * Q per kernel and computed phase. The count is that
     convention, not a trace of the products, which also multiply the
-    windows' zero padding and the Toeplitz operand's zeros.
+    windows' zero padding and the Toeplitz operand's zeros; a screened call
+    is charged the same, its float32 products and refinements not on top.
     """
     s = _as_real(s, 1, "signal")
     block, count = bank.block, bank.count
@@ -756,20 +936,36 @@ def conv_projected_peaks(s, bank, counter=None):
     # one prefix, and every product row starts inside it
     valid = out_len if phases > 1 else kept
     width = block * phases          # stream rows per product row
+    span = block + compact_len - 1
     peaks = np.zeros(count)
-    for lo, hi, x in _compact_windows(padded, block, rows, 0, block + compact_len - 1):
-        y = x @ bank.toeplitz
-        # |y| in place: a second product-sized temporary made the allocator
-        # hand pages back and fault them in on every call
-        np.abs(y, out=y)
-        # the max over the whole product rows inside the output, B * P * E
-        # wide, then over each kernel's samples; a partial last row on its own
-        inside = valid - lo * width
-        full = min(hi - lo, inside // width)
-        if full:
-            np.maximum(peaks, y[:full].max(axis=0).reshape(width, count).max(axis=0),
-                       out=peaks)
-        if full < hi - lo:
-            tail = y[full, :(inside - full * width) * count]
-            np.maximum(peaks, tail.reshape(-1, count).max(axis=0), out=peaks)
+
+    def fold(y, lo):
+        # the largest |y| of each column, then of each kernel's B * P columns
+        largest = _column_maxima(y, (valid - lo * width) * count, 0)
+        np.maximum(peaks, largest.reshape(width, count).max(axis=0), out=peaks)
+
+    screened = _screens(s.shape[0], bank) and _screen_signal(padded, bank.screen)
+    if not screened:
+        for lo, hi, x in _compact_windows(padded, block, rows, 0, span):
+            fold(x @ bank.toeplitz, lo)
+        return peaks
+    compact, norm = screened
+    slack = _screen_slack(bank.toeplitz.shape[0], norm, bank.screen.norms)
+    samples = _window_view(padded, 1, rows * block, 0, compact_len)
+    taps = bank.screen.taps
+    top = np.zeros(count, np.float32)
+    for lo, hi, x in _compact_windows(compact, block, rows, 0, span):
+        y = x @ bank.screen.operand
+        hits = _screened_chunk(y, (valid - lo * width) * count, top, slack)
+        if hits.shape[0] * CONV_REFINE_COST >= y.size:
+            windows = _window_view(padded, block, rows, 0, span)[lo:hi]
+            fold(windows.reshape(hi - lo, -1) @ bank.toeplitz, lo)
+            continue
+        # a sample of block sample i of window j, phase r and kernel e is the
+        # Q compact samples of every projection from j*B + i on times the
+        # taps of the operand's column r*E + e
+        at, column = np.divmod(hits, phases * count)
+        exact = np.einsum("ij,ij->i", samples[at + lo * block].reshape(-1, taps.shape[1]),
+                          taps[column])
+        np.maximum.at(peaks, column % count, np.abs(exact))
     return peaks

@@ -227,6 +227,22 @@ def test_match_demo_synthetic(tmp_path, capsys):
     assert all(0.0 <= float(r[3]) <= 1.0 for r in rows)
 
 
+def test_match_demo_names_the_peaks_path_of_each_projected_row(tmp_path):
+    # 64 entries of 256 samples against queries of 2048: the L = 2 bank's
+    # product (10 million multiply-adds) is screened in float32, the L = 4
+    # bank's (2.7 million) runs in float64
+    out = tmp_path / "match.csv"
+    rc = main(["match-demo", "--synthetic", "--entries", "64", "--queries", "2",
+               "--L", "2,4", "--out", str(out)])
+    assert rc == 0
+    text = out.read_text()
+    assert [ln for ln in text.splitlines() if ln.startswith("# peaks ")] == [
+        "# peaks projected-L2-p1-half: length=256 path=float32-screen",
+        "# peaks projected-L4-p1-half: length=256 path=float64-product"]
+    assert [row[0] for row in _rows(text, DEMO_HEADER)] == [
+        "conventional", "projected-L2-p1-half", "projected-L4-p1-half"]
+
+
 def test_match_demo_rejects_short_queries():
     assert main(["match-demo", "--synthetic", "--entries", "2",
                  "--entry-len", "64", "--queries", "2",

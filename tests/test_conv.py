@@ -1,5 +1,8 @@
 import dataclasses
+import functools
+import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -9,7 +12,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 from numpy.testing import assert_allclose
 
 from pkscale import synth
-from pkscale.apps import ConvMode, xcorr_match
+from pkscale.apps import ConvMode, FeatureDb, xcorr_match
 from pkscale.cli import synth_feature_db, synth_queries
 from pkscale.config import PrecisionConfig, SampleMode
 from pkscale import conv
@@ -543,14 +546,9 @@ def test_spectral_products_equal_oracle_across_blocks_and_chunks(monkeypatch, fa
     products = conv_projected_blocked(s, k, pair, cfg)
     assert got.dtype == products.dtype == (
         np.float32 if s_dtype == k_dtype == np.float32 else np.float64)
-    if s_dtype == k_dtype:
-        _assert_matches_oracle(got, s, k, pair, cfg)
-    else:
-        # a float32 signal is projected in float32 in both domains, so only
-        # they agree to float64 rounding; the oracle projects in float64
-        want = _per_index_oracle(s, k, pair, cfg)
-        assert np.abs(got - want).max() <= 1e-5 * np.abs(s).max() * np.abs(k).sum()
-        assert np.abs(got - products).max() <= 1e-12 * np.abs(products).max()
+    # a float32 signal against a float64 kernel is projected in float64
+    _assert_matches_oracle(got, s, k, pair, cfg)
+    _assert_matches_oracle(products, s, k, pair, cfg)
 
 
 @pytest.mark.parametrize("family", ["dct", "haar", "custom"])
@@ -765,9 +763,10 @@ def _chunk_rows(used, span, rows):
 
 
 def _padded_by_copy(s, pair, used, compact_len, block, rows, dtype):
-    """The compact signal built from project_signal's returned stack, cast
-    and zero padded into a new (used, rows * B + Q - 1) buffer."""
-    sc = project_signal(s, pair, range(used)).astype(dtype, copy=False)
+    """The compact signal built from project_signal's returned stack of the
+    signal cast to ``dtype``, zero padded into a new (used, rows * B + Q - 1)
+    buffer."""
+    sc = project_signal(s.astype(dtype), pair, range(used))
     padded = np.zeros((used, rows * block + compact_len - 1), dtype=dtype)
     padded[:, compact_len - 1:compact_len - 1 + sc.shape[1]] = sc
     return padded
@@ -816,11 +815,37 @@ def _blocked_by_copies(s, k, pair, cfg):
     return y.reshape(-1)[:out_len]
 
 
-def _peaks_by_copies(s, bank):
+def _screened_signal_by_copy(padded, bank):
+    """The screen's compact signal as new arrays, ``(compact, slack,
+    wide)``: scaled by a power of two and rounded to float32, the slack of
+    every kernel, and the float64 compact signal; None where the signal is
+    not finite or its products could leave float64's range."""
+    wide = padded.astype(np.float64)
+    top = float(np.abs(wide).max())
+    if not math.isfinite(top):
+        return None
+    exponent = math.frexp(top)[1]
+    scale = exponent - bank.screen.shift
+    depth = bank.toeplitz.shape[0]
+    if scale + depth.bit_length() > 1023 or scale < -896:
+        return None
+    scaled = np.ldexp(wide, -exponent)
+    flat = scaled.reshape(-1)
+    norm = math.sqrt(float(flat @ flat) * (1 + (flat.size + 1) * 2.0 ** -52))
+    return scaled.astype(np.float32), conv._screen_slack(depth, norm, bank.screen.norms), wide
+
+
+def _peaks_by_copies(s, bank, screen=True):
     """conv_projected_peaks with every intermediate a new array, and each
     product's |y| reduced over rows of E samples, cut at the last stream
     sample inside the output: output sample out_len - 1 with every phase,
-    compact sample ceil(out_len / L) - 1 of phase 0 at half rate."""
+    compact sample ceil(out_len / L) - 1 of phase 0 at half rate. With
+    ``screen``, calls the size rule screens, with a signal in range, run
+    each chunk's product in float32 on the scaled compact signal and the
+    bank's float32 operand; the samples of every kernel within twice its
+    slack of its float32 peak so far are recomputed in float64 from a fresh
+    copy of their windows and of the operand's column, a chunk with too many
+    of them runs its float64 product, and so do the other calls."""
     pair, block, count = bank.pair, bank.block, bank.count
     used, size = bank.config.projections_used, pair.size
     compact_len = -(-(bank.kernel_len + size - 1) // size)
@@ -828,13 +853,36 @@ def _peaks_by_copies(s, bank):
     out_len = s.shape[0] + bank.kernel_len - 1
     kept = -(-out_len // size)
     rows = -(-kept // block)
+    phases = len(bank.config.phases())
     valid = out_len if bank.config.sample_mode is SampleMode.ALL_PHASES else kept
-    width = block * len(bank.config.phases())
+    width = block * phases
     padded = _padded_by_copy(s, pair, used, compact_len, block, rows, s.dtype)
+    screened = (screen and conv._screens(s.shape[0], bank)
+                and _screened_signal_by_copy(padded, bank))
     peaks = np.zeros(count)
+    top = np.zeros(count, np.float32)
     for lo, hi in _chunk_rows(used, span, rows):
+        inside = valid - lo * width
+        if screened:
+            compact, slack, wide = screened
+            x = _window_chunk(compact, 0, block, span, lo, hi)
+            streams = np.abs(x @ bank.screen.operand).reshape(-1, count)[:inside]
+            top = np.maximum(top, streams.max(axis=0))
+            row, kernel = np.nonzero(streams >= conv._screen_thresholds(top, slack))
+            if row.shape[0] * conv.CONV_REFINE_COST < (hi - lo) * bank.toeplitz.shape[1]:
+                # stream row (j*B + i)*P + r: the Q samples of every projection
+                # from compact sample j*B + i on, times the taps of operand
+                # column r*E + e, in its rows l*(B + Q - 1) + q
+                start = lo * block + row // phases
+                x = np.stack([wide[:, n:n + compact_len].reshape(-1) for n in start])
+                column = bank.toeplitz[:, (row % phases) * count + kernel]
+                t = column.T.reshape(-1, used, span)[:, :, :compact_len].reshape(len(row), -1)
+                exact = np.abs(np.einsum("ij,ij->i", x, np.ascontiguousarray(t)))
+                for e, value in zip(kernel, exact):
+                    peaks[e] = max(peaks[e], value)
+                continue
         x = _window_chunk(padded, 0, block, span, lo, hi)
-        stream = np.abs(x @ bank.toeplitz).reshape(-1, count)[:valid - lo * width]
+        stream = np.abs(x @ bank.toeplitz).reshape(-1, count)[:inside]
         peaks = np.maximum(peaks, stream.max(axis=0))
     return peaks
 
@@ -886,6 +934,8 @@ def test_blocked_segmented_kernel_equals_copying_pipeline_bitwise(time_domain, m
     ("haar", 2, 1, SampleMode.HALF_INTERPOLATE, 1, 5, 9, 1),
     # two chunks of windows, the second partial
     ("haar", 2, 1, SampleMode.ALL_PHASES, 3, 40, 20001, 2),
+    # two screened chunks of 481 and 35 windows
+    ("haar", 2, 1, SampleMode.HALF_INTERPOLATE, 64, 256, 8001, 8),
 ])
 def test_peaks_equal_copying_pipeline_bitwise(family, size, used, mode, count, klen,
                                               slen, block):
@@ -951,3 +1001,186 @@ def test_peaks_cut_the_last_product_row_at_the_output_end(size, mode, klen, slen
     x = _window_chunk(padded, 0, 2, compact_len + 1, 0, rows)
     uncut = np.abs(x @ bank.toeplitz).reshape(-1, 2).max(axis=0)
     assert np.any(uncut > got)
+
+
+def _match_db_bank(seed, size=2, entries=64):
+    """The match-db geometry: entries of 256 samples, reversed into a bank
+    under Haar L = ``size``, p = 1, half rate, and the entries."""
+    rng = np.random.default_rng(seed)
+    db = synth_feature_db(entries, 256, rng)
+    cfg = PrecisionConfig(size, 1, sample_mode=SampleMode.HALF_INTERPOLATE)
+    signals = np.stack([sig for _, sig in db.entries])
+    return project_kernel_bank(signals[:, ::-1], make_haar_pair(size), cfg), signals, rng
+
+
+@pytest.fixture
+def float64_products(monkeypatch):
+    """Runs a call under ``product`` with the float32 screen off."""
+    def product(call, *args):
+        with monkeypatch.context() as patch:
+            patch.setattr(conv, "CONV_SCREEN_MACS", float("inf"))
+            return call(*args)
+    return product
+
+
+@pytest.fixture
+def screened_hits(monkeypatch):
+    """The candidates of every screened chunk, one array of flat indices
+    each, in call order."""
+    hits = []
+    chunk = conv._screened_chunk
+
+    def spy(*args):
+        hits.append(chunk(*args))
+        return hits[-1]
+
+    monkeypatch.setattr(conv, "_screened_chunk", spy)
+    return hits
+
+
+def test_screen_thresholds_keep_every_possible_peak():
+    # c_K bounds both products' rounding: compared in exact arithmetic with
+    # its formula, 2u + u^2 + gamma_K(u)(1 + u)^2 + gamma_K(2^-53)
+    from fractions import Fraction
+
+    def gamma(n, v):
+        return n * v / (1 - n * v)
+
+    u = Fraction(1, 2 ** 24)
+    for depth in (1, 36, 136, 1032, 10 ** 6):
+        exact = 2 * u + u * u + gamma(depth, u) * (1 + u) ** 2 + gamma(depth, Fraction(1, 2 ** 53))
+        got = Fraction(conv._rounding_gap(depth))
+        assert exact <= got <= exact * (1 + Fraction(1, 2 ** 38))
+    # a float32 result within Delta of the float64 one keeps the float64
+    # peak: here its float32 value fell by Delta and another sample's rose
+    # by Delta, 1.5 Delta apart
+    delta = 2.0 ** -10
+    y = np.array([[0.75 - delta, 0.75 - delta / 2 + delta]], np.float32)
+    assert np.all(y >= conv._screen_thresholds(y.max(axis=1), np.array([delta])))
+    # every threshold at most M - 2 * Delta, and within a float32 step of it
+    rng = np.random.default_rng(11)
+    peaks = rng.random(500).astype(np.float32) * np.float32(2.0) ** rng.integers(-20, 20, 500)
+    slack = rng.random(500) * 1e-4 * peaks
+    floor = conv._screen_thresholds(peaks, slack)
+    assert floor.dtype == np.float32
+    for m, d, f in zip(peaks, slack, floor):
+        bound = Fraction(float(m)) - 2 * Fraction(float(d))
+        assert Fraction(float(f)) <= bound
+        step_up = np.nextafter(f, np.float32(np.inf))
+        assert Fraction(float(step_up)) > bound - Fraction(float(m)) * 2 ** -22
+
+
+def test_screened_peaks_keep_planted_near_ties(float64_products, screened_hits):
+    # entry 1 is entry 0 scaled by 1 + 2^-30, so its peak is larger and its
+    # score, peak over energy, smaller by that much; the query holds entry 0
+    # twice, the second copy 1 + 2^-30 louder. Both ties are far below the
+    # slack and far above float64 rounding
+    bank, signals, rng = _match_db_bank(5)
+    tie = 1 + 2.0 ** -30
+    signals[1] = signals[0] * tie
+    bank = project_kernel_bank(signals[:, ::-1], bank.pair, bank.config)
+    query = np.zeros(2048)
+    query[300:556] = signals[0]
+    query[1200:1456] = signals[0] * tie
+    assert conv._screens(query.shape[0], bank)
+    got = conv_projected_peaks(query, bank)
+    want = float64_products(conv_projected_peaks, query, bank)
+    # two float64 values of one sum: within gamma_K(2^-53) ||x|| ||T_j||
+    depth = bank.toeplitz.shape[0]
+    sc = project_signal(query, bank.pair, 0)
+    norms = np.sqrt((bank.toeplitz ** 2).sum(axis=0)).reshape(-1, bank.count).max(axis=0)
+    gamma = depth * 2.0 ** -53 / (1 - depth * 2.0 ** -53)
+    assert np.all(np.abs(got - want) <= gamma * np.sqrt(sc @ sc) * norms)
+    # so the louder copy and the scaled entry won: their gaps are 2^-30
+    assert got[0] > want[0] / (1 + 2.0 ** -31) and got[1] > got[0]
+    assert np.argmax(got) == np.argmax(want) == 1
+    kernels = np.concatenate(screened_hits) % bank.count
+    assert np.count_nonzero(kernels == 0) >= 2 and np.count_nonzero(kernels == 1) >= 2
+    db = FeatureDb.from_arrays((f"e{i:03d}", sig) for i, sig in enumerate(signals))
+    mode = ConvMode(pair=bank.pair, config=bank.config)
+    assert xcorr_match(query, db, mode)[0] == "e000"
+    assert float64_products(xcorr_match, query, db, mode)[0] == "e000"
+
+
+@pytest.mark.parametrize("entry_exp,query_exp", [(140, -100), (-140, 100),
+                                                (-100, 140), (100, -140)])
+def test_screened_peaks_of_scaled_entries_and_queries(float64_products, screened_hits,
+                                                      entry_exp, query_exp):
+    # both operands are scaled by powers of two to the screen's range, even
+    # past float32's, so the screened peaks scale exactly and equal the
+    # float64 products'
+    bank, signals, rng = _match_db_bank(23)
+    query = rng.standard_normal(2048)
+    plain = conv_projected_peaks(query, bank)
+    scaled_bank = project_kernel_bank(np.ldexp(signals[:, ::-1], entry_exp), bank.pair,
+                                      bank.config)
+    got = conv_projected_peaks(np.ldexp(query, query_exp), scaled_bank)
+    assert len(screened_hits) == 2 and all(h.shape[0] < 2 * bank.count for h in screened_hits)
+    assert np.array_equal(got, np.ldexp(plain, entry_exp + query_exp))
+    want = float64_products(conv_projected_peaks, np.ldexp(query, query_exp), scaled_bank)
+    assert_allclose(got, want, rtol=1e-14, atol=0)
+
+
+def test_all_equal_streams_take_the_candidate_fallback(float64_products, screened_hits):
+    # a constant signal makes every full-overlap sample of a kernel's stream
+    # equal, so nearly all are candidates and the chunk runs its float64
+    # product, bit for bit
+    bank, _, _ = _match_db_bank(41)
+    s = np.ones(2048)
+    got = conv_projected_peaks(s, bank)
+    (hits,) = screened_hits
+    assert hits.shape[0] * conv.CONV_REFINE_COST >= bank.toeplitz.shape[1] * 144
+    assert np.array_equal(got, float64_products(conv_projected_peaks, s, bank))
+    assert np.array_equal(got, _peaks_by_copies(s, bank, screen=False))
+
+
+@pytest.mark.parametrize("case", ["overflow", "nan"])
+def test_signals_out_of_the_screens_range_run_float64_products(float64_products,
+                                                               screened_hits, case):
+    # products beyond float64, or a NaN: the float64 product runs, with its
+    # values and its warnings, which xcorr_match turns into DomainError
+    bank, signals, rng = _match_db_bank(5)
+    bank = project_kernel_bank(signals[:, ::-1] * 1e10, bank.pair, bank.config)
+    query = rng.standard_normal(2048) * 1e300
+    if case == "nan":
+        query[100] = np.nan
+    runs = []
+    for call in (conv_projected_peaks, functools.partial(float64_products,
+                                                         conv_projected_peaks)):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            runs.append((call(query, bank), [str(w.message) for w in caught]))
+    assert screened_hits == []
+    assert np.array_equal(runs[0][0], runs[1][0], equal_nan=True)
+    assert runs[0][1] == runs[1][1]
+    assert not np.all(np.isfinite(runs[0][0]))
+
+
+@pytest.mark.parametrize("size", [4, 8])
+def test_banks_below_the_size_rule_and_float32_banks_run_float64_products(screened_hits,
+                                                                           size):
+    # match-demo's L = 4 and 8 banks: 2.65 and 0.66 million multiply-adds
+    bank, _, rng = _match_db_bank(size, size)
+    query = rng.standard_normal(2048)
+    assert not conv._screens(query.shape[0], bank)
+    single = dataclasses.replace(bank, toeplitz=bank.toeplitz.astype(np.float32))
+    assert single.screen is None and not conv._screens(query.shape[0], single)
+    for b in (bank, single):
+        assert np.array_equal(conv_projected_peaks(query, b),
+                              _peaks_by_copies(query, b, screen=False))
+    assert screened_hits == []
+
+
+@pytest.mark.parametrize("seed", [5, 23, 41])
+def test_screened_match_decisions_equal_float64_products(float64_products, seed):
+    # the match-db geometry, 256 queries of 2048 samples in 10 dB noise
+    rng = np.random.default_rng(seed)
+    db = synth_feature_db(64, 256, rng)
+    queries = synth_queries(db, 256, 2048, rng, 10.0)
+    mode = ConvMode(pair=make_haar_pair(2), config=PrecisionConfig(
+        2, 1, sample_mode=SampleMode.HALF_INTERPOLATE))
+    for _, query in queries:
+        got = xcorr_match(query, db, mode)
+        want = float64_products(xcorr_match, query, db, mode)
+        assert got[0] == want[0]
+        assert got[1] == pytest.approx(want[1], rel=1e-14)
