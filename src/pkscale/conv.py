@@ -798,9 +798,13 @@ def _screens(signal_len, bank):
 
 
 def _screen_signal(padded, screen):
-    """``(compact, norm)``: the compact signal times the power of two that
-    puts its largest magnitude in [1/2, 1), rounded to float32, and the
-    scaled signal's 2-norm, rounded up. None for a signal that is not
+    """``(compact, slack)``: the compact signal times the power of two that
+    puts its largest magnitude in [1/2, 1), rounded to float32, and Delta_e
+    of every kernel in those units, c_K * ||x|| * ||T_e|| with ||x|| the
+    scaled signal's 2-norm rounded up, plus 2**-126 for each of 8
+    operations per term (two roundings, a product and a sum in float32, a
+    product and a sum in float64, their spread through the float32 sum),
+    which covers underflow and flush-to-zero. None for a signal that is not
     finite, or whose products could overflow float64 or underflow it by
     more than 2**-126 in scaled units."""
     padded = padded.astype(np.float64, copy=False)
@@ -810,12 +814,14 @@ def _screen_signal(padded, screen):
     exponent = math.frexp(top)[1]
     # every product sample and partial sum is below K * 2**scale
     scale = exponent - screen.shift
-    if scale + screen.operand.shape[0].bit_length() > 1023 or scale < -896:
+    depth = screen.operand.shape[0]
+    if scale + depth.bit_length() > 1023 or scale < -896:
         return None
     scaled = np.ldexp(padded, -exponent)
     flat = scaled.reshape(-1)
     norm = math.sqrt(float(flat @ flat) * (1 + (flat.shape[0] + 1) * 2.0 ** -52))
-    return scaled.astype(np.float32), norm
+    slack = _rounding_gap(depth) * norm * screen.norms + depth * 2.0 ** -123
+    return scaled.astype(np.float32), slack
 
 
 def _rounding_gap(depth):
@@ -829,14 +835,6 @@ def _rounding_gap(depth):
     u = 2.0 ** -24
     return ((2 * u + u * u + gamma(depth, u) * (1 + u) ** 2 + gamma(depth, 2.0 ** -53))
             * (1 + 2.0 ** -40))
-
-
-def _screen_slack(depth, signal_norm, norms):
-    """Delta_e of every kernel in scaled units: c_K * ||x|| * ||T_e||, plus
-    2**-126 for each of 8 operations per term (two roundings, a product and
-    a sum in float32, a product and a sum in float64, their spread through
-    the float32 sum), which covers underflow and flush-to-zero."""
-    return _rounding_gap(depth) * signal_norm * norms + depth * 2.0 ** -123
 
 
 def _screen_thresholds(peaks, slack):
@@ -900,7 +898,7 @@ def conv_projected_peaks(s, bank, counter=None):
     + Q - 1) terms per sample, a sample's float32 product and its float64
     product, in any summation order, differ by at most Delta_e = c_K *
     ||x|| * ||T_e|| plus 2**-126 per operation in the scaled units
-    (:func:`_rounding_gap`, :func:`_screen_slack`; Higham, *Accuracy and
+    (:func:`_rounding_gap`, :func:`_screen_signal`; Higham, *Accuracy and
     Stability of Numerical Algorithms*, 2002, sections 2.1 and 3.1), with
     ||x|| the compact signal's 2-norm and ||T_e|| kernel e's largest column
     norm. So a sample whose float32 |y| is below M_e - 2 * Delta_e, M_e the
@@ -949,8 +947,7 @@ def conv_projected_peaks(s, bank, counter=None):
         for lo, hi, x in _compact_windows(padded, block, rows, 0, span):
             fold(x @ bank.toeplitz, lo)
         return peaks
-    compact, norm = screened
-    slack = _screen_slack(bank.toeplitz.shape[0], norm, bank.screen.norms)
+    compact, slack = screened
     samples = _window_view(padded, 1, rows * block, 0, compact_len)
     taps = bank.screen.taps
     top = np.zeros(count, np.float32)

@@ -832,7 +832,8 @@ def _screened_signal_by_copy(padded, bank):
     scaled = np.ldexp(wide, -exponent)
     flat = scaled.reshape(-1)
     norm = math.sqrt(float(flat @ flat) * (1 + (flat.size + 1) * 2.0 ** -52))
-    return scaled.astype(np.float32), conv._screen_slack(depth, norm, bank.screen.norms), wide
+    slack = conv._rounding_gap(depth) * norm * bank.screen.norms + depth * 2.0 ** -123
+    return scaled.astype(np.float32), slack, wide
 
 
 def _peaks_by_copies(s, bank, screen=True):
