@@ -20,9 +20,9 @@ import numpy as np
 
 from .conv import (
     ConvVariant,
+    _match_peaks,
     conv_direct,
     conv_projected_blocked,
-    conv_projected_peaks,
     project_kernel_bank,
 )
 from .errors import (
@@ -370,10 +370,13 @@ def xcorr_match(query, db, mode=ConvMode(), counter=None):
 
     The entries of one length are scored together. The conventional mode
     correlates the query with each of them in turn and is the reference for
-    the decisions. The projected mode takes all their peaks at once with
-    :func:`conv_projected_peaks`, using the database's bank of entry
-    projections; its scores are those of :meth:`ConvMode.correlate` up to
-    rounding.
+    the decisions. The projected mode takes their peaks against the
+    database's bank of entry projections, as
+    :func:`~pkscale.conv.conv_projected_peaks` would, but computes float64
+    peaks only for the entries a coarse bound cannot rule out
+    (``conv._match_peaks``): the others score below the winner, so the
+    decision and its score are those of the float64 peaks of every entry,
+    up to rounding.
     """
     query = _checked_signal(query, "query")
     for entry_id in db._dead:
@@ -389,9 +392,9 @@ def xcorr_match(query, db, mode=ConvMode(), counter=None):
         # the way would reach a caller who made warnings errors first
         with np.errstate(over="ignore", invalid="ignore"):
             if mode.is_projected:
-                peaks = conv_projected_peaks(
+                peaks = _match_peaks(
                     padded, db._bank(group, mode.pair, mode.config, counter=counter),
-                    counter=counter)
+                    group.energies, counter=counter)[0]
             else:
                 peaks = np.array([np.abs(mode.correlate(padded, signal, counter=counter)).max()
                                   for signal in group.signals])

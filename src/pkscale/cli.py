@@ -38,7 +38,8 @@ from .apps import (
     xcorr_match,
 )
 from .config import PrecisionConfig, SampleMode
-from .conv import _blocked_plan, _screens, conv_direct, conv_fft, conv_projected_blocked
+from .conv import (_blocked_plan, _match_peaks, _prunes, _screens, conv_direct, conv_fft,
+                   conv_projected_blocked)
 from .errors import (
     ConfigError,
     DimensionMismatch,
@@ -471,15 +472,18 @@ def cmd_match_demo(args):
                 for _, query in queries]
 
     def peaks_path(mode):
-        # the path conv_projected_peaks takes for each length's bank, which
-        # the timed run built
-        paths = " ".join(
-            f"length={group.length} path="
-            + ("float32-screen" if _screens(args.query_len,
-                                            db._bank(group, mode.pair, mode.config))
-               else "float64-product")
-            for group in db._groups)
-        return f"# peaks {mode.label()}: {paths}"
+        # the path the peaks of each length's bank take (the timed run built
+        # the banks) and, from an untimed rerun, the entries refined per query
+        paths = []
+        for group in db._groups:
+            bank = db._bank(group, mode.pair, mode.config)
+            path = ("float64-product" if not _screens(args.query_len, bank)
+                    else "entry-prune" if _prunes(bank, 1) else "float32-screen")
+            refined = [_match_peaks(np.asarray(q, np.float64), bank, group.energies)[1]
+                       for _, q in queries]
+            paths.append(f"length={group.length} path={path} "
+                         f"refined-mean={np.mean(refined):.2f} refined-max={max(refined)}")
+        return f"# peaks {mode.label()}: " + " ".join(paths)
 
     modes = _modes(args, ConvMode, sample_mode=SampleMode(args.sample))
     return _run_demo("match-demo", lines, modes, decide,

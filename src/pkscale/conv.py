@@ -1,56 +1,32 @@
 """Convolution and cross-correlation kernels, exact and projection-based.
 
-Baselines: a direct kernel for the four variants (linear/circular conv and
-cross-correlation), an FFT kernel with power-of-two zero padding, and
-overlap-save segmentation that processes fixed-size blocks independently in
-either domain.
+Baselines: direct evaluation of the four variants (linear and circular
+convolution and cross-correlation), an FFT kernel zero-padded to a power of
+two, and overlap-save segmentation in either domain.
 
-Projection paths come in two flavors:
-
-* :func:`conv_translate_project` is the exact reference construction. Each
-  output sample is the inner product of a translated copy of one operand with
-  the other; projecting both sides of that inner product group-wise and
-  truncating the projection sum gives the graceful approximation, and keeping
-  every index reproduces the direct result exactly. Circular variants
-  translate cyclically; linear variants zero-extend instead.
-
+* :func:`conv_translate_project` is the exact reference: each output sample
+  is the inner product of a translated copy of one operand with the other,
+  projected group-wise on both sides and truncated to the kept projections.
 * :func:`conv_projected_blocked` is the fast path, the polyphase
-  decomposition of the convolution with the pair inserted into every
-  polyphase inner product. The signal is projected once, in groups of L
-  from sample 0; for each computed output phase r the kernel's reversed
-  groups are projected; convolving the compact sequences at 1/L the rate
-  gives output samples r, r + L, r + 2L, ... directly. Keeping the first p
-  projections is the graceful approximation, keeping all L reproduces
-  :func:`conv_direct` to rounding, and any kernel length works. The compact
-  convolutions run in one of two domains, chosen on every call by comparing
-  operation counts: as matrix products of the compact signal's windows with
-  a block-Toeplitz matrix of the projected kernel taps, whose output rows,
-  flattened, are the phases already interleaved, or as overlap-save FFTs of
-  the same windows (Oppenheim & Schafer, *Discrete-Time Signal
-  Processing*, section 8.7) written into the same layout. Short kernels
-  take the products, long kernels on long signals the FFTs.
+  convolution with the pair inserted into every polyphase inner product.
+  Its compact convolutions run, chosen per call by operation counts, as
+  products of the compact signal's windows with a block-Toeplitz matrix of
+  the projected taps, or as overlap-save FFTs of the same windows
+  (Oppenheim & Schafer, *Discrete-Time Signal Processing*, section 8.7).
+* :func:`conv_projected_peaks` runs those products for one signal against a
+  :class:`KernelBank` and returns each kernel's peak magnitude. The windows'
+  overlap sits in the cached operand, not in per-call copies (Cho & Brand,
+  "MEC", ICML 2017). Large float64 products are screened in float32, and
+  the few samples a rounding bound leaves are recomputed in float64.
+  ``xcorr_match`` prunes further (:func:`_match_peaks`): a coarse product,
+  the compact streams projected once more by the Haar pair of size 2,
+  bounds every entry's peak, and only the entries that can still hold the
+  best score get float64 peaks (filter and refine: Faloutsos et al., SIGMOD
+  1994).
 
-* :func:`conv_projected_peaks` runs the same path for one signal against a
-  bank of E equal-length kernels whose projections for every computed phase
-  :func:`project_kernel_bank` computed once. It returns only each output's
-  peak magnitude, and nothing is placed or interpolated into a full-length
-  output. The bank is :func:`conv_projected_blocked`'s block-Toeplitz
-  operand with E kernels per output phase, built once, so one product per
-  chunk of windows gives every phase of every kernel's stream. The overlap
-  of the windows sits in that cached matrix instead of in a copy of the
-  signal's windows made for every call (the memory-efficient convolution of
-  Cho & Brand, "MEC", ICML 2017). A float64 bank's products run in float32
-  when they are large enough, and a rounding bound leaves the few samples
-  that may hold a kernel's peak, which are recomputed in float64, so the
-  peaks are float64 values and the decisions taken on them are those of
-  the float64 products.
-
-Both fast paths share one set-up, :func:`_compact_setup`, which projects the
-signal straight into the columns of its zero-padded compact buffer and
-charges the counter; :func:`_window_view` is the windows of that buffer,
-which :func:`_compact_windows` copies chunk by chunk into one buffer per
-call for the products, and :func:`_kernel_taps` projects the taps of every
-phase in one batched product.
+The fast paths share :func:`_compact_setup`, which projects the signal into
+a zero-padded compact buffer and charges the counter, and
+:func:`_compact_windows`, which copies that buffer's windows chunk by chunk.
 """
 
 from __future__ import annotations
@@ -65,7 +41,7 @@ from .config import SampleMode
 from .errors import DimensionMismatch, DomainError, IndexOutOfRange
 # project_signal_dual is unused here; perfbench/tracing.py wraps it under
 # this module's name, so the name must resolve.
-from .projection import _as_real, project_signal, project_signal_dual  # noqa: F401
+from .projection import _as_real, make_haar_pair, project_signal, project_signal_dual  # noqa: F401
 
 # Block-Toeplitz products of conv_projected_blocked: output samples per row
 # of the product, most compact kernel taps per Toeplitz segment, and most
@@ -76,15 +52,10 @@ CONV_SEGMENT_TAPS = 512
 CONV_CHUNK_ELEMENTS = 1 << 16
 # conv_projected_blocked runs its compact convolutions as FFTs when
 # CONV_FFT_COST times their operation count plus CONV_FFT_OVERHEAD is below
-# the block-Toeplitz products' multiply-adds (_blocked_domain): BLAS makes
-# about CONV_FFT_COST multiply-adds in the time of one FFT or spectral
-# operation, and the FFTs' extra fixed work (transform set-up, calls per
-# chunk) takes as long as CONV_FFT_OVERHEAD of them. Fitted to both
-# producers' times at 105 geometries (signals of 16 to 200000 samples,
-# kernels of 16 to 2000 taps, L 2 to 8; one OpenBLAS thread, 2-core x86-64
-# VM), where the rule picked the faster one at 105 and at 102 in two runs;
-# the fixed work also keeps every geometry of up to 300 samples on the
-# products.
+# the products' multiply-adds (_blocked_domain). Fitted to both producers'
+# times at 105 geometries (signals of 16 to 200000 samples, kernels of 16 to
+# 2000 taps, L 2 to 8; one OpenBLAS thread, 2-core x86-64 VM): the rule
+# picked the faster one at 105 and at 102 in two runs.
 CONV_FFT_COST = 9
 CONV_FFT_OVERHEAD = 100_000
 # Block-Toeplitz bank of conv_projected_peaks: about this many columns per
@@ -92,15 +63,16 @@ CONV_FFT_OVERHEAD = 100_000
 CONV_BANK_COLUMNS = 512
 # conv_projected_peaks screens a float64 bank's products in float32 when a
 # call's product makes at least CONV_SCREEN_MACS multiply-adds; below, the
-# screen's fixed work (about 80 us) costs more than float32 saves. Fitted
-# to both paths' times at 16 geometries (0.7 to 200 million multiply-adds,
-# L 2 to 8, 4 to 256 kernels; one OpenBLAS thread, 2-core x86-64 VM), where
-# the rule picked the faster path at 15.
+# screen's fixed work (about 80 us) costs more than float32 saves (fitted at
+# 16 geometries, 0.7 to 200 million multiply-adds; right at 15).
 CONV_SCREEN_MACS = 4_000_000
 # A screened chunk runs its float64 product instead when CONV_REFINE_COST
-# times its candidates reaches its product's entries: refining a candidate
-# took as long as the float64 product spends on 24 to 170 entries.
+# times its candidates reaches its product's entries.
 CONV_REFINE_COST = 64
+# _match_peaks prunes when CONV_PRUNE_COST times the survivors' float64
+# multiply-adds stays below what the coarse product saves: at the match-db
+# geometry one refined entry took about 10 us, the saving about 140 us.
+CONV_PRUNE_COST = 2
 
 
 class ConvVariant(enum.Enum):
@@ -204,12 +176,10 @@ def conv_fft(s, k):
 
 
 def conv_overlap_save(s, k, plan, counter=None):
-    """Linear convolution by overlap-save segmentation.
-
-    Blocks of ``plan.block_len`` samples, overlapping by ``len(k) - 1``, are
-    each convolved independently (direct or FFT per ``plan.domain``); the
-    aliasing-free tail of every block is kept. The assembled output equals
-    :func:`conv_direct` for any legal segmentation.
+    """Linear convolution by overlap-save segmentation: blocks of
+    ``plan.block_len`` samples, overlapping by ``len(k) - 1``, convolved
+    independently (direct or FFT per ``plan.domain``), keeping each block's
+    aliasing-free tail. Equals :func:`conv_direct` for any legal plan.
     """
     s = _as_real(s, 1, "signal")
     k = _as_real(k, 1, "kernel")
@@ -265,18 +235,13 @@ def conv_translate_project(a, b, pair, cfg, variant=ConvVariant.CIRC_XCORR):
     """Exact-reference projected convolution via explicit translations.
 
     Every output sample is an inner product of a translated copy of ``a``
-    against ``b`` (cyclic translation for circular variants, zero extension
-    for linear ones). Both sides of each inner product are projected
-    group-wise — analysis side on the translated operand, synthesis side on
-    ``b`` — and the first ``cfg.projections_used`` index products accumulated.
-    With all indices kept the output equals :func:`conv_direct` of the same
-    variant to machine precision.
-
-    Circular variants require ``len(a) == len(b) == pair.size``. Index maps
-    (derived from the translation algebra so full projections match the
-    direct definitions): the translation-``n`` inner product lands at output
-    ``(N - n) mod N`` for circular cross-correlation and, with ``b`` reversed,
-    at ``(n - 1) mod N`` for circular convolution.
+    (cyclic for circular variants, zero-extended for linear ones) with
+    ``b``, projected group-wise on both sides (analysis on ``a``, synthesis
+    on ``b``) and summed over the first ``cfg.projections_used`` indices.
+    With all indices kept it equals :func:`conv_direct` to rounding.
+    Circular variants need ``len(a) == len(b) == pair.size``; translation n
+    lands at output ``(N - n) mod N`` for circular cross-correlation and,
+    with ``b`` reversed, at ``(n - 1) mod N`` for circular convolution.
     """
     cfg.check_pair(pair)
     a = _as_real(a, 1, "signal")
@@ -383,19 +348,13 @@ def _toeplitz_segment(taps, block):
 
 def _compact_setup(s, pair, cfg, kernel_len, block, count, dtype, counter):
     """The set-up both fast paths share, for ``s`` against ``count`` kernels
-    of ``kernel_len`` samples in product rows of B = ``block`` compact
-    samples: returns ``(Q, out_len, kept, rows, padded)``, with ``kept`` the
-    compact samples of phase 0 inside the output and ``rows`` the product
-    rows that hold them.
-
-    ``padded`` is the zero-padded compact signal whose windows
-    :func:`_window_view` gives, ``padded[l, Q - 1 + i] = sc_l[i]`` for the
-    G = ceil(len(s) / L) compact samples of each of the p kept projections,
-    zero elsewhere, shape (p, rows * B + Q - 1). The signal is cast to
-    ``dtype`` and projected straight into the middle columns of a zeroed
-    buffer, so a float32 signal against float64 kernels is projected in
-    float64. The counter is charged p * len(s) for the signal pass and p * G
-    * Q per kernel and computed phase for the compact convolutions."""
+    in product rows of B = ``block`` compact samples: ``(Q, out_len, kept,
+    rows, padded)``, ``kept`` the compact samples of phase 0 inside the
+    output and ``rows`` the product rows that hold them. ``padded`` (p, rows
+    * B + Q - 1) holds ``padded[l, Q - 1 + i] = sc_l[i]`` for the G =
+    ceil(len(s) / L) compact samples of each kept projection, zero elsewhere;
+    the signal is cast to ``dtype`` and projected straight into it. The
+    counter is charged p * len(s) plus p * G * Q per kernel and phase."""
     if not 1 <= kernel_len <= s.shape[0]:
         raise DimensionMismatch(
             f"need 1 <= kernel length <= signal length, got {kernel_len} and {s.shape[0]}")
@@ -417,11 +376,8 @@ def _compact_setup(s, pair, cfg, kernel_len, block, count, dtype, counter):
 
 def _window_view(padded, block, rows, start, span):
     """The read-only (rows, p, span) windows of a :func:`_compact_setup`
-    ``padded`` (p, columns): window j holds ``padded[l, start + j*B + a]``,
-    a < span, of every l. The last window ends at column start + rows*B - B +
-    span - 1, inside padded for every span <= B + Q - 1 - start. An ndarray
-    over padded's buffer is the same view as as_strided's, made without its
-    Python work."""
+    ``padded``: window j holds ``padded[l, start + j*B + a]``, a < span, of
+    every l (as_strided's view, without its Python work)."""
     used, columns = padded.shape
     step = padded.itemsize
     view = np.ndarray((rows, used, span), padded.dtype, padded, start * step,
@@ -432,11 +388,9 @@ def _window_view(padded, block, rows, start, span):
 
 def _compact_windows(padded, block, rows, start, span):
     """Yield ``(lo, hi, x)``: x is the (hi - lo, p * span) copy of windows lo
-    .. hi - 1 of :func:`_window_view`, every projection side by side; times a
-    :func:`_toeplitz_segment` operand, window j gives compact samples j*B ..
-    j*B + B - 1. The windows overlap, so BLAS needs them copied, in chunks of
-    about CONV_CHUNK_ELEMENTS. Every chunk is copied into the same buffer, so
-    the caller must be done with x before it asks for the next chunk."""
+    .. hi - 1 of :func:`_window_view`, projections side by side, made in
+    chunks of about CONV_CHUNK_ELEMENTS into one buffer, so the caller must
+    be done with x before it asks for the next chunk."""
     windows = _window_view(padded, block, rows, start, span)
     used = padded.shape[0]
     chunk = max(1, CONV_CHUNK_ELEMENTS // (used * span))
@@ -452,17 +406,13 @@ def _blocked_domain(signal_len, kernel_len, size, used, phases):
     """The producer :func:`conv_projected_blocked` runs, with its block:
     ``(ConvDomain.TIME, B)`` or ``(ConvDomain.FREQ, H)``.
 
-    With Q compact taps, ``kept`` compact samples per phase and S =
-    CONV_SEGMENT_TAPS, the block-Toeplitz products make ``rows * p * B * P *
-    (Q + ceil(Q / S) * (B - 1))`` multiply-adds (rows = ceil(kept / B), B =
-    ceil(CONV_ROW_OUTPUTS / P)), zeros of the Toeplitz matrices included.
-    Overlap-save FFTs of length n, a power of two of at least 2Q, advance H =
-    n - Q + 1 compact samples per block. Counting ``f = 1.25 * n * log2(n)``
-    operations per real transform and 4 per complex product, they make
-    ``nb * ((p + P) * f + 4 * p * P * (n/2 + 1)) + p * P * f``: per block, p
-    forward and P inverse transforms and the spectral products, nb =
-    ceil(kept / H), and once the kernel spectra. The n with the fewest
-    operations is the candidate; see CONV_FFT_COST for the comparison."""
+    The products make ``rows * p * B * P * (Q + ceil(Q / S) * (B - 1))``
+    multiply-adds (S = CONV_SEGMENT_TAPS, B = ceil(CONV_ROW_OUTPUTS / P),
+    rows = ceil(kept / B)). FFTs of length n, a power of two of at least 2Q,
+    advance H = n - Q + 1 compact samples per block; with ``f = 1.25 * n *
+    log2(n)`` operations per real transform and 4 per complex product they
+    make ``nb * ((p + P) * f + 4 * p * P * (n/2 + 1)) + p * P * f``, nb =
+    ceil(kept / H). The n with the fewest operations is the candidate."""
     compact_len = _compact_kernel_len(kernel_len, size)
     kept = -(-(signal_len + kernel_len - 1) // size)
     block = -(-CONV_ROW_OUTPUTS // phases)
@@ -488,9 +438,7 @@ def _blocked_domain(signal_len, kernel_len, size, used, phases):
 
 
 def _blocked_plan(s, k, pair, cfg):
-    """:func:`_blocked_domain` for :func:`conv_projected_blocked`'s
-    operands: the domain and block it runs signal ``s`` against kernel
-    ``k`` with."""
+    """:func:`_blocked_domain` of :func:`conv_projected_blocked`'s operands."""
     return _blocked_domain(s.shape[0], k.shape[0], pair.size, cfg.projections_used,
                            len(cfg.phases()))
 
@@ -517,16 +465,12 @@ def _spectral_products(padded, taps, block, rows, y):
     H = ``block``, into the (rows, H * P) output ``y`` of
     :func:`conv_projected_blocked`, in its layout for B = H.
 
-    Window j of the compact signal, n samples of every projection from j*H on
-    (:func:`_window_view`), is transformed once. Its spectra times those of
-    the P * p kernels ``kd_{r,l}``, summed over l, are transformed back;
-    samples Q - 1 .. n - 1 of phase r's circular convolution are its linear
-    one, compact samples j*H .. j*H + H - 1 of phase r's stream. The FFTs
-    read the windows in place. A chunk of windows holds, per window, p
-    forward spectra, P mixed spectra and P rows of n + 2 reals that take one
-    term of the mix and then the inverse transforms: about (p + 2P) * n
-    values, CONV_CHUNK_ELEMENTS in all, in buffers every chunk reuses, so a
-    chunk's work stays in cache."""
+    Window j of the compact signal, n samples of every projection from j*H
+    on, is transformed once in place; its spectra times those of the P * p
+    kernels ``kd_{r,l}``, summed over l, are transformed back, and samples Q
+    - 1 .. n - 1 of each phase are its compact samples j*H .. j*H + H - 1.
+    Buffers of about CONV_CHUNK_ELEMENTS, reused by every chunk, keep a
+    chunk's work in cache."""
     # imported here: only this producer needs FFTs, and numpy loads
     # numpy.fft on first use
     from numpy import fft
@@ -573,42 +517,28 @@ def conv_projected_blocked(s, k, pair, cfg, counter=None):
     computed sample take its value).
 
     The output is held as a matrix Y of B compact samples per row,
-    ``Y[j, i*P + r] = y[(j*B + i)*L + r]``, so its rows, flattened, are the
-    interleaved output. Row j comes from the window of the zero-padded
-    compact signal starting at j*B, all p projections side by side
-    (:func:`_window_view`), in one of two domains, chosen on every call by
-    comparing their operation counts (:func:`_blocked_domain`):
+    ``Y[j, i*P + r] = y[(j*B + i)*L + r]``, whose rows, flattened, are the
+    interleaved output. Row j comes from the window of the compact signal
+    starting at j*B, all p projections side by side, in one of two domains
+    chosen per call by their operation counts (:func:`_blocked_domain`):
 
-    * time: the window times the block-Toeplitz matrix of the projected
-      kernel taps (:func:`_toeplitz_segment`), B = ceil(CONV_ROW_OUTPUTS /
-      P). A product row of CONV_ROW_OUTPUTS output samples is wide enough
-      for an efficient BLAS product, while each window is only B - 1 samples
-      longer than the taps it meets. The taps are cut into segments of at
-      most S = CONV_SEGMENT_TAPS, each a product of its own added into Y; a
-      segment's Toeplitz matrix has p * (B + S - 1) rows, so its size does
-      not grow with the kernel. The windows are copied in chunks of rows,
-      each into the same buffer (:func:`_compact_windows`).
+    * time: the window times the block-Toeplitz matrix of the projected taps
+      (:func:`_toeplitz_segment`), B = ceil(CONV_ROW_OUTPUTS / P), with the
+      taps cut into segments of at most CONV_SEGMENT_TAPS, each a product
+      added into Y;
     * frequency: B = H, the hop of overlap-save FFTs of length n = H + Q - 1
-      against the spectra of the projected kernel taps
-      (:func:`_spectral_products`). Per output sample the products grow with
-      Q and the FFTs with log n, so long kernels run here, unless the signal
-      is too short to pay for the transforms' fixed work.
+      (:func:`_spectral_products`), for long kernels on long signals.
 
-    The two domains differ in what their rounding is relative to. A product
-    sample's error is relative to its own terms; an FFT block's error is
-    relative to the largest values of the n compact samples it transforms,
-    so where a quiet stretch of the signal follows a loud one within about
-    n * L samples, its outputs keep only the loud part's absolute accuracy
-    (a signal 1e6 times louder before a step, 600 taps, DCT L = 4, p = 4:
-    2.4e-10 of the quiet part's peak, against 1e-15 in the time domain).
-    Relative to the output's peak both are exact to rounding at p = L.
-    Output length is ``len(s) + len(k) - 1``. The counter charges, in
-    both domains, p * len(s) for the signal pass, and per computed phase p
-    * N for the kernel pass plus p * G * Q for the compact convolutions (G
-    = ceil(len(s) / L) compact signal samples); partial-sum additions and
-    interpolation are not charged. The count is that per-slice convention,
-    not a trace of the work: the products also multiply the Toeplitz
-    matrix's zeros, and the FFTs do other work.
+    A product sample's rounding is relative to its own terms; an FFT
+    block's is relative to the largest of the n compact samples it
+    transforms, so a quiet stretch within about n * L samples after a loud
+    one keeps only the loud part's absolute accuracy (a 1e6 step, 600 taps,
+    DCT L = 4, p = 4: 2.4e-10 of the quiet part's peak, against 1e-15).
+    Both are exact to rounding at p = L. Output length is ``len(s) + len(k)
+    - 1``. The counter charges p * len(s) for the signal pass, and per
+    computed phase p * N for the kernel pass plus p * G * Q for the compact
+    convolutions (G = ceil(len(s) / L)): the per-slice convention, not a
+    trace of the work.
     """
     cfg.check_pair(pair)
     s = _as_real(s, 1, "signal")
@@ -636,31 +566,26 @@ def conv_projected_blocked(s, k, pair, cfg, counter=None):
 
 @dataclass(frozen=True)
 class KernelBank:
-    """Projections of E = ``count`` equal-length kernels of length
-    ``kernel_len`` under ``pair`` for every output phase of ``config``, as
-    :func:`project_kernel_bank` builds them for one configuration.
+    """Projections of E = ``count`` kernels of ``kernel_len`` samples under
+    ``pair`` for every output phase of ``config``
+    (:func:`project_kernel_bank`).
 
     ``toeplitz`` is the read-only right operand of
     :func:`conv_projected_peaks`: the (p * (B + Q - 1), B * P * E)
-    block-Toeplitz matrix of :func:`_toeplitz_segment`, laid out as
-    :func:`conv_projected_blocked`'s with E kernels per output phase, so its
-    column ``(i*P + r)*E + e`` holds kernel e's phase-r taps for block sample
-    i. P is the number of ``config.phases()`` and B = ``block`` the compact
-    samples per product row, chosen from P, E and Q by
-    :func:`project_kernel_bank`. The operand is 0.56 MB for 64 kernels of
+    block-Toeplitz matrix of :func:`_toeplitz_segment` with E kernels per
+    output phase, so column ``(i*P + r)*E + e`` holds kernel e's phase-r
+    taps for block sample i; B = ``block``. It is 0.56 MB for 64 kernels of
     256 samples at L = 2, p = 1, half rate (Q = 129, B = 8). The kernel
-    length is kept because the shapes alone cannot tell lengths that share Q
-    apart (8 and 9 at L = 2), and it sets how many output samples count
-    toward a peak. A bank whose pair size differs from its configuration's
-    is refused (DomainError), and so is an operand of another shape
+    length is kept because lengths that share Q (8 and 9 at L = 2) share
+    shapes. A pair size other than the configuration's is refused
+    (DomainError), and so is an operand of another shape
     (DimensionMismatch).
 
-    ``screen`` is derived from a finite float64 operand, and None for any
-    other: the :class:`_Screen` that :func:`conv_projected_peaks` screens
-    its products with, a float32 copy of the operand scaled by a power of
-    two, each kernel's largest column 2-norm, and the taps of every phase
-    and kernel, one row each, that its float64 refinement reads. It adds
-    0.28 MB for the float32 copy and 0.07 MB for the taps to the bank above.
+    ``screen`` and ``coarse`` are derived from a finite float64 operand,
+    and None for any other: the :class:`_Screen` that
+    :func:`conv_projected_peaks` screens its products with (0.35 MB above),
+    and the :class:`_Coarse` operand that ``xcorr_match`` prunes entries
+    with (0.14 MB above).
     """
 
     pair: object
@@ -670,6 +595,7 @@ class KernelBank:
     block: int
     toeplitz: np.ndarray
     screen: object = field(init=False, repr=False, compare=False)
+    coarse: object = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.config.check_pair(self.pair)
@@ -680,7 +606,9 @@ class KernelBank:
             raise DimensionMismatch(
                 f"bank needs a {shape} operand, got {self.toeplitz.shape}")
         self.toeplitz.setflags(write=False)
-        object.__setattr__(self, "screen", _screen_operand(self))
+        screen = _screen_operand(self)
+        object.__setattr__(self, "screen", screen)
+        object.__setattr__(self, "coarse", screen and _coarse_operand(self, screen))
 
 
 @dataclass(frozen=True)
@@ -718,12 +646,56 @@ def _screen_operand(bank):
         :, :_compact_kernel_len(bank.kernel_len, bank.pair.size), :toeplitz.shape[1] // bank.block]
     taps = np.ascontiguousarray(taps.transpose(2, 0, 1)).reshape(taps.shape[2], -1)
     taps.setflags(write=False)
-    # every column of phase r and kernel e holds those taps; a computed sum
-    # of n squares is within about (n + 1) * 2**-53 of itself
-    scaled = np.ldexp(taps, shift)
-    squares = np.einsum("ij,ij->i", scaled, scaled).reshape(-1, count).max(axis=0)
-    norms = np.sqrt(squares * (1 + (taps.shape[1] + 1) * 2.0 ** -52))
+    # every column of phase r and kernel e holds those taps
+    norms = _norms_up(np.ldexp(taps, shift)).reshape(-1, count).max(axis=0)
     return _Screen(shift, operand, norms, taps)
+
+
+def _norms_up(rows):
+    """The 2-norm of every row, rounded up: a computed sum of n squares is
+    within about (n + 1) * 2**-53 of itself."""
+    rows = rows.reshape(rows.shape[0], -1)
+    return np.sqrt(np.einsum("ij,ij->i", rows, rows) * (1 + (rows.shape[1] + 1) * 2.0 ** -52))
+
+
+@dataclass(frozen=True)
+class _Coarse:
+    """A screened bank's coarse operand: every phase's compact taps, in the
+    screen's units, projected again by the Haar pair of size 2 (``pair``).
+    Projection 0 of its two phases, second phase major, forms ``operand``,
+    the float32 block-Toeplitz matrix of B = ``block``. A query's slack_e is
+    (||a||, S, ||x||) @ ``weights`` + ``floor`` (:func:`_survivors`)."""
+
+    pair: object
+    block: int
+    operand: np.ndarray
+    weights: np.ndarray
+    floor: float
+
+
+def _coarse_operand(bank, screen):
+    count, used = bank.count, bank.config.projections_used
+    pair = make_haar_pair(2)
+    natural = np.ldexp(screen.taps.reshape(-1, used, screen.taps.shape[1] // used)[..., ::-1],
+                       screen.shift)
+    # halves[r2, r*E + e, l, l2, q]: phase r2 of the taps of phase r, kernel e
+    halves = _kernel_taps(natural.reshape(-1, natural.shape[-1]), pair, 2, range(2))
+    phases, half_len = 2 * len(bank.config.phases()), halves.shape[-1]
+    halves = halves.reshape(phases * count, used, 2, half_len)
+    block = _bank_block(phases, count, half_len)
+    operand = np.array(_toeplitz_segment(halves[:, :, 0], block), np.float32)
+    operand.setflags(write=False)
+    kept, dropped = (_norms_up(halves[:, :, i]).reshape(phases, count).max(axis=0)
+                     for i in range(2))
+    depth, fine_depth = operand.shape[0], bank.toeplitz.shape[0]
+    # c_K' * ||alpha_e||, K_e and (gamma_K(2**-53) + 2**-48) * ||T_e||, with
+    # the largest norms of kernel e's kept and dropped taps over the phases
+    weights = np.stack([_rounding_gap(depth) * kept, dropped,
+                        (_gamma(fine_depth, 2.0 ** -53) + 2.0 ** -48) * screen.norms])
+    # raised by 2**-40 for the roundings of a slack; 2**-126 for each of 8
+    # operations per term, as in conv_projected_peaks
+    weights *= 1 + 2.0 ** -40
+    return _Coarse(pair, block, operand, weights, (depth + fine_depth) * 2.0 ** -123)
 
 
 def _kernel_taps(kernels, pair, projections, phases, counter=None):
@@ -753,20 +725,15 @@ def _kernel_taps(kernels, pair, projections, phases, counter=None):
 
 def project_kernel_bank(kernels, pair, cfg, counter=None):
     """Synthesis projections of equal-length kernels under ``pair`` for every
-    output phase of ``cfg``, stacked for :func:`conv_projected_peaks`.
+    output phase of ``cfg``, as a :class:`KernelBank`.
 
-    ``kernels`` is (E, N) with E and N at least 1; with Q = ceil((N + L - 1)
-    / L) and p = ``cfg.projections_used``, phase r's taps are every kernel's
-    ``kd_{r,l}[Q - 1 - q]`` for l < p and q < Q (see
-    :func:`conv_projected_blocked`; each projection reversed, so a window of
-    the compact signal times them is a convolution). The taps of the P
-    phases and E kernels, phase-major, form one block-Toeplitz operand
-    (:class:`KernelBank`), built here, once, so a bank held across queries
-    pays for it once. The bank keeps ``pair`` and ``cfg``, so the queries it
-    scores are projected with them. The counter is charged N per kernel per
-    projection and phase, as :func:`conv_projected_blocked` charges its
-    kernel pass on every call; building the operand only moves taps and is
-    not charged.
+    ``kernels`` is (E, N) with E and N at least 1; phase r's taps are every
+    kernel's ``kd_{r,l}[Q - 1 - q]`` for l < p and q < Q (see
+    :func:`conv_projected_blocked`), reversed so that a window of the
+    compact signal times them is a convolution. The bank is built once, so
+    a bank held across queries pays for it once, and it keeps ``pair`` and
+    ``cfg`` for the queries it scores. The counter is charged N per kernel
+    per projection and phase; building the operand is not charged.
     """
     cfg.check_pair(pair)
     k = _as_real(kernels, 2, "kernel stack")
@@ -776,15 +743,19 @@ def project_kernel_bank(kernels, pair, cfg, counter=None):
                                 f"one sample, got shape {k.shape}")
     phases = cfg.phases()
     compact_len = _compact_kernel_len(kernel_len, pair.size)
-    # a product about CONV_BANK_COLUMNS wide, and B <= Q / 8, so the Toeplitz
-    # zeros add at most (B + Q - 1) / Q <= 1.125 to its work
-    block = max(1, min(-(-CONV_BANK_COLUMNS // (len(phases) * count)), compact_len // 8))
+    block = _bank_block(len(phases), count, compact_len)
     taps = _kernel_taps(k, pair, cfg.projections_used, phases, counter)
     # C-contiguous: at B = 1 the reshaped view can be strided, and BLAS
     # rounds a product of a strided operand differently
     toeplitz = np.ascontiguousarray(_toeplitz_segment(
         taps.reshape(len(phases) * count, cfg.projections_used, compact_len), block))
     return KernelBank(pair, cfg, kernel_len, count, block, toeplitz)
+
+
+def _bank_block(phases, count, compact_len):
+    """A bank's B: a product about CONV_BANK_COLUMNS wide, and B <= Q / 8,
+    so the Toeplitz zeros add at most (B + Q - 1) / Q <= 1.125 to its work."""
+    return max(1, min(-(-CONV_BANK_COLUMNS // (phases * count)), compact_len // 8))
 
 
 def _screens(signal_len, bank):
@@ -798,30 +769,27 @@ def _screens(signal_len, bank):
 
 
 def _screen_signal(padded, screen):
-    """``(compact, slack)``: the compact signal times the power of two that
-    puts its largest magnitude in [1/2, 1), rounded to float32, and Delta_e
-    of every kernel in those units, c_K * ||x|| * ||T_e|| with ||x|| the
-    scaled signal's 2-norm rounded up, plus 2**-126 for each of 8
-    operations per term (two roundings, a product and a sum in float32, a
-    product and a sum in float64, their spread through the float32 sum),
-    which covers underflow and flush-to-zero. None for a signal that is not
+    """``(scaled, scale, norm)``: the float64 compact signal times the power
+    of two that puts its largest magnitude in [1/2, 1), the exponent that
+    takes a product in those units back (screen units times 2**scale), and
+    the scaled signal's 2-norm rounded up. None for a signal that is not
     finite, or whose products could overflow float64 or underflow it by
     more than 2**-126 in scaled units."""
-    padded = padded.astype(np.float64, copy=False)
     top = float(np.abs(padded).max())
     if not math.isfinite(top):
         return None
     exponent = math.frexp(top)[1]
     # every product sample and partial sum is below K * 2**scale
     scale = exponent - screen.shift
-    depth = screen.operand.shape[0]
-    if scale + depth.bit_length() > 1023 or scale < -896:
+    if scale + screen.operand.shape[0].bit_length() > 1023 or scale < -896:
         return None
     scaled = np.ldexp(padded, -exponent)
     flat = scaled.reshape(-1)
-    norm = math.sqrt(float(flat @ flat) * (1 + (flat.shape[0] + 1) * 2.0 ** -52))
-    slack = _rounding_gap(depth) * norm * screen.norms + depth * 2.0 ** -123
-    return scaled.astype(np.float32), slack
+    return scaled, scale, math.sqrt(float(flat @ flat) * (1 + (flat.shape[0] + 1) * 2.0 ** -52))
+
+
+def _gamma(n, v):
+    return n * v / (1 - n * v) if n * v < 1 else math.inf
 
 
 def _rounding_gap(depth):
@@ -829,11 +797,8 @@ def _rounding_gap(depth):
     float32, gamma_K(u) * (1 + u)**2 for the float32 sum and gamma_K(2**-53)
     for a float64 sum in any order, with u = 2**-24 and gamma_n(v) = n*v /
     (1 - n*v); raised by 2**-40 of itself for the roundings of a slack."""
-    def gamma(n, v):
-        return n * v / (1 - n * v) if n * v < 1 else math.inf
-
     u = 2.0 ** -24
-    return ((2 * u + u * u + gamma(depth, u) * (1 + u) ** 2 + gamma(depth, 2.0 ** -53))
+    return ((2 * u + u * u + _gamma(depth, u) * (1 + u) ** 2 + _gamma(depth, 2.0 ** -53))
             * (1 + 2.0 ** -40))
 
 
@@ -875,64 +840,63 @@ def conv_projected_peaks(s, bank, counter=None):
     """``max(abs(conv_projected_blocked(s, k, bank.pair, bank.config)))`` for
     every kernel of a bank.
 
-    ``bank`` is a :func:`project_kernel_bank` result; its pair, projection
-    count and phases are the ones the signal is projected and scored with.
-    The result has one peak per kernel. The signal is projected once, as in
-    :func:`conv_projected_blocked`, and its compact streams run through the
-    same block-Toeplitz products, with P * E columns where that function has
-    its P output phases: window j of the compact signal
-    (:func:`_compact_windows`), ``B + Q - 1`` samples of every projection
-    from j*B on, times the bank's operand gives compact samples j*B .. j*B +
-    B - 1 of every phase of every kernel's stream, so a product viewed as
-    (rows * B * P, E) is the streams, phases interleaved. One product per
-    chunk of windows. Only the stream samples that land inside the output
-    count toward the peak. Nothing else is needed: the remaining output
-    samples are zero, copies of computed ones, or linear interpolations
-    between two computed ones, which never exceed the larger of their
-    magnitudes.
+    ``bank`` is a :func:`project_kernel_bank` result, whose pair and
+    configuration the signal is projected and scored with; a float32 signal
+    against a float64 bank is projected in float64. The compact streams run
+    through :func:`conv_projected_blocked`'s products with P * E columns:
+    window j of the compact signal times the bank's operand gives compact
+    samples j*B .. j*B + B - 1 of every phase of every kernel, one product
+    per chunk of windows. Only the stream samples inside the output count:
+    the other output samples are zero, copies, or interpolations between
+    two computed ones.
 
-    A float64 bank's products are screened in float32 and refined in
-    float64 (filter and refine: Faloutsos et al., SIGMOD 1994). Each chunk's
-    product runs in float32, on the compact signal and the bank's
-    :class:`_Screen` operand, each scaled by a power of two. With K = p * (B
-    + Q - 1) terms per sample, a sample's float32 product and its float64
-    product, in any summation order, differ by at most Delta_e = c_K *
-    ||x|| * ||T_e|| plus 2**-126 per operation in the scaled units
-    (:func:`_rounding_gap`, :func:`_screen_signal`; Higham, *Accuracy and
-    Stability of Numerical Algorithms*, 2002, sections 2.1 and 3.1), with
-    ||x|| the compact signal's 2-norm and ||T_e|| kernel e's largest column
-    norm. So a sample whose float32 |y| is below M_e - 2 * Delta_e, M_e the
-    largest float32 |y| of kernel e inside the output so far, can be
-    neither kernel e's float64 peak nor its exact one. The other samples,
-    the candidates (about one per kernel on a match query), are recomputed
-    in float64 from the float64 compact signal and the kernel's taps, and
-    each kernel's peak is the largest of them: a float64 value of the same
-    sum as the float64 product's peak, differing from it in the last bits.
-    A chunk whose candidates would cost more to refine than its float64
-    product (CONV_REFINE_COST) runs that product instead. So does a whole
-    call whose product is small (:func:`_screens`), whose signal is not
-    finite or could overflow or underflow float64 in the products
-    (:func:`_screen_signal`), or whose bank is float32: those calls run,
-    round and warn as before.
+    Large products against a float64 bank (:func:`_screens`) run in float32
+    on the compact signal and the :class:`_Screen` operand, each scaled by a
+    power of two. With K = p * (B + Q - 1) terms, a sample's float32 and
+    float64 products, in any summation order, differ by at most Delta_e =
+    c_K * ||x|| * ||T_e|| plus 2**-126 per operation in scaled units
+    (:func:`_rounding_gap`; Higham, *Accuracy and Stability of Numerical
+    Algorithms*, 2002, sections 2.1 and 3.1), ||x|| the compact signal's
+    2-norm and ||T_e|| kernel e's largest column norm. So a sample below
+    M_e - 2 * Delta_e, M_e kernel e's largest float32 |y| inside the output
+    so far, holds neither its float64 nor its exact peak. The others, about
+    one per kernel on a match query, are recomputed in float64 from the
+    compact signal and the kernel's taps. A chunk with too many of them
+    (CONV_REFINE_COST) runs its float64 product, and so does a call whose
+    signal is not finite or could leave float64's range in the products
+    (:func:`_screen_signal`): such calls round and warn as before.
 
-    The counter is charged as :func:`conv_projected_blocked` charges one
-    call per kernel, less the kernel projections, which the bank paid for
-    once, and with the signal pass charged once for all kernels: p * len(s),
-    plus p * G * Q per kernel and computed phase. The count is that
-    convention, not a trace of the products, which also multiply the
-    windows' zero padding and the Toeplitz operand's zeros; a screened call
-    is charged the same, its float32 products and refinements not on top.
+    The counter is charged p * len(s) plus p * G * Q per kernel and computed
+    phase, :func:`conv_projected_blocked`'s convention less the kernel pass
+    the bank paid for, however the products run.
     """
+    return _bank_peaks(bank, *_peaks_setup(s, bank, counter))
+
+
+def _peaks_setup(s, bank, counter):
+    """The :func:`_compact_setup` of a peaks call, the signal projected in
+    float64 against a float64 bank, and its :func:`_screen_signal`, or
+    False where the float32 screen does not run."""
     s = _as_real(s, 1, "signal")
+    setup = _compact_setup(s, bank.pair, bank.config, bank.kernel_len, bank.block,
+                           bank.count, _dtype_of(s, bank.toeplitz), counter)
+    return setup, _screens(s.shape[0], bank) and _screen_signal(setup[-1], bank.screen)
+
+
+def _stream_end(bank, out_len, kept):
+    """The stream rows inside the output. phases() is range(L) or range(1),
+    so stream row (j*B + i)*P + r of a product is output sample (j*B + i)*L
+    + r with every phase, and compact sample j*B + i of phase 0 at half
+    rate: the rows inside the output are one prefix, and every product row
+    starts inside it."""
+    return out_len if len(bank.config.phases()) > 1 else kept
+
+
+def _bank_peaks(bank, setup, screened):
     block, count = bank.block, bank.count
-    compact_len, out_len, kept, rows, padded = _compact_setup(
-        s, bank.pair, bank.config, bank.kernel_len, block, count, s.dtype, counter)
+    compact_len, out_len, kept, rows, padded = setup
     phases = len(bank.config.phases())
-    # phases() is range(L) or range(1), so stream row (j*B + i)*P + r of a
-    # product is output sample (j*B + i)*L + r with every phase, and compact
-    # sample j*B + i of phase 0 at half rate: the rows inside the output are
-    # one prefix, and every product row starts inside it
-    valid = out_len if phases > 1 else kept
+    valid = _stream_end(bank, out_len, kept)
     width = block * phases          # stream rows per product row
     span = block + compact_len - 1
     peaks = np.zeros(count)
@@ -942,16 +906,20 @@ def conv_projected_peaks(s, bank, counter=None):
         largest = _column_maxima(y, (valid - lo * width) * count, 0)
         np.maximum(peaks, largest.reshape(width, count).max(axis=0), out=peaks)
 
-    screened = _screens(s.shape[0], bank) and _screen_signal(padded, bank.screen)
     if not screened:
         for lo, hi, x in _compact_windows(padded, block, rows, 0, span):
             fold(x @ bank.toeplitz, lo)
         return peaks
-    compact, slack = screened
+    scaled, _, norm = screened
+    depth = bank.toeplitz.shape[0]
+    # Delta_e, plus 2**-126 for each of 8 operations per term (two roundings,
+    # a product and a sum in float32, a product and a sum in float64, their
+    # spread through the float32 sum), which covers underflow and flush-to-zero
+    slack = _rounding_gap(depth) * norm * bank.screen.norms + depth * 2.0 ** -123
     samples = _window_view(padded, 1, rows * block, 0, compact_len)
     taps = bank.screen.taps
     top = np.zeros(count, np.float32)
-    for lo, hi, x in _compact_windows(compact, block, rows, 0, span):
+    for lo, hi, x in _compact_windows(scaled.astype(np.float32), block, rows, 0, span):
         y = x @ bank.screen.operand
         hits = _screened_chunk(y, (valid - lo * width) * count, top, slack)
         if hits.shape[0] * CONV_REFINE_COST >= y.size:
@@ -965,4 +933,99 @@ def conv_projected_peaks(s, bank, counter=None):
         exact = np.einsum("ij,ij->i", samples[at + lo * block].reshape(-1, taps.shape[1]),
                           taps[column])
         np.maximum.at(peaks, column % count, np.abs(exact))
+    return peaks
+
+
+def _match_peaks(s, bank, energies, counter=None):
+    """:func:`conv_projected_peaks` for the scores peaks / ``energies`` of
+    ``xcorr_match``: ``(peaks, refined)``. An entry whose score cannot be
+    the largest may get peak 0; ``refined`` counts the entries whose float64
+    peaks were computed.
+
+    Where the float32 screen would run and pruning can pay (:func:`_prunes`),
+    a coarse float32 product bounds every entry's peak (:func:`_survivors`),
+    and only the entries whose upper bound reaches the best lower bound get
+    float64 peaks (:func:`_refined_peaks`). Any other call, or one with too
+    many survivors, runs :func:`conv_projected_peaks`. The counter is
+    charged as that function charges."""
+    setup, screened = _peaks_setup(s, bank, counter)
+    if screened and _prunes(bank, 1):
+        entries = _survivors(bank, setup, screened, energies)
+        if _prunes(bank, entries.shape[0]):
+            return _refined_peaks(bank, setup, entries), entries.shape[0]
+    return _bank_peaks(bank, setup, screened), bank.count
+
+
+def _prunes(bank, survivors):
+    """Whether refining ``survivors`` entries, CONV_PRUNE_COST per float64
+    multiply-add, costs less than the coarse product saves against the
+    float32 screen's: per compact sample, n * K * P against (K - K') * P *
+    E, K and K' the two operands' depths."""
+    depth = bank.toeplitz.shape[0]
+    return (survivors * CONV_PRUNE_COST * depth
+            < (depth - bank.coarse.operand.shape[0]) * bank.count)
+
+
+def _survivors(bank, setup, screened, energies):
+    """The entries whose score may be the largest. The scaled compact
+    streams are split by the Haar pair of size 2 into approximations a and
+    details d; one float32 product of the approximations' windows and the
+    :class:`_Coarse` operand gives every coarse sample. A float64 product
+    sample inside the output is within slack_e of its coarse sample: the
+    coarse product's Delta'_e (:func:`_rounding_gap`), S * K_e for the
+    dropped details by Cauchy-Schwarz (S = ||d||, K_e the largest norm of
+    kernel e's dropped taps), and (gamma_K(2**-53) + 2**-48) * ||x|| *
+    ||T_e|| for the float64 sum and the Haar roundings. Entry e is kept
+    unless (U_e / energy_e) < max over e' of (L_e' / energy_e'), where U_e
+    and L_e are its largest coarse |y| inside the output plus and minus
+    slack_e, rounded toward keeping."""
+    coarse, count = bank.coarse, bank.count
+    compact_len, out_len, kept, rows, padded = setup
+    scaled, scale, norm = screened
+    used = padded.shape[0]
+    half = -(-kept // 2)
+    fine = np.zeros((used, 2 * half))
+    piece = scaled[:, compact_len - 1:compact_len - 1 + 2 * half]
+    fine[:, :piece.shape[1]] = piece
+    # streams[l, i] = (a_l[i], d_l[i])
+    streams = fine.reshape(used, half, 2) @ coarse.pair.forward
+    depth, block = coarse.operand.shape[0], coarse.block
+    span = depth // used
+    rows = -(-half // block)
+    buffer = np.zeros((used, rows * block + span - block), np.float32)
+    buffer[:, span - block:span - block + half] = streams[..., 0]
+    valid = _stream_end(bank, out_len, kept)
+    width = 2 * block * len(bank.config.phases())
+    top = np.zeros(count, np.float32)
+    for lo, hi, x in _compact_windows(buffer, block, rows, 0, span):
+        largest = _column_maxima(x @ coarse.operand, (valid - lo * width) * count, 0)
+        np.maximum(top, largest.reshape(width, count).max(axis=0), out=top)
+    # ||a|| and S rounded up, as _norms_up rounds
+    approx, detail = (math.sqrt(np.vdot(v, v) * (1 + (half * used + 1) * 2.0 ** -52))
+                      for v in (streams[..., 0], streams[..., 1]))
+    slack = np.array([approx, detail, norm]) @ coarse.weights + coarse.floor
+    top = top.astype(np.float64)
+    upper = np.nextafter(np.ldexp(top + slack, scale), np.inf) / energies
+    lower = np.nextafter(np.ldexp(top - slack, scale), -np.inf) / energies
+    return np.flatnonzero(upper >= lower.max())
+
+
+def _refined_peaks(bank, setup, entries):
+    """The float64 peaks of ``entries``, 0 for the other kernels: the
+    windows of the compact signal times each entry's own B * P operand
+    columns, one product per entry, so equal entries get equal peaks."""
+    compact_len, out_len, kept, rows, padded = setup
+    block, count = bank.block, bank.count
+    width = block * len(bank.config.phases())
+    valid = _stream_end(bank, out_len, kept)
+    columns = np.ascontiguousarray(
+        bank.toeplitz.reshape(-1, width, count)[..., entries].transpose(2, 0, 1))
+    best = np.zeros(entries.shape[0])
+    for lo, hi, x in _compact_windows(padded, block, rows, 0, block + compact_len - 1):
+        y = np.matmul(x, columns).reshape(entries.shape[0], -1)
+        np.abs(y, out=y)
+        y[:, valid - lo * width:] = 0
+        np.maximum(best, y.max(axis=1), out=best)
+    peaks = np.zeros(count)
+    peaks[entries] = best
     return peaks

@@ -105,15 +105,6 @@ def reorder_block_major(matrix, block, orientation):
     return BlockedOperand(rows, cols, block, orientation, data, index, grid)
 
 
-def restore_block_major(operand):
-    """Invert :func:`reorder_block_major`, reproducing the source exactly."""
-    out = np.empty((operand.rows, operand.cols), dtype=operand.data.dtype)
-    order = "C" if operand.orientation is Orientation.ROW_WISE else "F"
-    for r0, c0, h, w, off in operand.index:
-        out[r0:r0 + h, c0:c0 + w] = operand.data[off:off + h * w].reshape((h, w), order=order)
-    return out
-
-
 def gemm_conventional(a, b, block, counter=None):
     """Exact blocked product: accumulate block x block inner products.
 

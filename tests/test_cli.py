@@ -229,16 +229,19 @@ def test_match_demo_synthetic(tmp_path, capsys):
 
 def test_match_demo_names_the_peaks_path_of_each_projected_row(tmp_path):
     # 64 entries of 256 samples against queries of 2048: the L = 2 bank's
-    # product (10 million multiply-adds) is screened in float32, the L = 4
-    # bank's (2.7 million) runs in float64
+    # product (10 million multiply-adds) is screened, its entries pruned and
+    # the survivors refined, the L = 4 bank's (2.7 million) runs in float64
+    # for every entry
     out = tmp_path / "match.csv"
     rc = main(["match-demo", "--synthetic", "--entries", "64", "--queries", "2",
                "--L", "2,4", "--out", str(out)])
     assert rc == 0
     text = out.read_text()
     assert [ln for ln in text.splitlines() if ln.startswith("# peaks ")] == [
-        "# peaks projected-L2-p1-half: length=256 path=float32-screen",
-        "# peaks projected-L4-p1-half: length=256 path=float64-product"]
+        "# peaks projected-L2-p1-half: length=256 path=entry-prune refined-mean=1.50 "
+        "refined-max=2",
+        "# peaks projected-L4-p1-half: length=256 path=float64-product refined-mean=64.00 "
+        "refined-max=64"]
     assert [row[0] for row in _rows(text, DEMO_HEADER)] == [
         "conventional", "projected-L2-p1-half", "projected-L4-p1-half"]
 

@@ -6,7 +6,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 from numpy.lib.stride_tricks import sliding_window_view
 from numpy.testing import assert_allclose
@@ -255,13 +255,23 @@ def _window_peaks(s, kernels, pair, cfg):
                    for phase, stack in zip(cfg.phases(), stacks)], axis=0)
 
 
-@settings(max_examples=60, deadline=None)
+@pytest.fixture(params=["size-rule", "every-call"])
+def screen_rule(request, monkeypatch):
+    """The float32 screen under its size rule, then on every call against a
+    float64 bank (CONV_SCREEN_MACS = 0): the complement of float64_products."""
+    if request.param == "every-call":
+        monkeypatch.setattr(conv, "CONV_SCREEN_MACS", 0)
+    return request.param
+
+
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(peaks_case(), st.sampled_from(list(SampleMode)))
 # float32 peak of about 1.1e-3 left by cancellation of terms near 0.27
 @example(("dct", 2, 7, np.float32, 2, 2, 1, 3), SampleMode.HALF_INTERPOLATE)
 # compact samples past the output's end are larger than the peak here
 @example(("dct", 3, 3, np.float64, 1, 7, 4, 3), SampleMode.ALL_PHASES)
-def test_peaks_equal_blocked_peaks_property(case, mode):
+def test_peaks_equal_blocked_peaks_property(screen_rule, case, mode):
     family, size, seed, dtype, used, slen, klen, count = case
     pair = random_pair(family, size, seed)
     cfg = PrecisionConfig(size, used, sample_mode=mode)
@@ -857,7 +867,9 @@ def _peaks_by_copies(s, bank, screen=True):
     phases = len(bank.config.phases())
     valid = out_len if bank.config.sample_mode is SampleMode.ALL_PHASES else kept
     width = block * phases
-    padded = _padded_by_copy(s, pair, used, compact_len, block, rows, s.dtype)
+    # a float32 signal against a float64 bank is projected in float64
+    dtype = np.float32 if s.dtype == bank.toeplitz.dtype == np.float32 else np.float64
+    padded = _padded_by_copy(s, pair, used, compact_len, block, rows, dtype)
     screened = (screen and conv._screens(s.shape[0], bank)
                 and _screened_signal_by_copy(padded, bank))
     peaks = np.zeros(count)
@@ -875,7 +887,8 @@ def _peaks_by_copies(s, bank, screen=True):
                 # from compact sample j*B + i on, times the taps of operand
                 # column r*E + e, in its rows l*(B + Q - 1) + q
                 start = lo * block + row // phases
-                x = np.stack([wide[:, n:n + compact_len].reshape(-1) for n in start])
+                x = np.array([wide[:, n:n + compact_len].reshape(-1) for n in start])
+                x = x.reshape(len(row), used * compact_len)
                 column = bank.toeplitz[:, (row % phases) * count + kernel]
                 t = column.T.reshape(-1, used, span)[:, :, :compact_len].reshape(len(row), -1)
                 exact = np.abs(np.einsum("ij,ij->i", x, np.ascontiguousarray(t)))
@@ -1185,3 +1198,283 @@ def test_screened_match_decisions_equal_float64_products(float64_products, seed)
         want = float64_products(xcorr_match, query, db, mode)
         assert got[0] == want[0]
         assert got[1] == pytest.approx(want[1], rel=1e-14)
+
+
+@pytest.fixture
+def pruning(monkeypatch, screen_rule):
+    """Entry pruning on every screened call, however few its entries
+    (CONV_PRUNE_COST = 0), under both screen rules."""
+    monkeypatch.setattr(conv, "CONV_PRUNE_COST", 0)
+    return screen_rule
+
+
+def _decision(peaks, energies, ids):
+    scores = peaks / energies
+    return min(ids[i] for i in np.flatnonzero(scores == scores.max()))
+
+
+def _haar_halves(taps):
+    """Projections 0 and 1 of both phases of the Haar pair of size 2 of
+    rows of natural-order taps, one phase r2 at a time:
+    ``kd2[q] = sum_t D[l, t] kd[2q + r2 - t]``."""
+    inverse = make_haar_pair(2).inverse
+    half_len = -(-(taps.shape[-1] + 1) // 2)
+    wide = np.zeros(taps.shape[:-1] + (2 * half_len + 2,))
+    wide[..., 1:taps.shape[-1] + 1] = taps
+    out = []
+    for r2 in range(2):
+        # kd[2q + r2 - t] is wide[2q + r2 - t + 1]
+        groups = np.stack([wide[..., r2 + 1 - t:r2 + 1 - t + 2 * half_len:2] for t in range(2)],
+                          axis=-1)
+        out.append(groups @ inverse.T)
+    return out
+
+
+@pytest.mark.parametrize("family,size,used,mode", [
+    ("haar", 2, 1, SampleMode.HALF_INTERPOLATE),
+    ("dct", 4, 2, SampleMode.ALL_PHASES),
+    ("custom", 3, 2, SampleMode.ALL_PHASES),
+])
+def test_coarse_weights_bound_each_slack_term(family, size, used, mode):
+    # each row of the weights against its term, computed from the operand's
+    # own columns: c_K' ||alpha_e||, K_e and (gamma_K(2^-53) + 2^-48) ||T_e||
+    from fractions import Fraction
+
+    rng = np.random.default_rng(size)
+    pair = random_pair(family, size, 29)
+    cfg = PrecisionConfig(size, used, sample_mode=mode)
+    bank = project_kernel_bank(rng.standard_normal((6, 40)), pair, cfg)
+    coarse, count = bank.coarse, bank.count
+    compact_len = -(-(40 + size - 1) // size)
+    scaled = np.ldexp(bank.toeplitz, bank.screen.shift)
+    # block sample 0's columns: phase r, kernel e, taps l*(B + Q - 1) + q
+    columns = scaled[:, :len(cfg.phases()) * count].T.reshape(-1, count, used, bank.block
+                                                               + compact_len - 1)
+    natural = columns[..., :compact_len][..., ::-1]
+    kept, dropped = (np.sqrt(np.max([(h[..., i] ** 2).sum(axis=(-1, -2))
+                                     for h in _haar_halves(natural)], axis=(0, 1)))
+                     for i in range(2))
+    depth, fine_depth = coarse.operand.shape[0], bank.toeplitz.shape[0]
+    gamma = fine_depth * 2.0 ** -53 / (1 - fine_depth * 2.0 ** -53)
+    norms = np.sqrt((scaled ** 2).sum(axis=0)).reshape(-1, count).max(axis=0)
+    terms = [conv._rounding_gap(depth) * kept, dropped, (gamma + 2.0 ** -48) * norms]
+    low, high = 1 - Fraction(1, 2 ** 45), 1 + Fraction(1, 2 ** 36)
+    for row, term in zip(coarse.weights, terms):
+        for got, want in zip(row, term):
+            assert Fraction(want) * low <= Fraction(got) <= Fraction(want) * high
+    assert coarse.floor >= (depth + fine_depth) * 2.0 ** -123
+    half_len = -(-(compact_len + 1) // 2)
+    assert coarse.operand.dtype == np.float32
+    assert depth == used * (coarse.block + half_len - 1)
+
+
+def test_pruned_peaks_keep_planted_near_ties(float64_products):
+    # entry 1 is entry 0 scaled by 1 + 2^-30, and the query holds entry 0
+    # twice, the second copy 1 + 2^-30 louder: ties far closer than the slack
+    bank, signals, rng = _match_db_bank(5)
+    tie = 1 + 2.0 ** -30
+    signals[1] = signals[0] * tie
+    bank = project_kernel_bank(signals[:, ::-1], bank.pair, bank.config)
+    query = np.zeros(2048)
+    query[300:556] = signals[0]
+    query[1200:1456] = signals[0] * tie
+    energies = np.sum(signals * signals, axis=1)
+    assert conv._prunes(bank, 1) and conv._screens(query.shape[0], bank)
+    got, refined = conv._match_peaks(query, bank, energies)
+    want = float64_products(conv_projected_peaks, query, bank)
+    assert 2 <= refined < bank.count
+    assert got[0] > 0 and got[1] > 0
+    # both within gamma_K(2^-53) ||x|| ||T_j|| of the float64 product's peaks
+    sc = project_signal(query, bank.pair, 0)
+    norms = np.sqrt((bank.toeplitz ** 2).sum(axis=0)).reshape(-1, bank.count).max(axis=0)
+    depth = bank.toeplitz.shape[0]
+    gamma = depth * 2.0 ** -53 / (1 - depth * 2.0 ** -53)
+    assert np.all(np.abs(got[:2] - want[:2]) <= gamma * np.sqrt(sc @ sc) * norms[:2])
+    ids = [f"e{i:03d}" for i in range(bank.count)]
+    assert _decision(got, energies, ids) == _decision(want, energies, ids) == "e000"
+    db = FeatureDb.from_arrays(zip(ids, signals))
+    assert xcorr_match(query, db, ConvMode(pair=bank.pair, config=bank.config))[0] == "e000"
+
+
+def test_pruning_keeps_entries_whose_score_sits_in_the_details(pruning, float64_products):
+    # entry 7 is modulated by (-, +, +, -): at L = 2 its compact taps, and
+    # a copy at an odd delay, alternate in sign, so nearly all their energy
+    # is in the details the coarse product drops, and only S * K_e keeps
+    # the entry. Such a query has loud details, so many entries survive,
+    # and pruning is forced to run
+    bank, signals, rng = _match_db_bank(23)
+    signals[7] *= np.resize([-1.0, 1.0, 1.0, -1.0], 256)
+    bank = project_kernel_bank(signals[:, ::-1], bank.pair, bank.config)
+    energies = np.sum(signals * signals, axis=1)
+    ids = [f"e{i:03d}" for i in range(bank.count)]
+    for delay in (1, 515, 1791):
+        query = 0.05 * rng.standard_normal(2048)
+        query[delay:delay + 256] += signals[7]
+        got, refined = conv._match_peaks(query, bank, energies)
+        want = float64_products(conv_projected_peaks, query, bank)
+        assert got[7] > 0
+        assert _decision(got, energies, ids) == _decision(want, energies, ids) == "e007"
+
+
+def test_pruned_duplicates_go_to_the_lowest_id(float64_products):
+    # entries 9 and 40 are copies of entry 3 under ids that sort before it
+    bank, signals, rng = _match_db_bank(41)
+    signals[9] = signals[40] = signals[3]
+    ids = [f"e{i:03d}" for i in range(64)]
+    ids[40], ids[9] = "a040", "b009"
+    db = FeatureDb.from_arrays(zip(ids, signals))
+    mode = ConvMode(pair=bank.pair, config=bank.config)
+    bank = project_kernel_bank(signals[:, ::-1], bank.pair, bank.config)
+    energies = np.sum(signals * signals, axis=1)
+    for delay in (11, 1000):
+        query = 0.1 * rng.standard_normal(2048)
+        query[delay:delay + 256] += signals[3]
+        got, refined = conv._match_peaks(query, bank, energies)
+        assert refined < bank.count
+        assert got[3] == got[9] == got[40] > 0
+        assert xcorr_match(query, db, mode)[0] == "a040"
+        assert float64_products(xcorr_match, query, db, mode)[0] == "a040"
+
+
+def test_white_noise_takes_the_pruning_fallback(float64_products):
+    # white entries keep as much energy in their details as in their
+    # approximations, so every entry's bound reaches the best lower bound,
+    # and the call runs conv_projected_peaks, bit for bit
+    rng = np.random.default_rng(3)
+    entries = rng.standard_normal((64, 256))
+    bank = project_kernel_bank(entries[:, ::-1], make_haar_pair(2),
+                               PrecisionConfig(2, 1, sample_mode=SampleMode.HALF_INTERPOLATE))
+    energies = np.sum(entries * entries, axis=1)
+    ids = [f"e{i:03d}" for i in range(64)]
+    db = FeatureDb.from_arrays(zip(ids, entries))
+    mode = ConvMode(pair=bank.pair, config=bank.config)
+    for pick in (5, 60):
+        query = rng.standard_normal(2048)
+        query[700:956] += 2 * entries[pick]
+        got, refined = conv._match_peaks(query, bank, energies)
+        assert refined == bank.count
+        assert np.array_equal(got, conv_projected_peaks(query, bank))
+        assert xcorr_match(query, db, mode)[0] == ids[pick]
+        assert float64_products(xcorr_match, query, db, mode)[0] == ids[pick]
+
+
+@pytest.mark.parametrize("entry_exp,query_exp", [(140, -100), (-140, 100),
+                                                (-100, 140), (100, -140)])
+def test_pruned_peaks_of_scaled_entries_and_queries(entry_exp, query_exp):
+    # powers of two move nothing but the units: the same entries survive,
+    # their peaks scale exactly, and the decisions stay
+    bank, signals, rng = _match_db_bank(23)
+    energies = np.sum(signals * signals, axis=1)
+    scaled_bank = project_kernel_bank(np.ldexp(signals[:, ::-1], entry_exp), bank.pair,
+                                      bank.config)
+    scaled_energies = np.sum(np.ldexp(signals, entry_exp) ** 2, axis=1)
+    ids = [f"e{i:03d}" for i in range(bank.count)]
+    for pick in (2, 50):
+        query = 0.1 * rng.standard_normal(2048)
+        query[900:1156] += signals[pick]
+        plain, refined = conv._match_peaks(query, bank, energies)
+        got, scaled_refined = conv._match_peaks(np.ldexp(query, query_exp), scaled_bank,
+                                                scaled_energies)
+        assert scaled_refined == refined < bank.count
+        assert np.array_equal(got, np.ldexp(plain, entry_exp + query_exp))
+        assert (_decision(got, scaled_energies, ids) == _decision(plain, energies, ids)
+                == ids[pick])
+
+
+def _smooth_rows(rng, count, length):
+    return np.stack([synth.ar_signal(length, rng) for _ in range(count)])
+
+
+@pytest.mark.parametrize("family,size,used,mode", [
+    ("haar", 2, 1, SampleMode.HALF_INTERPOLATE),
+    ("haar", 4, 2, SampleMode.ALL_PHASES),
+    ("dct", 4, 2, SampleMode.ALL_PHASES),
+    ("dct", 8, 3, SampleMode.HALF_INTERPOLATE),
+    ("custom", 3, 2, SampleMode.ALL_PHASES),
+])
+def test_pruned_match_decisions_across_pairs_and_phases(pruning, float64_products, family,
+                                                        size, used, mode):
+    rng = np.random.default_rng(size * 10 + used)
+    pair = random_pair(family, size, 7)
+    cfg = PrecisionConfig(size, used, sample_mode=mode)
+    entries = _smooth_rows(rng, 16, 96)
+    ids = [f"e{i:03d}" for i in range(16)]
+    db = FeatureDb.from_arrays(zip(ids, entries))
+    dbmode = ConvMode(pair=pair, config=cfg)
+    bank = project_kernel_bank(entries[:, ::-1], pair, cfg)
+    energies = np.sum(entries * entries, axis=1)
+    refined = []
+    for pick in range(0, 16, 3):
+        query = 0.2 * rng.standard_normal(700)
+        delay = int(rng.integers(0, 700 - 96))
+        query[delay:delay + 96] += entries[pick]
+        peaks, count = conv._match_peaks(query, bank, energies)
+        want = float64_products(conv_projected_peaks, query, bank)
+        refined.append(count)
+        kept = peaks > 0
+        assert_allclose(peaks[kept], want[kept], rtol=1e-13, atol=0)
+        # a dropped entry's float64 score is below the winner's
+        assert np.all(want[~kept] / energies[~kept] < (peaks / energies).max())
+        got = xcorr_match(query, db, dbmode)
+        best = float64_products(xcorr_match, query, db, dbmode)
+        assert got[0] == best[0] == _decision(want, energies, ids)
+        assert got[1] == pytest.approx(best[1], rel=1e-13)
+    if pruning == "every-call":
+        assert sum(refined) < 16 * len(refined)
+    else:
+        assert refined == [16] * len(refined)
+
+
+@st.composite
+def pruning_case(draw):
+    family, size, seed, _ = draw(pair_geometry)
+    used = draw(st.integers(1, size))
+    klen = draw(st.integers(1, 60))
+    slen = draw(st.integers(max(klen, size), 200))
+    count = draw(st.integers(1, 40))
+    return family, size, seed, used, klen, slen, count
+
+
+@settings(max_examples=40, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(pruning_case(), st.sampled_from(list(SampleMode)))
+def test_pruned_decisions_equal_float64_products_property(pruning, float64_products, case,
+                                                          mode):
+    family, size, seed, used, klen, slen, count = case
+    pair = random_pair(family, size, seed)
+    cfg = PrecisionConfig(size, used, sample_mode=mode)
+    rng = np.random.default_rng(seed)
+    entries = _smooth_rows(rng, count, klen)
+    query = 0.1 * rng.standard_normal(slen)
+    delay = int(rng.integers(0, slen - klen + 1))
+    query[delay:delay + klen] += entries[int(rng.integers(count))]
+    bank = project_kernel_bank(entries[:, ::-1], pair, cfg)
+    energies = np.sum(entries * entries, axis=1)
+    peaks, _ = conv._match_peaks(query, bank, energies)
+    want = float64_products(conv_projected_peaks, query, bank)
+    kept = peaks > 0
+    assert_allclose(peaks[kept], want[kept], rtol=1e-12, atol=0)
+    assert np.all(want[~kept] / energies[~kept] < (peaks / energies).max())
+    ids = [f"e{i:03d}" for i in range(count)]
+    assert _decision(peaks, energies, ids) == _decision(want, energies, ids)
+
+
+@pytest.mark.parametrize("seed", range(110, 125))
+def test_pruning_bounds_stop_at_the_output_end(pruning, float64_products, seed):
+    # entries and query hold their mass in their first and last L samples,
+    # so the coarse samples past the output's end, which the compact streams
+    # run into, can exceed every sample inside it; a lower bound taken from
+    # them dropped the winner at seed 116
+    pair = make_dct_pair(4)
+    cfg = PrecisionConfig(4, 1, sample_mode=SampleMode.ALL_PHASES)
+    rng = np.random.default_rng(seed)
+    entries = np.zeros((2, 10))
+    entries[:, :4] = rng.standard_normal((2, 4))
+    entries += 1e-3 * rng.standard_normal((2, 10))
+    query = 1e-3 * rng.standard_normal(21)
+    query[-4:] = rng.standard_normal(4)
+    bank = project_kernel_bank(entries[:, ::-1], pair, cfg)
+    energies = np.sum(entries * entries, axis=1)
+    peaks, _ = conv._match_peaks(query, bank, energies)
+    want = float64_products(conv_projected_peaks, query, bank)
+    assert _decision(peaks, energies, "ab") == _decision(want, energies, "ab")
