@@ -15,6 +15,7 @@ import warnings
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -277,8 +278,7 @@ def _checked_signal(x, name):
     return x
 
 
-@dataclass(frozen=True)
-class _LengthGroup:
+class _LengthGroup(NamedTuple):
     """The nonzero-energy entries of one length, scored together."""
 
     length: int

@@ -34,6 +34,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -611,8 +612,7 @@ class KernelBank:
         object.__setattr__(self, "coarse", screen and _coarse_operand(self, screen))
 
 
-@dataclass(frozen=True)
-class _Screen:
+class _Screen(NamedTuple):
     """A float64 bank operand T's screen: ``operand`` is T * 2**``shift``,
     max |T| * 2**shift in [1/2, 1), rounded to float32; ``norms[e]`` the
     largest 2-norm of kernel e's scaled columns, rounded up; row r*E + e of
@@ -658,8 +658,7 @@ def _norms_up(rows):
     return np.sqrt(np.einsum("ij,ij->i", rows, rows) * (1 + (rows.shape[1] + 1) * 2.0 ** -52))
 
 
-@dataclass(frozen=True)
-class _Coarse:
+class _Coarse(NamedTuple):
     """A screened bank's coarse operand: every phase's compact taps, in the
     screen's units, projected again by the Haar pair of size 2 (``pair``).
     Projection 0 of its two phases, second phase major, forms ``operand``,
