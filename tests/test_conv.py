@@ -255,23 +255,39 @@ def _window_peaks(s, kernels, pair, cfg):
                    for phase, stack in zip(cfg.phases(), stacks)], axis=0)
 
 
+@pytest.fixture
+def screen_every_call(monkeypatch):
+    """The float32 screen on every call against a float64 bank
+    (CONV_SCREEN_MACS = 0): the complement of float64_products."""
+    monkeypatch.setattr(conv, "CONV_SCREEN_MACS", 0)
+
+
 @pytest.fixture(params=["size-rule", "every-call"])
-def screen_rule(request, monkeypatch):
-    """The float32 screen under its size rule, then on every call against a
-    float64 bank (CONV_SCREEN_MACS = 0): the complement of float64_products."""
+def screen_rule(request):
+    """The float32 screen under its size rule, then on every call."""
     if request.param == "every-call":
-        monkeypatch.setattr(conv, "CONV_SCREEN_MACS", 0)
+        request.getfixturevalue("screen_every_call")
     return request.param
 
 
-@settings(max_examples=60, deadline=None,
-          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@settings(max_examples=60, deadline=None)
 @given(peaks_case(), st.sampled_from(list(SampleMode)))
 # float32 peak of about 1.1e-3 left by cancellation of terms near 0.27
 @example(("dct", 2, 7, np.float32, 2, 2, 1, 3), SampleMode.HALF_INTERPOLATE)
 # compact samples past the output's end are larger than the peak here
 @example(("dct", 3, 3, np.float64, 1, 7, 4, 3), SampleMode.ALL_PHASES)
-def test_peaks_equal_blocked_peaks_property(screen_rule, case, mode):
+def test_peaks_equal_blocked_peaks_property(case, mode):
+    _assert_peaks_equal_blocked_peaks(case, mode)
+
+
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(peaks_case(), st.sampled_from(list(SampleMode)))
+def test_screened_peaks_equal_blocked_peaks_property(screen_every_call, case, mode):
+    _assert_peaks_equal_blocked_peaks(case, mode)
+
+
+def _assert_peaks_equal_blocked_peaks(case, mode):
     family, size, seed, dtype, used, slen, klen, count = case
     pair = random_pair(family, size, seed)
     cfg = PrecisionConfig(size, used, sample_mode=mode)
@@ -890,7 +906,8 @@ def _peaks_by_copies(s, bank, screen=True):
                 x = np.array([wide[:, n:n + compact_len].reshape(-1) for n in start])
                 x = x.reshape(len(row), used * compact_len)
                 column = bank.toeplitz[:, (row % phases) * count + kernel]
-                t = column.T.reshape(-1, used, span)[:, :, :compact_len].reshape(len(row), -1)
+                t = column.T.reshape(len(row), used, span)[:, :, :compact_len]
+                t = t.reshape(len(row), used * compact_len)
                 exact = np.abs(np.einsum("ij,ij->i", x, np.ascontiguousarray(t)))
                 for e, value in zip(kernel, exact):
                     peaks[e] = max(peaks[e], value)
@@ -935,7 +952,7 @@ def test_blocked_segmented_kernel_equals_copying_pipeline_bitwise(time_domain, m
                               _blocked_by_copies(s, k, pair, cfg))
 
 
-@pytest.mark.parametrize("family,size,used,mode,count,klen,slen,block", [
+BITWISE_PEAKS_CASES = [
     # the match-db geometry with a partial last product row: 1153 compact
     # samples in rows of B = 8
     ("haar", 2, 1, SampleMode.HALF_INTERPOLATE, 64, 256, 2051, 8),
@@ -950,9 +967,23 @@ def test_blocked_segmented_kernel_equals_copying_pipeline_bitwise(time_domain, m
     ("haar", 2, 1, SampleMode.ALL_PHASES, 3, 40, 20001, 2),
     # two screened chunks of 481 and 35 windows
     ("haar", 2, 1, SampleMode.HALF_INTERPOLATE, 64, 256, 8001, 8),
-])
+]
+
+
+@pytest.mark.parametrize("family,size,used,mode,count,klen,slen,block", BITWISE_PEAKS_CASES)
 def test_peaks_equal_copying_pipeline_bitwise(family, size, used, mode, count, klen,
                                               slen, block):
+    _assert_peaks_equal_copies(family, size, used, mode, count, klen, slen, block)
+
+
+@pytest.mark.parametrize("family,size,used,mode,count,klen,slen,block", BITWISE_PEAKS_CASES)
+def test_screened_peaks_equal_copying_pipeline_bitwise(screen_every_call, family, size, used,
+                                                       mode, count, klen, slen, block):
+    # chunks with no candidate too (every-phase Haar, 20001 samples)
+    _assert_peaks_equal_copies(family, size, used, mode, count, klen, slen, block)
+
+
+def _assert_peaks_equal_copies(family, size, used, mode, count, klen, slen, block):
     pair = random_pair(family, size, 3)
     cfg = PrecisionConfig(size, used, sample_mode=mode)
     rng = np.random.default_rng(klen)
