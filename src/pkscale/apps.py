@@ -372,11 +372,11 @@ def xcorr_match(query, db, mode=ConvMode(), counter=None):
     correlates the query with each of them in turn and is the reference for
     the decisions. The projected mode takes their peaks against the
     database's bank of entry projections, as
-    :func:`~pkscale.conv.conv_projected_peaks` would, but computes float64
-    peaks only for the entries a coarse bound cannot rule out
-    (``conv._match_peaks``): the others score below the winner, so the
-    decision and its score are those of the float64 peaks of every entry,
-    up to rounding.
+    :func:`~pkscale.conv.conv_projected_peaks` would, but multiplies only
+    the product rows whose window-norm bound can reach the best score
+    (``conv._match_peaks``): the rows left out score below the winner, so
+    the decision and its score are those of the float64 peaks of every
+    entry, up to rounding.
     """
     query = _checked_signal(query, "query")
     for entry_id in db._dead:
@@ -387,17 +387,20 @@ def xcorr_match(query, db, mode=ConvMode(), counter=None):
     best_id = best = None
     for group in db._groups:
         padded = _pad_to(query, group.length)
-        # correlations beyond float64 become infinities and NaNs, which the
-        # check below turns into DomainError; numpy's overflow warnings on
-        # the way would reach a caller who made warnings errors first
-        with np.errstate(over="ignore", invalid="ignore"):
-            if mode.is_projected:
-                peaks = _match_peaks(
-                    padded, db._bank(group, mode.pair, mode.config, counter=counter),
-                    group.energies, counter=counter)[0]
-            else:
+        # correlations and scores beyond float64 become infinities and NaNs,
+        # which the check below turns into DomainError; numpy's overflow
+        # warnings on the way would reach a caller who made warnings errors
+        # first. _match_peaks keeps its own errstate off the row screen,
+        # whose many small ufunc calls it slows
+        if mode.is_projected:
+            peaks = _match_peaks(
+                padded, db._bank(group, mode.pair, mode.config, counter=counter),
+                group.energies, counter=counter)[0]
+        else:
+            with np.errstate(over="ignore", invalid="ignore"):
                 peaks = np.array([np.abs(mode.correlate(padded, signal, counter=counter)).max()
                                   for signal in group.signals])
+        with np.errstate(over="ignore", invalid="ignore"):
             scores = peaks / group.energies
         # argmax returns the first NaN, and an infinity is the maximum, so a
         # non-finite score anywhere in the group shows up here

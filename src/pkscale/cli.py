@@ -38,8 +38,8 @@ from .apps import (
     xcorr_match,
 )
 from .config import PrecisionConfig, SampleMode
-from .conv import (_blocked_plan, _match_peaks, _prunes, _screens, conv_direct, conv_fft,
-                   conv_projected_blocked)
+from .conv import (CONV_SCREEN_MACS, _blocked_plan, _match_peaks, _screens, conv_direct,
+                   conv_fft, conv_projected_blocked)
 from .errors import (
     ConfigError,
     DimensionMismatch,
@@ -343,11 +343,13 @@ def _modes(args, mode_type, **config):
     return modes
 
 
-def _run_demo(name, lines, modes, decide, truth, out, note=None):
+def _run_demo(name, lines, modes, decide, truth, out, note=None, prepare=None):
     """One CSV row per mode: ``decide(mode, counter)`` returns the decisions,
     timed, and they are scored against ``truth`` and against the first
-    mode's decisions. ``note(mode)``, if given, is a comment line for each
-    projected mode, written after the rows. A summary goes to stderr."""
+    mode's decisions. ``prepare(mode, counter)`` and ``note(mode)``, if
+    given, return comment lines for each projected mode, written after the
+    rows: ``prepare`` runs before the timed pass, on the same counter, and
+    ``note`` after it. A summary goes to stderr."""
     from .costs import MacCounter
 
     summary = []
@@ -355,6 +357,8 @@ def _run_demo(name, lines, modes, decide, truth, out, note=None):
     baseline = None
     for mode in modes:
         counter = MacCounter()
+        if prepare is not None and mode.is_projected:
+            notes.append(prepare(mode, counter))
         start = time.perf_counter()
         predicted = decide(mode, counter)
         elapsed = time.perf_counter() - start
@@ -471,23 +475,32 @@ def cmd_match_demo(args):
         return [xcorr_match(query, db, mode=mode, counter=counter)[0]
                 for _, query in queries]
 
+    def build_banks(mode, counter):
+        # the banks are built once per mode, outside the timed pass
+        start = time.perf_counter()
+        for group in db._groups:
+            db._bank(group, mode.pair, mode.config, counter=counter)
+        return f"# banks {mode.label()}: seconds={time.perf_counter() - start:.4f}"
+
     def peaks_path(mode):
-        # the path the peaks of each length's bank take (the timed run built
-        # the banks) and, from an untimed rerun, the entries refined per query
+        # the path the peaks of each length's bank take and, from an untimed
+        # rerun, the product rows multiplied per query: the row screen's
+        # rows take the float32 screen when they are many
         paths = []
         for group in db._groups:
             bank = db._bank(group, mode.pair, mode.config)
+            rows = [_match_peaks(np.asarray(q, np.float64), bank, group.energies)[1]
+                    for _, q in queries]
             path = ("float64-product" if not _screens(args.query_len, bank)
-                    else "entry-prune" if _prunes(bank, 1) else "float32-screen")
-            refined = [_match_peaks(np.asarray(q, np.float64), bank, group.energies)[1]
-                       for _, q in queries]
+                    else "float32-screen" if max(rows) * bank.toeplitz.size >= CONV_SCREEN_MACS
+                    else "row-screen")
             paths.append(f"length={group.length} path={path} "
-                         f"refined-mean={np.mean(refined):.2f} refined-max={max(refined)}")
+                         f"rows-mean={np.mean(rows):.2f} rows-max={max(rows)}")
         return f"# peaks {mode.label()}: " + " ".join(paths)
 
     modes = _modes(args, ConvMode, sample_mode=SampleMode(args.sample))
     return _run_demo("match-demo", lines, modes, decide,
-                     [true_id for true_id, _ in queries], args.out, peaks_path)
+                     [true_id for true_id, _ in queries], args.out, peaks_path, build_banks)
 
 
 def build_parser():

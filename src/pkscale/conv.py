@@ -18,11 +18,10 @@ two, and overlap-save segmentation in either domain.
   overlap sits in the cached operand, not in per-call copies (Cho & Brand,
   "MEC", ICML 2017). Large float64 products are screened in float32, and
   the few samples a rounding bound leaves are recomputed in float64.
-  ``xcorr_match`` prunes further (:func:`_match_peaks`): a coarse product,
-  the compact streams projected once more by the Haar pair of size 2,
-  bounds every entry's peak, and only the entries that can still hold the
-  best score get float64 peaks (filter and refine: Faloutsos et al., SIGMOD
-  1994).
+  ``xcorr_match`` prunes further (:func:`_match_peaks`): Cauchy-Schwarz
+  bounds every product row's scores by its window's norm, and only the rows
+  that can still hold the best score are multiplied (filter and refine:
+  Faloutsos et al., SIGMOD 1994).
 
 The fast paths share :func:`_compact_setup`, which projects the signal into
 a zero-padded compact buffer and charges the counter, and
@@ -42,7 +41,7 @@ from .config import SampleMode
 from .errors import DimensionMismatch, DomainError, IndexOutOfRange
 # project_signal_dual is unused here; perfbench/tracing.py wraps it under
 # this module's name, so the name must resolve.
-from .projection import _as_real, make_haar_pair, project_signal, project_signal_dual  # noqa: F401
+from .projection import _as_real, project_signal, project_signal_dual  # noqa: F401
 
 # Block-Toeplitz products of conv_projected_blocked: output samples per row
 # of the product, most compact kernel taps per Toeplitz segment, and most
@@ -65,15 +64,13 @@ CONV_BANK_COLUMNS = 512
 # conv_projected_peaks screens a float64 bank's products in float32 when a
 # call's product makes at least CONV_SCREEN_MACS multiply-adds; below, the
 # screen's fixed work (about 80 us) costs more than float32 saves (fitted at
-# 16 geometries, 0.7 to 200 million multiply-adds; right at 15).
+# 16 geometries, 0.7 to 200 million multiply-adds; right at 15). The same
+# calls of _match_peaks screen product rows, and rows that still make that
+# many multiply-adds take the float32 screen.
 CONV_SCREEN_MACS = 4_000_000
 # A screened chunk runs its float64 product instead when CONV_REFINE_COST
 # times its candidates reaches its product's entries.
 CONV_REFINE_COST = 64
-# _match_peaks prunes when CONV_PRUNE_COST times the survivors' float64
-# multiply-adds stays below what the coarse product saves: at the match-db
-# geometry one refined entry took about 10 us, the saving about 140 us.
-CONV_PRUNE_COST = 2
 
 
 class ConvVariant(enum.Enum):
@@ -387,14 +384,20 @@ def _window_view(padded, block, rows, start, span):
     return view
 
 
-def _compact_windows(padded, block, rows, start, span):
+def _compact_windows(padded, block, rows, start, span, picked=None):
     """Yield ``(lo, hi, x)``: x is the (hi - lo, p * span) copy of windows lo
     .. hi - 1 of :func:`_window_view`, projections side by side, made in
     chunks of about CONV_CHUNK_ELEMENTS into one buffer, so the caller must
-    be done with x before it asks for the next chunk."""
+    be done with x before it asks for the next chunk. With ``picked``, x
+    copies windows ``picked[lo:hi]`` instead, each chunk anew."""
     windows = _window_view(padded, block, rows, start, span)
     used = padded.shape[0]
     chunk = max(1, CONV_CHUNK_ELEMENTS // (used * span))
+    if picked is not None:
+        for lo in range(0, picked.shape[0], chunk):
+            x = windows[picked[lo:lo + chunk]]
+            yield lo, lo + x.shape[0], x.reshape(x.shape[0], used * span)
+        return
     buffer = np.empty((min(chunk, rows), used, span), dtype=padded.dtype)
     for lo in range(0, rows, chunk):
         hi = min(lo + chunk, rows)
@@ -582,11 +585,9 @@ class KernelBank:
     (DomainError), and so is an operand of another shape
     (DimensionMismatch).
 
-    ``screen`` and ``coarse`` are derived from a finite float64 operand,
-    and None for any other: the :class:`_Screen` that
-    :func:`conv_projected_peaks` screens its products with (0.35 MB above),
-    and the :class:`_Coarse` operand that ``xcorr_match`` prunes entries
-    with (0.14 MB above).
+    ``screen`` is the :class:`_Screen` that :func:`conv_projected_peaks`
+    screens its products with (0.35 MB above), derived from a finite float64
+    operand, and None for any other.
     """
 
     pair: object
@@ -596,7 +597,6 @@ class KernelBank:
     block: int
     toeplitz: np.ndarray
     screen: object = field(init=False, repr=False, compare=False)
-    coarse: object = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.config.check_pair(self.pair)
@@ -607,9 +607,7 @@ class KernelBank:
             raise DimensionMismatch(
                 f"bank needs a {shape} operand, got {self.toeplitz.shape}")
         self.toeplitz.setflags(write=False)
-        screen = _screen_operand(self)
-        object.__setattr__(self, "screen", screen)
-        object.__setattr__(self, "coarse", screen and _coarse_operand(self, screen))
+        object.__setattr__(self, "screen", _screen_operand(self))
 
 
 class _Screen(NamedTuple):
@@ -652,49 +650,11 @@ def _screen_operand(bank):
 
 
 def _norms_up(rows):
-    """The 2-norm of every row, rounded up: a computed sum of n squares is
-    within about (n + 1) * 2**-53 of itself."""
-    rows = rows.reshape(rows.shape[0], -1)
-    return np.sqrt(np.einsum("ij,ij->i", rows, rows) * (1 + (rows.shape[1] + 1) * 2.0 ** -52))
-
-
-class _Coarse(NamedTuple):
-    """A screened bank's coarse operand: every phase's compact taps, in the
-    screen's units, projected again by the Haar pair of size 2 (``pair``).
-    Projection 0 of its two phases, second phase major, forms ``operand``,
-    the float32 block-Toeplitz matrix of B = ``block``. A query's slack_e is
-    (||a||, S, ||x||) @ ``weights`` + ``floor`` (:func:`_survivors`)."""
-
-    pair: object
-    block: int
-    operand: np.ndarray
-    weights: np.ndarray
-    floor: float
-
-
-def _coarse_operand(bank, screen):
-    count, used = bank.count, bank.config.projections_used
-    pair = make_haar_pair(2)
-    natural = np.ldexp(screen.taps.reshape(-1, used, screen.taps.shape[1] // used)[..., ::-1],
-                       screen.shift)
-    # halves[r2, r*E + e, l, l2, q]: phase r2 of the taps of phase r, kernel e
-    halves = _kernel_taps(natural.reshape(-1, natural.shape[-1]), pair, 2, range(2))
-    phases, half_len = 2 * len(bank.config.phases()), halves.shape[-1]
-    halves = halves.reshape(phases * count, used, 2, half_len)
-    block = _bank_block(phases, count, half_len)
-    operand = np.array(_toeplitz_segment(halves[:, :, 0], block), np.float32)
-    operand.setflags(write=False)
-    kept, dropped = (_norms_up(halves[:, :, i]).reshape(phases, count).max(axis=0)
-                     for i in range(2))
-    depth, fine_depth = operand.shape[0], bank.toeplitz.shape[0]
-    # c_K' * ||alpha_e||, K_e and (gamma_K(2**-53) + 2**-48) * ||T_e||, with
-    # the largest norms of kernel e's kept and dropped taps over the phases
-    weights = np.stack([_rounding_gap(depth) * kept, dropped,
-                        (_gamma(fine_depth, 2.0 ** -53) + 2.0 ** -48) * screen.norms])
-    # raised by 2**-40 for the roundings of a slack; 2**-126 for each of 8
-    # operations per term, as in conv_projected_peaks
-    weights *= 1 + 2.0 ** -40
-    return _Coarse(pair, block, operand, weights, (depth + fine_depth) * 2.0 ** -123)
+    """The 2-norm of every ``rows[i]``, rounded up: a computed sum of n
+    squares is within about (n + 1) * 2**-53 of itself."""
+    axes = "ijk"[:rows.ndim]
+    return np.sqrt(np.einsum(f"{axes},{axes}->i", rows, rows)
+                   * (1 + (rows[0].size + 1) * 2.0 ** -52))
 
 
 def _kernel_taps(kernels, pair, projections, phases, counter=None):
@@ -891,23 +851,29 @@ def _stream_end(bank, out_len, kept):
     return out_len if len(bank.config.phases()) > 1 else kept
 
 
-def _bank_peaks(bank, setup, screened):
+def _bank_peaks(bank, setup, screened, picked=None):
+    """The peaks of product rows ``picked``, ascending, or of every row: in
+    float32 where ``screened`` holds and the rows make at least
+    CONV_SCREEN_MACS multiply-adds, else in float64."""
     block, count = bank.block, bank.count
     compact_len, out_len, kept, rows, padded = setup
     phases = len(bank.config.phases())
-    valid = _stream_end(bank, out_len, kept)
     width = block * phases          # stream rows per product row
     span = block + compact_len - 1
+    total = rows if picked is None else picked.shape[0]
+    # the stream samples past the output's end, at the end of the last row
+    tail = (0 if picked is not None and (picked.shape[0] == 0 or picked[-1] < rows - 1)
+            else (rows * width - _stream_end(bank, out_len, kept)) * count)
     peaks = np.zeros(count)
 
-    def fold(y, lo):
+    def fold(y, hi):
         # the largest |y| of each column, then of each kernel's B * P columns
-        largest = _column_maxima(y, (valid - lo * width) * count, 0)
+        largest = _column_maxima(y, y.size - tail if hi == total else y.size, 0)
         np.maximum(peaks, largest.reshape(width, count).max(axis=0), out=peaks)
 
-    if not screened:
-        for lo, hi, x in _compact_windows(padded, block, rows, 0, span):
-            fold(x @ bank.toeplitz, lo)
+    if not screened or total * bank.toeplitz.size < CONV_SCREEN_MACS:
+        for lo, hi, x in _compact_windows(padded, block, rows, 0, span, picked):
+            fold(x @ bank.toeplitz, hi)
         return peaks
     scaled, _, norm = screened
     depth = bank.toeplitz.shape[0]
@@ -916,115 +882,86 @@ def _bank_peaks(bank, setup, screened):
     # spread through the float32 sum), which covers underflow and flush-to-zero
     slack = _rounding_gap(depth) * norm * bank.screen.norms + depth * 2.0 ** -123
     samples = _window_view(padded, 1, rows * block, 0, compact_len)
+    windows = _window_view(padded, block, rows, 0, span)
     taps = bank.screen.taps
     top = np.zeros(count, np.float32)
-    for lo, hi, x in _compact_windows(scaled.astype(np.float32), block, rows, 0, span):
+    for lo, hi, x in _compact_windows(scaled.astype(np.float32), block, rows, 0, span,
+                                      picked):
+        at = np.arange(lo, hi) if picked is None else picked[lo:hi]
         y = x @ bank.screen.operand
-        hits = _screened_chunk(y, (valid - lo * width) * count, top, slack)
+        hits = _screened_chunk(y, y.size - tail if hi == total else y.size, top, slack)
         if hits.shape[0] * CONV_REFINE_COST >= y.size:
-            windows = _window_view(padded, block, rows, 0, span)[lo:hi]
-            fold(windows.reshape(hi - lo, -1) @ bank.toeplitz, lo)
+            fold(windows[at].reshape(hi - lo, -1) @ bank.toeplitz, hi)
             continue
         # a sample of block sample i of window j, phase r and kernel e is the
         # Q compact samples of every projection from j*B + i on times the
         # taps of the operand's column r*E + e
-        at, column = np.divmod(hits, phases * count)
-        exact = np.einsum("ij,ij->i", samples[at + lo * block].reshape(-1, taps.shape[1]),
-                          taps[column])
+        sample, column = np.divmod(hits, phases * count)
+        first = at[sample // block] * block + sample % block
+        exact = np.einsum("ij,ij->i", samples[first].reshape(-1, taps.shape[1]), taps[column])
         np.maximum.at(peaks, column % count, np.abs(exact))
     return peaks
 
 
 def _match_peaks(s, bank, energies, counter=None):
     """:func:`conv_projected_peaks` for the scores peaks / ``energies`` of
-    ``xcorr_match``: ``(peaks, refined)``. An entry whose score cannot be
-    the largest may get peak 0; ``refined`` counts the entries whose float64
-    peaks were computed.
+    ``xcorr_match``: ``(peaks, rows)``, ``rows`` the product rows whose
+    peaks were computed. An entry whose score cannot be the largest may get
+    a partial peak, the largest over those rows.
 
-    Where the float32 screen would run and pruning can pay (:func:`_prunes`),
-    a coarse float32 product bounds every entry's peak (:func:`_survivors`),
-    and only the entries whose upper bound reaches the best lower bound get
-    float64 peaks (:func:`_refined_peaks`). Any other call, or one with too
-    many survivors, runs :func:`conv_projected_peaks`. The counter is
-    charged as that function charges."""
+    Where the float32 screen would run, the rows are screened instead
+    (:func:`_row_bounds`). The loudest row's float64 product gives a lower
+    bound on the best score, and only the rows whose bound reaches it are
+    multiplied, through :func:`_bank_peaks`; a final check multiplies any
+    other row whose bound reaches the best score computed. So every row left
+    out scores below the best in float64. The products' samples are those
+    of every row's product up to rounding: a subset of rows is a product of
+    another shape. The counter is charged as :func:`conv_projected_peaks`
+    charges."""
     setup, screened = _peaks_setup(s, bank, counter)
-    if screened and _prunes(bank, 1):
-        entries = _survivors(bank, setup, screened, energies)
-        if _prunes(bank, entries.shape[0]):
-            return _refined_peaks(bank, setup, entries), entries.shape[0]
-    return _bank_peaks(bank, setup, screened), bank.count
+    bounds = _row_bounds(bank, setup, screened, energies) if screened else None
+    if bounds is None:
+        # products beyond float64 round to infinities and NaNs, which
+        # xcorr_match refuses, so numpy's warnings on the way are not raised
+        with np.errstate(over="ignore", invalid="ignore"):
+            return _bank_peaks(bank, setup, screened), setup[3]
+    # the loudest row's product is another shape than the picked rows', so
+    # its scores are a lower bound on theirs up to rounding
+    lower = (_bank_peaks(bank, setup, False, bounds.argmax()[None]) / energies).max()
+    picked = np.flatnonzero(bounds >= lower)
+    peaks = _bank_peaks(bank, setup, screened, picked)
+    best = (peaks / energies).max()
+    if best < lower:
+        # the final check: the rows left out whose bound reaches the best
+        missed = np.flatnonzero((bounds >= best) & (bounds < lower))
+        np.maximum(peaks, _bank_peaks(bank, setup, screened, missed), out=peaks)
+        return peaks, picked.shape[0] + missed.shape[0]
+    return peaks, picked.shape[0]
 
 
-def _prunes(bank, survivors):
-    """Whether refining ``survivors`` entries, CONV_PRUNE_COST per float64
-    multiply-add, costs less than the coarse product saves against the
-    float32 screen's: per compact sample, n * K * P against (K - K') * P *
-    E, K and K' the two operands' depths."""
+def _window_norms(setup, scaled):
+    """W_j, the 2-norm of product row j's window of the scaled compact
+    signal (B + Q - 1 samples of each kept projection), rounded up."""
+    compact_len, _, _, rows, padded = setup
+    block = (padded.shape[1] - compact_len + 1) // rows
+    return _norms_up(_window_view(scaled, block, rows, 0, block + compact_len - 1))
+
+
+def _row_bounds(bank, setup, screened, energies):
+    """U_j, a bound on every score in product row j: each of its float64
+    samples of entry e is at most (1 + gamma_K) * W_j * N_e in scaled units
+    (Cauchy-Schwarz, and Higham's bound on a sum of K terms), N_e the
+    screen's norm of the entry's columns, plus 2**-126 for each of 8
+    operations per term for underflow (doubled for the rounding of its
+    quotient). Every rounding goes up, so a sample's computed score is at
+    most U_j. None where a bound could leave float64's range: W_j and N_e
+    are below sqrt(K), so U_j < 2K * 2**scale / min energy_e."""
+    scaled, scale, _ = screened
     depth = bank.toeplitz.shape[0]
-    return (survivors * CONV_PRUNE_COST * depth
-            < (depth - bank.coarse.operand.shape[0]) * bank.count)
-
-
-def _survivors(bank, setup, screened, energies):
-    """The entries whose score may be the largest. The scaled compact
-    streams are split by the Haar pair of size 2 into approximations a and
-    details d; one float32 product of the approximations' windows and the
-    :class:`_Coarse` operand gives every coarse sample. A float64 product
-    sample inside the output is within slack_e of its coarse sample: the
-    coarse product's Delta'_e (:func:`_rounding_gap`), S * K_e for the
-    dropped details by Cauchy-Schwarz (S = ||d||, K_e the largest norm of
-    kernel e's dropped taps), and (gamma_K(2**-53) + 2**-48) * ||x|| *
-    ||T_e|| for the float64 sum and the Haar roundings. Entry e is kept
-    unless (U_e / energy_e) < max over e' of (L_e' / energy_e'), where U_e
-    and L_e are its largest coarse |y| inside the output plus and minus
-    slack_e, rounded toward keeping."""
-    coarse, count = bank.coarse, bank.count
-    compact_len, out_len, kept, rows, padded = setup
-    scaled, scale, norm = screened
-    used = padded.shape[0]
-    half = -(-kept // 2)
-    fine = np.zeros((used, 2 * half))
-    piece = scaled[:, compact_len - 1:compact_len - 1 + 2 * half]
-    fine[:, :piece.shape[1]] = piece
-    # streams[l, i] = (a_l[i], d_l[i])
-    streams = fine.reshape(used, half, 2) @ coarse.pair.forward
-    depth, block = coarse.operand.shape[0], coarse.block
-    span = depth // used
-    rows = -(-half // block)
-    buffer = np.zeros((used, rows * block + span - block), np.float32)
-    buffer[:, span - block:span - block + half] = streams[..., 0]
-    valid = _stream_end(bank, out_len, kept)
-    width = 2 * block * len(bank.config.phases())
-    top = np.zeros(count, np.float32)
-    for lo, hi, x in _compact_windows(buffer, block, rows, 0, span):
-        largest = _column_maxima(x @ coarse.operand, (valid - lo * width) * count, 0)
-        np.maximum(top, largest.reshape(width, count).max(axis=0), out=top)
-    # ||a|| and S rounded up, as _norms_up rounds
-    approx, detail = (math.sqrt(np.vdot(v, v) * (1 + (half * used + 1) * 2.0 ** -52))
-                      for v in (streams[..., 0], streams[..., 1]))
-    slack = np.array([approx, detail, norm]) @ coarse.weights + coarse.floor
-    top = top.astype(np.float64)
-    upper = np.nextafter(np.ldexp(top + slack, scale), np.inf) / energies
-    lower = np.nextafter(np.ldexp(top - slack, scale), -np.inf) / energies
-    return np.flatnonzero(upper >= lower.max())
-
-
-def _refined_peaks(bank, setup, entries):
-    """The float64 peaks of ``entries``, 0 for the other kernels: the
-    windows of the compact signal times each entry's own B * P operand
-    columns, one product per entry, so equal entries get equal peaks."""
-    compact_len, out_len, kept, rows, padded = setup
-    block, count = bank.block, bank.count
-    width = block * len(bank.config.phases())
-    valid = _stream_end(bank, out_len, kept)
-    columns = np.ascontiguousarray(
-        bank.toeplitz.reshape(-1, width, count)[..., entries].transpose(2, 0, 1))
-    best = np.zeros(entries.shape[0])
-    for lo, hi, x in _compact_windows(padded, block, rows, 0, block + compact_len - 1):
-        y = np.matmul(x, columns).reshape(entries.shape[0], -1)
-        np.abs(y, out=y)
-        y[:, valid - lo * width:] = 0
-        np.maximum(best, y.max(axis=1), out=best)
-    peaks = np.zeros(count)
-    peaks[entries] = best
-    return peaks
+    if max(scale, 0) + depth.bit_length() + 2 - math.frexp(energies.min())[1] > 1023:
+        return None
+    # raised by 2**-49 for the roundings of the bound
+    gain = (1 + _gamma(depth, 2.0 ** -53)) * (1 + 2.0 ** -49) * (bank.screen.norms / energies).max()
+    floor = depth * 2.0 ** -122 / energies.min()
+    bounds = np.ldexp(_window_norms(setup, scaled) * gain + floor, scale)
+    return np.nextafter(bounds, np.inf, out=bounds)

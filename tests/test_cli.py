@@ -229,19 +229,24 @@ def test_match_demo_synthetic(tmp_path, capsys):
 
 def test_match_demo_names_the_peaks_path_of_each_projected_row(tmp_path):
     # 64 entries of 256 samples against queries of 2048: the L = 2 bank's
-    # product (10 million multiply-adds) is screened, its entries pruned and
-    # the survivors refined, the L = 4 bank's (2.7 million) runs in float64
-    # for every entry
+    # product (10 million multiply-adds) is screened, so its rows are
+    # screened and a few of its 144 multiplied; the L = 4 bank's (2.7
+    # million) runs in float64 for all 72 rows. Each projected row's banks
+    # are built, and timed, before its pass
     out = tmp_path / "match.csv"
     rc = main(["match-demo", "--synthetic", "--entries", "64", "--queries", "2",
                "--L", "2,4", "--out", str(out)])
     assert rc == 0
     text = out.read_text()
     assert [ln for ln in text.splitlines() if ln.startswith("# peaks ")] == [
-        "# peaks projected-L2-p1-half: length=256 path=entry-prune refined-mean=1.50 "
-        "refined-max=2",
-        "# peaks projected-L4-p1-half: length=256 path=float64-product refined-mean=64.00 "
-        "refined-max=64"]
+        "# peaks projected-L2-p1-half: length=256 path=row-screen rows-mean=20.50 "
+        "rows-max=22",
+        "# peaks projected-L4-p1-half: length=256 path=float64-product rows-mean=72.00 "
+        "rows-max=72"]
+    banks = [ln.split(": ") for ln in text.splitlines() if ln.startswith("# banks ")]
+    assert [label for label, _ in banks] == ["# banks projected-L2-p1-half",
+                                             "# banks projected-L4-p1-half"]
+    assert all(float(seconds.removeprefix("seconds=")) >= 0 for _, seconds in banks)
     assert [row[0] for row in _rows(text, DEMO_HEADER)] == [
         "conventional", "projected-L2-p1-half", "projected-L4-p1-half"]
 

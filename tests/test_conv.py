@@ -1232,10 +1232,9 @@ def test_screened_match_decisions_equal_float64_products(float64_products, seed)
 
 
 @pytest.fixture
-def pruning(monkeypatch, screen_rule):
-    """Entry pruning on every screened call, however few its entries
-    (CONV_PRUNE_COST = 0), under both screen rules."""
-    monkeypatch.setattr(conv, "CONV_PRUNE_COST", 0)
+def pruning(screen_rule):
+    """The row screen wherever the float32 screen would run, under both
+    screen rules."""
     return screen_rule
 
 
@@ -1244,21 +1243,20 @@ def _decision(peaks, energies, ids):
     return min(ids[i] for i in np.flatnonzero(scores == scores.max()))
 
 
-def _haar_halves(taps):
-    """Projections 0 and 1 of both phases of the Haar pair of size 2 of
-    rows of natural-order taps, one phase r2 at a time:
-    ``kd2[q] = sum_t D[l, t] kd[2q + r2 - t]``."""
-    inverse = make_haar_pair(2).inverse
-    half_len = -(-(taps.shape[-1] + 1) // 2)
-    wide = np.zeros(taps.shape[:-1] + (2 * half_len + 2,))
-    wide[..., 1:taps.shape[-1] + 1] = taps
-    out = []
-    for r2 in range(2):
-        # kd[2q + r2 - t] is wide[2q + r2 - t + 1]
-        groups = np.stack([wide[..., r2 + 1 - t:r2 + 1 - t + 2 * half_len:2] for t in range(2)],
-                          axis=-1)
-        out.append(groups @ inverse.T)
-    return out
+def _match_rows(s, bank):
+    """The product rows of ``s`` against ``bank``."""
+    return -(-(-(-(s.shape[0] + bank.kernel_len - 1) // bank.pair.size)) // bank.block)
+
+
+def _assert_partial_peaks(peaks, want, energies, rtol):
+    """Every peak at most its float64 peak, the entries whose peaks fell
+    short scoring below the best, and the best entry's peak its own."""
+    assert np.all(peaks <= want * (1 + rtol))
+    best = (peaks / energies).max()
+    short = peaks < want * (1 - rtol)
+    assert np.all(want[short] / energies[short] < best)
+    winner = np.argmax(want / energies)
+    assert_allclose(peaks[winner], want[winner], rtol=rtol, atol=0)
 
 
 @pytest.mark.parametrize("family,size,used,mode", [
@@ -1266,37 +1264,135 @@ def _haar_halves(taps):
     ("dct", 4, 2, SampleMode.ALL_PHASES),
     ("custom", 3, 2, SampleMode.ALL_PHASES),
 ])
-def test_coarse_weights_bound_each_slack_term(family, size, used, mode):
-    # each row of the weights against its term, computed from the operand's
-    # own columns: c_K' ||alpha_e||, K_e and (gamma_K(2^-53) + 2^-48) ||T_e||
+def test_window_norms_bound_each_window(screen_every_call, family, size, used, mode):
+    # W_j against the exact norm of row j's window of the scaled compact
+    # signal, every kept projection, in exact rationals
     from fractions import Fraction
 
     rng = np.random.default_rng(size)
     pair = random_pair(family, size, 29)
     cfg = PrecisionConfig(size, used, sample_mode=mode)
     bank = project_kernel_bank(rng.standard_normal((6, 40)), pair, cfg)
-    coarse, count = bank.coarse, bank.count
-    compact_len = -(-(40 + size - 1) // size)
-    scaled = np.ldexp(bank.toeplitz, bank.screen.shift)
-    # block sample 0's columns: phase r, kernel e, taps l*(B + Q - 1) + q
-    columns = scaled[:, :len(cfg.phases()) * count].T.reshape(-1, count, used, bank.block
-                                                               + compact_len - 1)
-    natural = columns[..., :compact_len][..., ::-1]
-    kept, dropped = (np.sqrt(np.max([(h[..., i] ** 2).sum(axis=(-1, -2))
-                                     for h in _haar_halves(natural)], axis=(0, 1)))
-                     for i in range(2))
-    depth, fine_depth = coarse.operand.shape[0], bank.toeplitz.shape[0]
-    gamma = fine_depth * 2.0 ** -53 / (1 - fine_depth * 2.0 ** -53)
-    norms = np.sqrt((scaled ** 2).sum(axis=0)).reshape(-1, count).max(axis=0)
-    terms = [conv._rounding_gap(depth) * kept, dropped, (gamma + 2.0 ** -48) * norms]
-    low, high = 1 - Fraction(1, 2 ** 45), 1 + Fraction(1, 2 ** 36)
-    for row, term in zip(coarse.weights, terms):
-        for got, want in zip(row, term):
-            assert Fraction(want) * low <= Fraction(got) <= Fraction(want) * high
-    assert coarse.floor >= (depth + fine_depth) * 2.0 ** -123
-    half_len = -(-(compact_len + 1) // 2)
-    assert coarse.operand.dtype == np.float32
-    assert depth == used * (coarse.block + half_len - 1)
+    s = rng.standard_normal(300) * np.exp(rng.uniform(-20, 20, 300))
+    setup, (scaled, _, _) = conv._peaks_setup(s, bank, None)
+    norms = conv._window_norms(setup, scaled)
+    compact_len, rows = setup[0], setup[3]
+    span = bank.block + compact_len - 1
+    assert norms.shape == (rows,)
+    for j, norm in enumerate(norms):
+        window = scaled[:, j * bank.block:j * bank.block + span].reshape(-1)
+        exact = sum(Fraction(float(v)) ** 2 for v in window)
+        assert exact <= Fraction(float(norm)) ** 2 <= exact * (1 + Fraction(1, 2 ** 40))
+
+
+def test_row_bounds_hold_every_score_of_their_row(float64_products):
+    # U_j against (1 + gamma_K) W_j N_e / energy_e + the underflow floor in
+    # exact rationals, and against every float64 score of row j. The query
+    # is zero but for the compact taps of the entry e with the largest N_e /
+    # energy_e from compact sample 800 on (Haar projection 0 of a sample
+    # pair is their sum over sqrt 2), so one sample meets Cauchy-Schwarz
+    # with equality, and e wins
+    from fractions import Fraction
+
+    bank, signals, rng = _match_db_bank(5)
+    energies = np.sum(signals * signals, axis=1)
+    compact_len = bank.toeplitz.shape[0] - bank.block + 1
+    entry = np.argmax(bank.screen.norms / energies)
+    query = np.zeros(2048)
+    query[1600:1600 + 2 * compact_len] = np.repeat(bank.screen.taps[entry] / math.sqrt(2), 2)
+    setup, screened = conv._peaks_setup(query, bank, None)
+    scaled, scale, _ = screened
+    bounds = conv._row_bounds(bank, setup, screened, energies)
+    norms = conv._window_norms(setup, scaled)
+    depth = bank.toeplitz.shape[0]
+    gamma = Fraction(depth, 2 ** 53) / (1 - Fraction(depth, 2 ** 53))
+    ratio = max(Fraction(float(n)) / Fraction(float(e))
+                for n, e in zip(bank.screen.norms, energies))
+    floor = Fraction(depth, 2 ** 123) / Fraction(float(energies.min()))
+    for norm, bound in zip(norms, bounds):
+        exact = ((1 + gamma) * Fraction(float(norm)) * ratio + floor) * Fraction(2) ** scale
+        assert Fraction(float(bound)) >= exact
+    padded, rows = setup[-1], setup[3]
+    windows = conv._window_view(padded, bank.block, rows, 0, compact_len + bank.block - 1)
+    y = np.abs(windows.reshape(rows, -1) @ bank.toeplitz).reshape(rows, -1, bank.count)
+    scores = (y / energies).max(axis=(1, 2))
+    assert np.all(scores <= bounds)
+    # the planted taps: the tightest row's score within 1e-12 of its bound
+    assert np.max(scores / bounds) > 1 - 1e-12
+    assert _decision(float64_products(conv_projected_peaks, query, bank), energies,
+                     range(bank.count)) == entry
+
+
+def test_final_check_catches_the_winner_in_a_skipped_row(float64_products, monkeypatch):
+    # the loudest row's product is another shape than the picked rows', so
+    # its lower bound may round above their scores. Here it is raised past
+    # the bound of the row holding the winner's peak, a copy of entry 9 in
+    # rows quieter than those of a noise burst, and only the final check
+    # multiplies that row
+    bank, signals, rng = _match_db_bank(23)
+    energies = np.sum(signals * signals, axis=1)
+    query = 0.05 * rng.standard_normal(2048)
+    query[1500:1756] += signals[9]
+    query[100:400] += rng.standard_normal(300)
+    want = float64_products(conv_projected_peaks, query, bank)
+    assert np.argmax(want / energies) == 9
+    setup, screened = conv._peaks_setup(query, bank, None)
+    bounds = conv._row_bounds(bank, setup, screened, energies)
+    padded, rows = setup[-1], setup[3]
+    windows = conv._window_view(padded, bank.block, rows, 0, bank.toeplitz.shape[0])
+    y = (windows.reshape(rows, -1) @ bank.toeplitz).reshape(rows, -1, bank.count)
+    row = np.argmax(np.abs(y[:, :, 9]).max(axis=1))
+    raised = bounds[row] * (1 + 2.0 ** -20)
+    assert bounds.max() > raised
+    calls = []
+    bank_peaks = conv._bank_peaks
+
+    def spy(bank, setup, screened, picked=None):
+        calls.append(picked)
+        peaks = bank_peaks(bank, setup, screened, picked)
+        return peaks * (raised / (peaks / energies).max()) if len(calls) == 1 else peaks
+
+    monkeypatch.setattr(conv, "_bank_peaks", spy)
+    peaks, rows = conv._match_peaks(query, bank, energies)
+    assert len(calls) == 3 and row not in calls[1] and row in calls[2]
+    assert rows == calls[1].shape[0] + calls[2].shape[0]
+    assert_allclose(peaks[9], want[9], rtol=1e-14, atol=0)
+    assert _decision(peaks, energies, range(bank.count)) == 9
+
+
+@pytest.mark.parametrize("seed", [3, 4])
+def test_queries_loud_in_every_window_multiply_every_row(seed):
+    # white noise whose first and last 16 samples, all that the end rows'
+    # windows hold, are 4 times louder: every row's bound reaches the best
+    # score, so every row is multiplied, through the float32 screen, bit
+    # for bit as conv_projected_peaks
+    bank, signals, rng = _match_db_bank(seed)
+    energies = np.sum(signals * signals, axis=1)
+    query = rng.standard_normal(2048)
+    query[:16] *= 4
+    query[-16:] *= 4
+    peaks, rows = conv._match_peaks(query, bank, energies)
+    assert rows == _match_rows(query, bank) == 144
+    assert np.array_equal(peaks, conv_projected_peaks(query, bank))
+
+
+@pytest.mark.parametrize("seed", [5, 23, 41])
+def test_row_screen_multiplies_under_a_quarter_of_the_rows(float64_products, seed):
+    # the match-db geometry, 256 queries of 2048 samples in 10 dB noise:
+    # about 15 of 144 rows per query
+    rng = np.random.default_rng(seed)
+    db = synth_feature_db(64, 256, rng)
+    queries = synth_queries(db, 256, 2048, rng, 10.0)
+    bank, signals, _ = _match_db_bank(seed)
+    assert np.array_equal(signals, np.stack([sig for _, sig in db.entries]))
+    energies = np.sum(signals * signals, axis=1)
+    counts = []
+    for _, query in queries:
+        peaks, rows = conv._match_peaks(query, bank, energies)
+        counts.append(rows)
+        _assert_partial_peaks(peaks, float64_products(conv_projected_peaks, query, bank),
+                              energies, 1e-14)
+    assert np.mean(counts) < 144 / 4
 
 
 def test_pruned_peaks_keep_planted_near_ties(float64_products):
@@ -1310,10 +1406,10 @@ def test_pruned_peaks_keep_planted_near_ties(float64_products):
     query[300:556] = signals[0]
     query[1200:1456] = signals[0] * tie
     energies = np.sum(signals * signals, axis=1)
-    assert conv._prunes(bank, 1) and conv._screens(query.shape[0], bank)
-    got, refined = conv._match_peaks(query, bank, energies)
+    assert conv._screens(query.shape[0], bank)
+    got, rows = conv._match_peaks(query, bank, energies)
     want = float64_products(conv_projected_peaks, query, bank)
-    assert 2 <= refined < bank.count
+    assert 2 <= rows < _match_rows(query, bank)
     assert got[0] > 0 and got[1] > 0
     # both within gamma_K(2^-53) ||x|| ||T_j|| of the float64 product's peaks
     sc = project_signal(query, bank.pair, 0)
@@ -1329,10 +1425,9 @@ def test_pruned_peaks_keep_planted_near_ties(float64_products):
 
 def test_pruning_keeps_entries_whose_score_sits_in_the_details(pruning, float64_products):
     # entry 7 is modulated by (-, +, +, -): at L = 2 its compact taps, and
-    # a copy at an odd delay, alternate in sign, so nearly all their energy
-    # is in the details the coarse product drops, and only S * K_e keeps
-    # the entry. Such a query has loud details, so many entries survive,
-    # and pruning is forced to run
+    # a copy at an odd delay, alternate in sign, so nearly all its energy is
+    # in the Haar details of its compact taps, and its windows are no louder
+    # than their neighbours
     bank, signals, rng = _match_db_bank(23)
     signals[7] *= np.resize([-1.0, 1.0, 1.0, -1.0], 256)
     bank = project_kernel_bank(signals[:, ::-1], bank.pair, bank.config)
@@ -1341,7 +1436,7 @@ def test_pruning_keeps_entries_whose_score_sits_in_the_details(pruning, float64_
     for delay in (1, 515, 1791):
         query = 0.05 * rng.standard_normal(2048)
         query[delay:delay + 256] += signals[7]
-        got, refined = conv._match_peaks(query, bank, energies)
+        got, _ = conv._match_peaks(query, bank, energies)
         want = float64_products(conv_projected_peaks, query, bank)
         assert got[7] > 0
         assert _decision(got, energies, ids) == _decision(want, energies, ids) == "e007"
@@ -1360,39 +1455,17 @@ def test_pruned_duplicates_go_to_the_lowest_id(float64_products):
     for delay in (11, 1000):
         query = 0.1 * rng.standard_normal(2048)
         query[delay:delay + 256] += signals[3]
-        got, refined = conv._match_peaks(query, bank, energies)
-        assert refined < bank.count
+        got, rows = conv._match_peaks(query, bank, energies)
+        assert rows < _match_rows(query, bank)
         assert got[3] == got[9] == got[40] > 0
         assert xcorr_match(query, db, mode)[0] == "a040"
         assert float64_products(xcorr_match, query, db, mode)[0] == "a040"
 
 
-def test_white_noise_takes_the_pruning_fallback(float64_products):
-    # white entries keep as much energy in their details as in their
-    # approximations, so every entry's bound reaches the best lower bound,
-    # and the call runs conv_projected_peaks, bit for bit
-    rng = np.random.default_rng(3)
-    entries = rng.standard_normal((64, 256))
-    bank = project_kernel_bank(entries[:, ::-1], make_haar_pair(2),
-                               PrecisionConfig(2, 1, sample_mode=SampleMode.HALF_INTERPOLATE))
-    energies = np.sum(entries * entries, axis=1)
-    ids = [f"e{i:03d}" for i in range(64)]
-    db = FeatureDb.from_arrays(zip(ids, entries))
-    mode = ConvMode(pair=bank.pair, config=bank.config)
-    for pick in (5, 60):
-        query = rng.standard_normal(2048)
-        query[700:956] += 2 * entries[pick]
-        got, refined = conv._match_peaks(query, bank, energies)
-        assert refined == bank.count
-        assert np.array_equal(got, conv_projected_peaks(query, bank))
-        assert xcorr_match(query, db, mode)[0] == ids[pick]
-        assert float64_products(xcorr_match, query, db, mode)[0] == ids[pick]
-
-
 @pytest.mark.parametrize("entry_exp,query_exp", [(140, -100), (-140, 100),
                                                 (-100, 140), (100, -140)])
 def test_pruned_peaks_of_scaled_entries_and_queries(entry_exp, query_exp):
-    # powers of two move nothing but the units: the same entries survive,
+    # powers of two move nothing but the units: the same rows are kept,
     # their peaks scale exactly, and the decisions stay
     bank, signals, rng = _match_db_bank(23)
     energies = np.sum(signals * signals, axis=1)
@@ -1403,10 +1476,10 @@ def test_pruned_peaks_of_scaled_entries_and_queries(entry_exp, query_exp):
     for pick in (2, 50):
         query = 0.1 * rng.standard_normal(2048)
         query[900:1156] += signals[pick]
-        plain, refined = conv._match_peaks(query, bank, energies)
-        got, scaled_refined = conv._match_peaks(np.ldexp(query, query_exp), scaled_bank,
-                                                scaled_energies)
-        assert scaled_refined == refined < bank.count
+        plain, rows = conv._match_peaks(query, bank, energies)
+        got, scaled_rows = conv._match_peaks(np.ldexp(query, query_exp), scaled_bank,
+                                             scaled_energies)
+        assert scaled_rows == rows < _match_rows(query, bank)
         assert np.array_equal(got, np.ldexp(plain, entry_exp + query_exp))
         assert (_decision(got, scaled_energies, ids) == _decision(plain, energies, ids)
                 == ids[pick])
@@ -1434,26 +1507,23 @@ def test_pruned_match_decisions_across_pairs_and_phases(pruning, float64_product
     dbmode = ConvMode(pair=pair, config=cfg)
     bank = project_kernel_bank(entries[:, ::-1], pair, cfg)
     energies = np.sum(entries * entries, axis=1)
-    refined = []
+    counts = []
     for pick in range(0, 16, 3):
         query = 0.2 * rng.standard_normal(700)
         delay = int(rng.integers(0, 700 - 96))
         query[delay:delay + 96] += entries[pick]
-        peaks, count = conv._match_peaks(query, bank, energies)
+        peaks, rows = conv._match_peaks(query, bank, energies)
         want = float64_products(conv_projected_peaks, query, bank)
-        refined.append(count)
-        kept = peaks > 0
-        assert_allclose(peaks[kept], want[kept], rtol=1e-13, atol=0)
-        # a dropped entry's float64 score is below the winner's
-        assert np.all(want[~kept] / energies[~kept] < (peaks / energies).max())
+        counts.append(rows / _match_rows(query, bank))
+        _assert_partial_peaks(peaks, want, energies, 1e-13)
         got = xcorr_match(query, db, dbmode)
         best = float64_products(xcorr_match, query, db, dbmode)
         assert got[0] == best[0] == _decision(want, energies, ids)
         assert got[1] == pytest.approx(best[1], rel=1e-13)
     if pruning == "every-call":
-        assert sum(refined) < 16 * len(refined)
+        assert np.mean(counts) < 1
     else:
-        assert refined == [16] * len(refined)
+        assert counts == [1] * len(counts)
 
 
 @st.composite
@@ -1483,9 +1553,7 @@ def test_pruned_decisions_equal_float64_products_property(pruning, float64_produ
     energies = np.sum(entries * entries, axis=1)
     peaks, _ = conv._match_peaks(query, bank, energies)
     want = float64_products(conv_projected_peaks, query, bank)
-    kept = peaks > 0
-    assert_allclose(peaks[kept], want[kept], rtol=1e-12, atol=0)
-    assert np.all(want[~kept] / energies[~kept] < (peaks / energies).max())
+    _assert_partial_peaks(peaks, want, energies, 1e-12)
     ids = [f"e{i:03d}" for i in range(count)]
     assert _decision(peaks, energies, ids) == _decision(want, energies, ids)
 
@@ -1493,9 +1561,9 @@ def test_pruned_decisions_equal_float64_products_property(pruning, float64_produ
 @pytest.mark.parametrize("seed", range(110, 125))
 def test_pruning_bounds_stop_at_the_output_end(pruning, float64_products, seed):
     # entries and query hold their mass in their first and last L samples,
-    # so the coarse samples past the output's end, which the compact streams
-    # run into, can exceed every sample inside it; a lower bound taken from
-    # them dropped the winner at seed 116
+    # so the product samples past the output's end, which the last row's
+    # window runs into, can exceed every sample inside it; a lower bound
+    # taken from them would drop the winner
     pair = make_dct_pair(4)
     cfg = PrecisionConfig(4, 1, sample_mode=SampleMode.ALL_PHASES)
     rng = np.random.default_rng(seed)
