@@ -931,12 +931,11 @@ def _match_peaks(s, bank, energies, counter=None):
     picked = np.flatnonzero(bounds >= lower)
     peaks = _bank_peaks(bank, setup, screened, picked)
     best = (peaks / energies).max()
-    if best < lower:
-        # the final check: the rows left out whose bound reaches the best
-        missed = np.flatnonzero((bounds >= best) & (bounds < lower))
+    # the final check: the rows left out whose bound reaches the best
+    missed = np.flatnonzero((bounds >= best) & (bounds < lower)) if best < lower else ()
+    if len(missed):
         np.maximum(peaks, _bank_peaks(bank, setup, screened, missed), out=peaks)
-        return peaks, picked.shape[0] + missed.shape[0]
-    return peaks, picked.shape[0]
+    return peaks, picked.shape[0] + len(missed)
 
 
 def _window_norms(setup, scaled):
@@ -958,10 +957,10 @@ def _row_bounds(bank, setup, screened, energies):
     are below sqrt(K), so U_j < 2K * 2**scale / min energy_e."""
     scaled, scale, _ = screened
     depth = bank.toeplitz.shape[0]
-    if max(scale, 0) + depth.bit_length() + 2 - math.frexp(energies.min())[1] > 1023:
+    least = energies.min()
+    if max(scale, 0) + depth.bit_length() + 2 - math.frexp(least)[1] > 1023:
         return None
     # raised by 2**-49 for the roundings of the bound
     gain = (1 + _gamma(depth, 2.0 ** -53)) * (1 + 2.0 ** -49) * (bank.screen.norms / energies).max()
-    floor = depth * 2.0 ** -122 / energies.min()
-    bounds = np.ldexp(_window_norms(setup, scaled) * gain + floor, scale)
+    bounds = np.ldexp(_window_norms(setup, scaled) * gain + depth * 2.0 ** -122 / least, scale)
     return np.nextafter(bounds, np.inf, out=bounds)

@@ -1245,7 +1245,8 @@ def _decision(peaks, energies, ids):
 
 def _match_rows(s, bank):
     """The product rows of ``s`` against ``bank``."""
-    return -(-(-(-(s.shape[0] + bank.kernel_len - 1) // bank.pair.size)) // bank.block)
+    kept = -(-(s.shape[0] + bank.kernel_len - 1) // bank.pair.size)
+    return -(-kept // bank.block)
 
 
 def _assert_partial_peaks(peaks, want, energies, rtol):
@@ -1426,8 +1427,8 @@ def test_pruned_peaks_keep_planted_near_ties(float64_products):
 def test_pruning_keeps_entries_whose_score_sits_in_the_details(pruning, float64_products):
     # entry 7 is modulated by (-, +, +, -): at L = 2 its compact taps, and
     # a copy at an odd delay, alternate in sign, so nearly all its energy is
-    # in the Haar details of its compact taps, and its windows are no louder
-    # than their neighbours
+    # in the Haar details of its compact taps; the window bound does not
+    # depend on that split
     bank, signals, rng = _match_db_bank(23)
     signals[7] *= np.resize([-1.0, 1.0, 1.0, -1.0], 256)
     bank = project_kernel_bank(signals[:, ::-1], bank.pair, bank.config)
