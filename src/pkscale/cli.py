@@ -38,8 +38,8 @@ from .apps import (
     xcorr_match,
 )
 from .config import PrecisionConfig, SampleMode
-from .conv import (CONV_SCREEN_MACS, _blocked_plan, _match_peaks, _screens, conv_direct,
-                   conv_fft, conv_projected_blocked)
+from .conv import (_blocked_plan, _match_peaks, conv_direct, conv_fft,
+                   conv_projected_blocked)
 from .errors import (
     ConfigError,
     DimensionMismatch,
@@ -483,17 +483,16 @@ def cmd_match_demo(args):
         return f"# banks {mode.label()}: seconds={time.perf_counter() - start:.4f}"
 
     def peaks_path(mode):
-        # the path the peaks of each length's bank take and, from an untimed
-        # rerun, the product rows multiplied per query: the row screen's
-        # rows take the float32 screen when they are many
+        # from an untimed rerun, how the peaks of each length's bank were
+        # multiplied (every path the queries took) and the product rows
+        # multiplied per query
         paths = []
         for group in db._groups:
             bank = db._bank(group, mode.pair, mode.config)
-            rows = [_match_peaks(np.asarray(q, np.float64), bank, group.energies)[1]
+            runs = [_match_peaks(np.asarray(q, np.float64), bank, group.energies)[1:]
                     for _, q in queries]
-            path = ("float64-product" if not _screens(args.query_len, bank)
-                    else "float32-screen" if max(rows) * bank.toeplitz.size >= CONV_SCREEN_MACS
-                    else "row-screen")
+            rows = [r for r, _ in runs]
+            path = "+".join(dict.fromkeys(p for _, p in runs))
             paths.append(f"length={group.length} path={path} "
                          f"rows-mean={np.mean(rows):.2f} rows-max={max(rows)}")
         return f"# peaks {mode.label()}: " + " ".join(paths)

@@ -384,25 +384,24 @@ def _window_view(padded, block, rows, start, span):
     return view
 
 
-def _compact_windows(padded, block, rows, start, span, picked=None):
-    """Yield ``(lo, hi, x)``: x is the (hi - lo, p * span) copy of windows lo
-    .. hi - 1 of :func:`_window_view`, projections side by side, made in
-    chunks of about CONV_CHUNK_ELEMENTS into one buffer, so the caller must
-    be done with x before it asks for the next chunk. With ``picked``, x
-    copies windows ``picked[lo:hi]`` instead, each chunk anew."""
+def _compact_windows(padded, block, rows, start, span, picked):
+    """Yield ``(lo, hi, x)``: x is the (hi - lo, p * span) copy of windows
+    ``picked[lo:hi]`` of :func:`_window_view`, ``picked`` ascending, with
+    the projections side by side, made in chunks of about
+    CONV_CHUNK_ELEMENTS into one buffer, so the caller must be done with x
+    before it asks for the next chunk."""
     windows = _window_view(padded, block, rows, start, span)
     used = padded.shape[0]
+    count = picked.shape[0]
     chunk = max(1, CONV_CHUNK_ELEMENTS // (used * span))
-    if picked is not None:
-        for lo in range(0, picked.shape[0], chunk):
-            x = windows[picked[lo:lo + chunk]]
-            yield lo, lo + x.shape[0], x.reshape(x.shape[0], used * span)
-        return
-    buffer = np.empty((min(chunk, rows), used, span), dtype=padded.dtype)
-    for lo in range(0, rows, chunk):
-        hi = min(lo + chunk, rows)
+    # every row: a slice copies 2 to 3 times as fast as an index array, and
+    # np.take's out= first copies the whole overlapping view
+    every = count == rows
+    buffer = np.empty((min(chunk, count), used, span), dtype=padded.dtype)
+    for lo in range(0, count, chunk):
+        hi = min(lo + chunk, count)
         x = buffer[:hi - lo]
-        x[...] = windows[lo:hi]
+        x[...] = windows[lo:hi] if every else windows[picked[lo:hi]]
         yield lo, hi, x.reshape(hi - lo, used * span)
 
 
@@ -457,7 +456,8 @@ def _toeplitz_products(padded, taps, block, rows, y):
         # window j of tap segment o reads sc_l[j*B + a - o - w + 1]
         start = compact_len - first - width
         toeplitz = _toeplitz_segment(taps[..., start:start + width], block)
-        for lo, hi, x in _compact_windows(padded, block, rows, start, block + width - 1):
+        for lo, hi, x in _compact_windows(padded, block, rows, start, block + width - 1,
+                                          np.arange(rows)):
             if first == 0:
                 np.matmul(x, toeplitz, out=y[lo:hi])
             else:
@@ -829,7 +829,8 @@ def conv_projected_peaks(s, bank, counter=None):
     phase, :func:`conv_projected_blocked`'s convention less the kernel pass
     the bank paid for, however the products run.
     """
-    return _bank_peaks(bank, *_peaks_setup(s, bank, counter))
+    setup, screened = _peaks_setup(s, bank, counter)
+    return _bank_peaks(bank, setup, screened, np.arange(setup[3]))
 
 
 def _peaks_setup(s, bank, counter):
@@ -851,19 +852,18 @@ def _stream_end(bank, out_len, kept):
     return out_len if len(bank.config.phases()) > 1 else kept
 
 
-def _bank_peaks(bank, setup, screened, picked=None):
-    """The peaks of product rows ``picked``, ascending, or of every row: in
-    float32 where ``screened`` holds and the rows make at least
-    CONV_SCREEN_MACS multiply-adds, else in float64."""
+def _bank_peaks(bank, setup, screened, picked):
+    """The peaks of product rows ``picked``, ascending: in float32 where
+    :func:`_float32_rows` holds, else in float64."""
     block, count = bank.block, bank.count
     compact_len, out_len, kept, rows, padded = setup
     phases = len(bank.config.phases())
     width = block * phases          # stream rows per product row
     span = block + compact_len - 1
-    total = rows if picked is None else picked.shape[0]
+    total = picked.shape[0]
     # the stream samples past the output's end, at the end of the last row
-    tail = (0 if picked is not None and (picked.shape[0] == 0 or picked[-1] < rows - 1)
-            else (rows * width - _stream_end(bank, out_len, kept)) * count)
+    tail = ((rows * width - _stream_end(bank, out_len, kept)) * count
+            if total and picked[-1] == rows - 1 else 0)
     peaks = np.zeros(count)
 
     def fold(y, hi):
@@ -871,7 +871,7 @@ def _bank_peaks(bank, setup, screened, picked=None):
         largest = _column_maxima(y, y.size - tail if hi == total else y.size, 0)
         np.maximum(peaks, largest.reshape(width, count).max(axis=0), out=peaks)
 
-    if not screened or total * bank.toeplitz.size < CONV_SCREEN_MACS:
+    if not _float32_rows(bank, screened, total):
         for lo, hi, x in _compact_windows(padded, block, rows, 0, span, picked):
             fold(x @ bank.toeplitz, hi)
         return peaks
@@ -887,7 +887,7 @@ def _bank_peaks(bank, setup, screened, picked=None):
     top = np.zeros(count, np.float32)
     for lo, hi, x in _compact_windows(scaled.astype(np.float32), block, rows, 0, span,
                                       picked):
-        at = np.arange(lo, hi) if picked is None else picked[lo:hi]
+        at = picked[lo:hi]
         y = x @ bank.screen.operand
         hits = _screened_chunk(y, y.size - tail if hi == total else y.size, top, slack)
         if hits.shape[0] * CONV_REFINE_COST >= y.size:
@@ -903,39 +903,53 @@ def _bank_peaks(bank, setup, screened, picked=None):
     return peaks
 
 
+def _float32_rows(bank, screened, rows):
+    """Whether :func:`_bank_peaks` multiplies ``rows`` product rows in
+    float32: ``screened`` holds and they make at least CONV_SCREEN_MACS
+    multiply-adds."""
+    return bool(screened) and rows * bank.toeplitz.size >= CONV_SCREEN_MACS
+
+
 def _match_peaks(s, bank, energies, counter=None):
     """:func:`conv_projected_peaks` for the scores peaks / ``energies`` of
-    ``xcorr_match``: ``(peaks, rows)``, ``rows`` the product rows whose
-    peaks were computed. An entry whose score cannot be the largest may get
-    a partial peak, the largest over those rows.
+    ``xcorr_match``: ``(peaks, rows, path)``, ``rows`` the product rows
+    whose peaks were computed. An entry whose score cannot be the largest
+    may get a partial peak, the largest over those rows. ``path`` names how
+    they were multiplied: "row-screen" (the rows the screen kept, in
+    float64), "float32-screen" (those rows, or every row, through the
+    float32 screen) or "float64-product" (every row in float64).
 
     Where the float32 screen would run, the rows are screened instead
-    (:func:`_row_bounds`). The loudest row's float64 product gives a lower
-    bound on the best score, and only the rows whose bound reaches it are
-    multiplied, through :func:`_bank_peaks`; a final check multiplies any
-    other row whose bound reaches the best score computed. So every row left
-    out scores below the best in float64. The products' samples are those
-    of every row's product up to rounding: a subset of rows is a product of
-    another shape. The counter is charged as :func:`conv_projected_peaks`
-    charges."""
-    setup, screened = _peaks_setup(s, bank, counter)
-    bounds = _row_bounds(bank, setup, screened, energies) if screened else None
+    (:func:`_row_bounds`). The loudest row's float64 peaks give a lower
+    bound on the best score, and only the other rows whose bound reaches it
+    are multiplied, through :func:`_bank_peaks`, their peaks folded into
+    the loudest row's. So the best score is at least the lower bound, and
+    every row left out scores below it in float64. The products' samples are
+    those of every row's product up to rounding: a subset of rows is a
+    product of another shape. The counter is charged as
+    :func:`conv_projected_peaks` charges."""
+    # a projection or product beyond float64 rounds to infinities and NaNs,
+    # which xcorr_match refuses, so numpy's warnings on the way are not
+    # raised; the row screen runs only on signals _screen_signal found in
+    # range, outside the errstate that slows its many small ufunc calls
+    with np.errstate(over="ignore", invalid="ignore"):
+        setup, screened = _peaks_setup(s, bank, counter)
+        if not screened:
+            return (_bank_peaks(bank, setup, False, np.arange(setup[3])), setup[3],
+                    "float64-product")
+    bounds = _row_bounds(bank, setup, screened, energies)
     if bounds is None:
-        # products beyond float64 round to infinities and NaNs, which
-        # xcorr_match refuses, so numpy's warnings on the way are not raised
-        with np.errstate(over="ignore", invalid="ignore"):
-            return _bank_peaks(bank, setup, screened), setup[3]
-    # the loudest row's product is another shape than the picked rows', so
-    # its scores are a lower bound on theirs up to rounding
-    lower = (_bank_peaks(bank, setup, False, bounds.argmax()[None]) / energies).max()
+        # scores could leave float64, though the products cannot
+        return (_bank_peaks(bank, setup, screened, np.arange(setup[3])), setup[3],
+                "float32-screen")
+    loudest = bounds.argmax()
+    peaks = _bank_peaks(bank, setup, False, loudest[None])
+    lower = (peaks / energies).max()
+    bounds[loudest] = -np.inf       # multiplied already
     picked = np.flatnonzero(bounds >= lower)
-    peaks = _bank_peaks(bank, setup, screened, picked)
-    best = (peaks / energies).max()
-    # the final check: the rows left out whose bound reaches the best
-    missed = np.flatnonzero((bounds >= best) & (bounds < lower)) if best < lower else ()
-    if len(missed):
-        np.maximum(peaks, _bank_peaks(bank, setup, screened, missed), out=peaks)
-    return peaks, picked.shape[0] + len(missed)
+    np.maximum(peaks, _bank_peaks(bank, setup, screened, picked), out=peaks)
+    return (peaks, picked.shape[0] + 1,
+            "float32-screen" if _float32_rows(bank, screened, picked.shape[0]) else "row-screen")
 
 
 def _window_norms(setup, scaled):

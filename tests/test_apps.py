@@ -497,6 +497,14 @@ def test_xcorr_match_refuses_correlations_beyond_float64(mode):
     query = rng.standard_normal(64) * 1e300
     with pytest.raises(DomainError, match="not finite"):
         xcorr_match(query, db, mode)
+    # a finite query, its sum finite in numpy's order (8 partial sums of
+    # every 8th sample), whose projections already leave float64: Haar
+    # projection 0 of the pair x, x is 2x / sqrt(2)
+    x = 1.5e308
+    query = np.resize([x, x, -x, -x, x, x, -x, -x, -x, -x, x, x, -x, -x, x, x], 64)
+    assert np.isfinite(np.add.reduce(query))
+    with pytest.raises(DomainError, match="not finite"):
+        xcorr_match(query, db, mode)
 
 
 def test_projected_xcorr_match_accepts_any_entry_length():
