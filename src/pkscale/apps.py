@@ -390,17 +390,15 @@ def xcorr_match(query, db, mode=ConvMode(), counter=None):
         # correlations and scores beyond float64 become infinities and NaNs,
         # which the check below turns into DomainError; numpy's overflow
         # warnings on the way would reach a caller who made warnings errors
-        # first. _match_peaks keeps its own errstate off the row screen,
-        # whose many small ufunc calls it slows
-        if mode.is_projected:
-            peaks = _match_peaks(
-                padded, db._bank(group, mode.pair, mode.config, counter=counter),
-                group.energies, counter=counter)[0]
-        else:
-            with np.errstate(over="ignore", invalid="ignore"):
+        # first
+        with np.errstate(over="ignore", invalid="ignore"):
+            if mode.is_projected:
+                peaks = _match_peaks(
+                    padded, db._bank(group, mode.pair, mode.config, counter=counter),
+                    group.energies, counter=counter)[0]
+            else:
                 peaks = np.array([np.abs(mode.correlate(padded, signal, counter=counter)).max()
                                   for signal in group.signals])
-        with np.errstate(over="ignore", invalid="ignore"):
             scores = peaks / group.energies
         # argmax returns the first NaN, and an infinity is the maximum, so a
         # non-finite score anywhere in the group shows up here

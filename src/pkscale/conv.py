@@ -387,21 +387,26 @@ def _window_view(padded, block, rows, start, span):
 def _compact_windows(padded, block, rows, start, span, picked):
     """Yield ``(lo, hi, x)``: x is the (hi - lo, p * span) copy of windows
     ``picked[lo:hi]`` of :func:`_window_view`, ``picked`` ascending, with
-    the projections side by side, made in chunks of about
-    CONV_CHUNK_ELEMENTS into one buffer, so the caller must be done with x
-    before it asks for the next chunk."""
-    windows = _window_view(padded, block, rows, start, span)
+    the projections side by side, in chunks of about CONV_CHUNK_ELEMENTS:
+    every row by slice into one buffer, so the caller must be done with x
+    before it asks for the next chunk, fewer rows by index array into new
+    arrays, and a single row is a slice of ``padded`` (a view where p = 1)."""
     used = padded.shape[0]
     count = picked.shape[0]
+    if count == 1:
+        first = start + picked[0] * block
+        yield 0, 1, padded[:, first:first + span].reshape(1, used * span)
+        return
+    windows = _window_view(padded, block, rows, start, span)
     chunk = max(1, CONV_CHUNK_ELEMENTS // (used * span))
-    # every row: a slice copies 2 to 3 times as fast as an index array, and
-    # np.take's out= first copies the whole overlapping view
-    every = count == rows
-    buffer = np.empty((min(chunk, count), used, span), dtype=padded.dtype)
+    # a slice copies 2 to 3 times as fast as an index array, which makes a
+    # new array whatever its target (np.take's out= first copies the view)
+    buffer = np.empty((min(chunk, count), used, span), padded.dtype) if count == rows else None
     for lo in range(0, count, chunk):
         hi = min(lo + chunk, count)
-        x = buffer[:hi - lo]
-        x[...] = windows[lo:hi] if every else windows[picked[lo:hi]]
+        x = windows[picked[lo:hi]] if buffer is None else buffer[:hi - lo]
+        if buffer is not None:
+            x[...] = windows[lo:hi]
         yield lo, hi, x.reshape(hi - lo, used * span)
 
 
@@ -728,12 +733,11 @@ def _screens(signal_len, bank):
 
 
 def _screen_signal(padded, screen):
-    """``(scaled, scale, norm)``: the float64 compact signal times the power
-    of two that puts its largest magnitude in [1/2, 1), the exponent that
-    takes a product in those units back (screen units times 2**scale), and
-    the scaled signal's 2-norm rounded up. None for a signal that is not
-    finite, or whose products could overflow float64 or underflow it by
-    more than 2**-126 in scaled units."""
+    """``(scaled, scale)``: the float64 compact signal times the power of
+    two that puts its largest magnitude in [1/2, 1), and the exponent that
+    takes a product in those units back (screen units times 2**scale). None
+    for a signal that is not finite, or whose products could overflow
+    float64 or underflow it by more than 2**-126 in scaled units."""
     top = float(np.abs(padded).max())
     if not math.isfinite(top):
         return None
@@ -742,9 +746,7 @@ def _screen_signal(padded, screen):
     scale = exponent - screen.shift
     if scale + screen.operand.shape[0].bit_length() > 1023 or scale < -896:
         return None
-    scaled = np.ldexp(padded, -exponent)
-    flat = scaled.reshape(-1)
-    return scaled, scale, math.sqrt(float(flat @ flat) * (1 + (flat.shape[0] + 1) * 2.0 ** -52))
+    return np.ldexp(padded, -exponent), scale
 
 
 def _gamma(n, v):
@@ -769,26 +771,27 @@ def _screen_thresholds(peaks, slack):
     return np.nextafter(low, -np.inf, out=low, where=low >= exact)
 
 
-def _column_maxima(y, stop, fill):
-    """|y| of a product chunk in place, its samples from flat index
-    ``stop`` on (past the output's end, all in the last row) set to
-    ``fill``, and the maximum of each column."""
+def _kernel_maxima(y, tail, fill, count):
+    """Each of ``count`` kernels' largest |y| in a product chunk: |y| in
+    place, its last ``tail`` samples (past the output's end) set to
+    ``fill``, the largest of each column, then of each kernel's columns."""
     # |y| in place: a second product-sized temporary made the allocator
     # hand pages back and fault them in on every call
     np.abs(y, out=y)
-    y.reshape(-1)[stop:] = fill
-    return y.max(axis=0)
+    if tail:
+        y.reshape(-1)[y.size - tail:] = fill
+    largest = y[0] if y.shape[0] == 1 else np.maximum.reduce(y, axis=0)
+    return np.maximum.reduce(largest.reshape(-1, count), axis=0)
 
 
-def _screened_chunk(y, stop, top, slack):
+def _screened_chunk(y, tail, top, slack):
     """The flat indices of the candidates in float32 product chunk ``y``:
-    samples before ``stop`` at least their kernel's threshold, after
-    ``top``, the kernels' float32 peaks so far, is raised in place. Index
-    (j*B + i)*P*E + r*E + e is kernel e's phase r at compact sample j*B + i
-    of the chunk."""
+    samples before its last ``tail`` at least their kernel's threshold,
+    after ``top``, the kernels' float32 peaks so far, is raised in place.
+    Index (j*B + i)*P*E + r*E + e is kernel e's phase r at compact sample
+    j*B + i of the chunk."""
     count = top.shape[0]
-    chunk = _column_maxima(y, stop, -np.inf).reshape(-1, count).max(axis=0)
-    np.maximum(top, chunk, out=top)
+    np.maximum(top, _kernel_maxima(y, tail, -np.inf, count), out=top)
     # one comparison over the chunk: gathering the columns that hold a
     # candidate took 5 times as long on chunks of thousands of rows
     hits = y.reshape(y.shape[0], -1, count) >= _screen_thresholds(top, slack)
@@ -829,27 +832,17 @@ def conv_projected_peaks(s, bank, counter=None):
     phase, :func:`conv_projected_blocked`'s convention less the kernel pass
     the bank paid for, however the products run.
     """
-    setup, screened = _peaks_setup(s, bank, counter)
+    setup, screened = _peaks_setup(_as_real(s, 1, "signal"), bank, counter)
     return _bank_peaks(bank, setup, screened, np.arange(setup[3]))
 
 
 def _peaks_setup(s, bank, counter):
-    """The :func:`_compact_setup` of a peaks call, the signal projected in
-    float64 against a float64 bank, and its :func:`_screen_signal`, or
-    False where the float32 screen does not run."""
-    s = _as_real(s, 1, "signal")
+    """The :func:`_compact_setup` of a peaks call on the 1-D float ``s``,
+    projected in float64 against a float64 bank, and its
+    :func:`_screen_signal`, or False where the float32 screen does not run."""
     setup = _compact_setup(s, bank.pair, bank.config, bank.kernel_len, bank.block,
                            bank.count, _dtype_of(s, bank.toeplitz), counter)
     return setup, _screens(s.shape[0], bank) and _screen_signal(setup[-1], bank.screen)
-
-
-def _stream_end(bank, out_len, kept):
-    """The stream rows inside the output. phases() is range(L) or range(1),
-    so stream row (j*B + i)*P + r of a product is output sample (j*B + i)*L
-    + r with every phase, and compact sample j*B + i of phase 0 at half
-    rate: the rows inside the output are one prefix, and every product row
-    starts inside it."""
-    return out_len if len(bank.config.phases()) > 1 else kept
 
 
 def _bank_peaks(bank, setup, screened, picked):
@@ -858,40 +851,41 @@ def _bank_peaks(bank, setup, screened, picked):
     block, count = bank.block, bank.count
     compact_len, out_len, kept, rows, padded = setup
     phases = len(bank.config.phases())
-    width = block * phases          # stream rows per product row
     span = block + compact_len - 1
     total = picked.shape[0]
-    # the stream samples past the output's end, at the end of the last row
-    tail = ((rows * width - _stream_end(bank, out_len, kept)) * count
-            if total and picked[-1] == rows - 1 else 0)
-    peaks = np.zeros(count)
-
-    def fold(y, hi):
-        # the largest |y| of each column, then of each kernel's B * P columns
-        largest = _column_maxima(y, y.size - tail if hi == total else y.size, 0)
-        np.maximum(peaks, largest.reshape(width, count).max(axis=0), out=peaks)
-
+    # the stream samples past the output's end, at the end of the last row:
+    # stream row (j*B + i)*P + r is output sample (j*B + i)*L + r with every
+    # phase, compact sample j*B + i of phase 0 at half rate
+    end = out_len if phases > 1 else kept
+    tail = (rows * block * phases - end) * count if total and picked[-1] == rows - 1 else 0
     if not _float32_rows(bank, screened, total):
+        peaks = None
         for lo, hi, x in _compact_windows(padded, block, rows, 0, span, picked):
-            fold(x @ bank.toeplitz, hi)
-        return peaks
-    scaled, _, norm = screened
+            chunk = _kernel_maxima(x @ bank.toeplitz, tail if hi == total else 0, 0, count)
+            peaks = chunk if peaks is None else np.maximum(peaks, chunk, out=peaks)
+        return np.zeros(count) if peaks is None else peaks
+    flat = screened[0].reshape(-1)
     depth = bank.toeplitz.shape[0]
-    # Delta_e, plus 2**-126 for each of 8 operations per term (two roundings,
-    # a product and a sum in float32, a product and a sum in float64, their
-    # spread through the float32 sum), which covers underflow and flush-to-zero
+    # Delta_e, ||x|| the scaled signal's 2-norm rounded up, plus 2**-126 for
+    # each of 8 operations per term (two roundings, a product and a sum in
+    # float32, a product and a sum in float64, their spread through the
+    # float32 sum), which covers underflow and flush-to-zero
+    norm = math.sqrt(float(flat @ flat) * (1 + (flat.shape[0] + 1) * 2.0 ** -52))
     slack = _rounding_gap(depth) * norm * bank.screen.norms + depth * 2.0 ** -123
     samples = _window_view(padded, 1, rows * block, 0, compact_len)
     windows = _window_view(padded, block, rows, 0, span)
     taps = bank.screen.taps
+    peaks = np.zeros(count)
     top = np.zeros(count, np.float32)
-    for lo, hi, x in _compact_windows(scaled.astype(np.float32), block, rows, 0, span,
+    for lo, hi, x in _compact_windows(screened[0].astype(np.float32), block, rows, 0, span,
                                       picked):
         at = picked[lo:hi]
+        cut = tail if hi == total else 0
         y = x @ bank.screen.operand
-        hits = _screened_chunk(y, y.size - tail if hi == total else y.size, top, slack)
+        hits = _screened_chunk(y, cut, top, slack)
         if hits.shape[0] * CONV_REFINE_COST >= y.size:
-            fold(windows[at].reshape(hi - lo, -1) @ bank.toeplitz, hi)
+            y = windows[at].reshape(hi - lo, -1) @ bank.toeplitz
+            np.maximum(peaks, _kernel_maxima(y, cut, 0, count), out=peaks)
             continue
         # a sample of block sample i of window j, phase r and kernel e is the
         # Q compact samples of every projection from j*B + i on times the
@@ -911,70 +905,76 @@ def _float32_rows(bank, screened, rows):
 
 
 def _match_peaks(s, bank, energies, counter=None):
-    """:func:`conv_projected_peaks` for the scores peaks / ``energies`` of
-    ``xcorr_match``: ``(peaks, rows, path)``, ``rows`` the product rows
-    whose peaks were computed. An entry whose score cannot be the largest
-    may get a partial peak, the largest over those rows. ``path`` names how
-    they were multiplied: "row-screen" (the rows the screen kept, in
-    float64), "float32-screen" (those rows, or every row, through the
-    float32 screen) or "float64-product" (every row in float64).
+    """:func:`conv_projected_peaks` of the 1-D float64 ``s`` for the scores
+    peaks / ``energies`` of ``xcorr_match``: ``(peaks, rows, path)``, the
+    peaks, the product rows multiplied and how: "row-screen" (the rows the
+    screen kept, in float64), "float32-screen" (those rows, or every row,
+    through the float32 screen) or "float64-product" (every row in
+    float64). An entry whose score cannot be the largest may get a partial
+    peak, the largest over those rows.
 
     Where the float32 screen would run, the rows are screened instead
-    (:func:`_row_bounds`). The loudest row's float64 peaks give a lower
-    bound on the best score, and only the other rows whose bound reaches it
-    are multiplied, through :func:`_bank_peaks`, their peaks folded into
-    the loudest row's. So the best score is at least the lower bound, and
-    every row left out scores below it in float64. The products' samples are
-    those of every row's product up to rounding: a subset of rows is a
-    product of another shape. The counter is charged as
-    :func:`conv_projected_peaks` charges."""
-    # a projection or product beyond float64 rounds to infinities and NaNs,
-    # which xcorr_match refuses, so numpy's warnings on the way are not
-    # raised; the row screen runs only on signals _screen_signal found in
-    # range, outside the errstate that slows its many small ufunc calls
-    with np.errstate(over="ignore", invalid="ignore"):
-        setup, screened = _peaks_setup(s, bank, counter)
-        if not screened:
-            return (_bank_peaks(bank, setup, False, np.arange(setup[3])), setup[3],
-                    "float64-product")
-    bounds = _row_bounds(bank, setup, screened, energies)
-    if bounds is None:
-        # scores could leave float64, though the products cannot
-        return (_bank_peaks(bank, setup, screened, np.arange(setup[3])), setup[3],
-                "float32-screen")
-    loudest = bounds.argmax()
-    peaks = _bank_peaks(bank, setup, False, loudest[None])
-    lower = (peaks / energies).max()
-    bounds[loudest] = -np.inf       # multiplied already
-    picked = np.flatnonzero(bounds >= lower)
-    np.maximum(peaks, _bank_peaks(bank, setup, screened, picked), out=peaks)
-    return (peaks, picked.shape[0] + 1,
-            "float32-screen" if _float32_rows(bank, screened, picked.shape[0]) else "row-screen")
-
-
-def _window_norms(setup, scaled):
-    """W_j, the 2-norm of product row j's window of the scaled compact
-    signal (B + Q - 1 samples of each kept projection), rounded up."""
-    compact_len, _, _, rows, padded = setup
-    block = (padded.shape[1] - compact_len + 1) // rows
-    return _norms_up(_window_view(scaled, block, rows, 0, block + compact_len - 1))
+    (:func:`_row_bounds`): the loudest row's float64 peaks bound the best
+    score from below, and only the other rows whose bound reaches it are
+    multiplied, their peaks folded into the loudest row's (every row, as
+    :func:`conv_projected_peaks` does, where that is every other row). So
+    every row left out scores below the best in float64; a subset of rows
+    is a product of another shape, so samples agree with every row's up to
+    rounding. The counter is charged as :func:`conv_projected_peaks` is."""
+    setup, screened = _peaks_setup(s, bank, counter)
+    rows = setup[3]
+    if not screened:
+        return _bank_peaks(bank, setup, False, np.arange(rows)), rows, "float64-product"
+    screen = _row_bounds(bank, setup, screened, energies)
+    # None: scores could leave float64, though the products cannot
+    if screen is not None:
+        sums, gain, floor = screen
+        loudest = sums.argmax()
+        peaks = _bank_peaks(bank, setup, False, loudest[None])
+        sums[loudest] = -np.inf         # multiplied already
+        # the best score so far in scaled units, rounded down
+        lower = math.nextafter(math.ldexp((peaks / energies).max(), -screened[1]), 0)
+        picked = (sums >= _least_reaching(lower, gain, floor)).nonzero()[0]
+        if picked.shape[0] < rows - 1 or rows == 1:
+            np.maximum(peaks, _bank_peaks(bank, setup, screened, picked), out=peaks)
+            return (peaks, picked.shape[0] + 1, "float32-screen"
+                    if _float32_rows(bank, screened, picked.shape[0]) else "row-screen")
+    return _bank_peaks(bank, setup, screened, np.arange(rows)), rows, "float32-screen"
 
 
 def _row_bounds(bank, setup, screened, energies):
-    """U_j, a bound on every score in product row j: each of its float64
-    samples of entry e is at most (1 + gamma_K) * W_j * N_e in scaled units
-    (Cauchy-Schwarz, and Higham's bound on a sum of K terms), N_e the
-    screen's norm of the entry's columns, plus 2**-126 for each of 8
-    operations per term for underflow (doubled for the rounding of its
-    quotient). Every rounding goes up, so a sample's computed score is at
-    most U_j. None where a bound could leave float64's range: W_j and N_e
-    are below sqrt(K), so U_j < 2K * 2**scale / min energy_e."""
-    scaled, scale, _ = screened
+    """``(sums, gain, floor)``: U_j = gain * sqrt(S_j) + floor bounds every
+    score in product row j in scaled units (times 2**scale). Its float64
+    samples of entry e are at most (1 + gamma_K) * W_j * N_e (Cauchy-Schwarz,
+    and Higham's bound on a sum of K terms), N_e the screen's norm of the
+    entry's columns and W_j the 2-norm of the row's window of the scaled
+    compact signal, plus 2**-126 for each of 8 operations per term for
+    underflow (doubled for the rounding of its quotient); ``gain`` is raised
+    by 2**-49 for its roundings. S_j, the window's sum of squares, adds up
+    pieces of g = gcd(B, B + Q - 1) columns, which tile every window; all
+    its terms are nonnegative, so in any order W_j <= sqrt(S_j * (1 + (K +
+    1) * 2**-52)). None where a bound could leave float64's range: W_j and
+    N_e are below sqrt(K), so U_j * 2**scale < 2K * 2**scale / min energy_e."""
+    scaled, scale = screened
     depth = bank.toeplitz.shape[0]
     least = energies.min()
     if max(scale, 0) + depth.bit_length() + 2 - math.frexp(least)[1] > 1023:
         return None
-    # raised by 2**-49 for the roundings of the bound
-    gain = (1 + _gamma(depth, 2.0 ** -53)) * (1 + 2.0 ** -49) * (bank.screen.norms / energies).max()
-    bounds = np.ldexp(_window_norms(setup, scaled) * gain + depth * 2.0 ** -122 / least, scale)
-    return np.nextafter(bounds, np.inf, out=bounds)
+    gain = ((1 + _gamma(depth, 2.0 ** -53)) * math.sqrt(1 + (depth + 1) * 2.0 ** -52)
+            * (1 + 2.0 ** -49) * (bank.screen.norms / energies).max())
+    span = bank.block + setup[0] - 1
+    step = math.gcd(bank.block, span)
+    pieces = scaled.reshape(scaled.shape[0], -1, step)
+    sums = np.einsum("ijk,ijk->j", pieces, pieces)
+    # window j: span / g pieces from piece j * B / g on
+    sums = np.correlate(sums, np.ones(span // step))[::bank.block // step]
+    return sums, gain, depth * 2.0 ** -122 / least
+
+
+def _least_reaching(lower, gain, floor):
+    """The least S with gain * sqrt(S) + floor >= ``lower``, lowered by 2**-50
+    past its three roundings (each within 2**-53 from 2**-1000 on; 0 below)."""
+    if lower <= floor:
+        return 0.0
+    root = (lower - floor) / gain
+    return root * root * (1 - 2.0 ** -50) if root * root >= 2.0 ** -1000 else 0.0

@@ -1266,29 +1266,38 @@ def _assert_partial_peaks(peaks, want, energies, rtol):
     ("custom", 3, 2, SampleMode.ALL_PHASES),
 ])
 def test_window_norms_bound_each_window(screen_every_call, family, size, used, mode):
-    # W_j against the exact norm of row j's window of the scaled compact
-    # signal, every kept projection, in exact rationals
+    # S_j (1 + (K + 1) 2^-52), the square of W_j's bound, against the exact
+    # sum of squares of row j's window of the scaled compact signal, every
+    # kept projection, in exact rationals: on samples spread over e^-20 ..
+    # e^20, and on a signal whose first half is 2^200 times louder than its
+    # second, where rounding of the loud windows must not reach a quiet one
     from fractions import Fraction
 
     rng = np.random.default_rng(size)
     pair = random_pair(family, size, 29)
     cfg = PrecisionConfig(size, used, sample_mode=mode)
     bank = project_kernel_bank(rng.standard_normal((6, 40)), pair, cfg)
-    s = rng.standard_normal(300) * np.exp(rng.uniform(-20, 20, 300))
-    setup, (scaled, _, _) = conv._peaks_setup(s, bank, None)
-    norms = conv._window_norms(setup, scaled)
-    compact_len, rows = setup[0], setup[3]
-    span = bank.block + compact_len - 1
-    assert norms.shape == (rows,)
-    for j, norm in enumerate(norms):
-        window = scaled[:, j * bank.block:j * bank.block + span].reshape(-1)
-        exact = sum(Fraction(float(v)) ** 2 for v in window)
-        assert exact <= Fraction(float(norm)) ** 2 <= exact * (1 + Fraction(1, 2 ** 40))
+    spread = rng.standard_normal(300) * np.exp(rng.uniform(-20, 20, 300))
+    stepped = rng.standard_normal(300)
+    stepped[:150] *= 2.0 ** 200
+    grow = 1 + Fraction(bank.toeplitz.shape[0] + 1, 2 ** 52)
+    for s in (spread, stepped):
+        setup, screened = conv._peaks_setup(s, bank, None)
+        scaled = screened[0]
+        sums = conv._row_bounds(bank, setup, screened, np.ones(bank.count))[0]
+        compact_len, rows = setup[0], setup[3]
+        span = bank.block + compact_len - 1
+        assert sums.shape == (rows,)
+        for j, total in enumerate(sums):
+            window = scaled[:, j * bank.block:j * bank.block + span].reshape(-1)
+            exact = sum(Fraction(float(v)) ** 2 for v in window)
+            assert exact <= Fraction(float(total)) * grow <= exact * (1 + Fraction(1, 2 ** 40))
 
 
 def test_row_bounds_hold_every_score_of_their_row(float64_products):
-    # U_j against (1 + gamma_K) W_j N_e / energy_e + the underflow floor in
-    # exact rationals, and against every float64 score of row j. The query
+    # U_j = gain sqrt(S_j) + floor against (1 + gamma_K) W_j N_e / energy_e
+    # + the underflow floor, W_j^2 <= S_j (1 + (K + 1) 2^-52), and against
+    # every float64 score of row j, squared, in exact rationals. The query
     # is zero but for the compact taps of the entry e with the largest N_e /
     # energy_e from compact sample 800 on (Haar projection 0 of a sample
     # pair is their sum over sqrt 2), so one sample meets Cauchy-Schwarz
@@ -1302,36 +1311,59 @@ def test_row_bounds_hold_every_score_of_their_row(float64_products):
     query = np.zeros(2048)
     query[1600:1600 + 2 * compact_len] = np.repeat(bank.screen.taps[entry] / math.sqrt(2), 2)
     setup, screened = conv._peaks_setup(query, bank, None)
-    scaled, scale, _ = screened
-    bounds = conv._row_bounds(bank, setup, screened, energies)
-    norms = conv._window_norms(setup, scaled)
+    scale = screened[1]
+    sums, gain, floor = conv._row_bounds(bank, setup, screened, energies)
     depth = bank.toeplitz.shape[0]
     gamma = Fraction(depth, 2 ** 53) / (1 - Fraction(depth, 2 ** 53))
     ratio = max(Fraction(float(n)) / Fraction(float(e))
                 for n, e in zip(bank.screen.norms, energies))
-    floor = Fraction(depth, 2 ** 123) / Fraction(float(energies.min()))
-    for norm, bound in zip(norms, bounds):
-        exact = ((1 + gamma) * Fraction(float(norm)) * ratio + floor) * Fraction(2) ** scale
-        assert Fraction(float(bound)) >= exact
+    grow = 1 + Fraction(depth + 1, 2 ** 52)
+    assert Fraction(gain) ** 2 >= (1 + gamma) ** 2 * grow * ratio ** 2
+    assert Fraction(floor) >= Fraction(depth, 2 ** 123) / Fraction(float(energies.min()))
     padded, rows = setup[-1], setup[3]
     windows = conv._window_view(padded, bank.block, rows, 0, compact_len + bank.block - 1)
     y = np.abs(windows.reshape(rows, -1) @ bank.toeplitz).reshape(rows, -1, bank.count)
     scores = (y / energies).max(axis=(1, 2))
-    assert np.all(scores <= bounds)
+    for score, total in zip(scores, sums):
+        excess = Fraction(float(score)) / Fraction(2) ** scale - Fraction(floor)
+        assert excess <= 0 or excess ** 2 <= Fraction(gain) ** 2 * Fraction(float(total))
     # the planted taps: the tightest row's score within 1e-12 of its bound
+    bounds = np.ldexp(gain * np.sqrt(sums) + floor, scale)
     assert np.max(scores / bounds) > 1 - 1e-12
     assert _decision(float64_products(conv_projected_peaks, query, bank), energies,
                      range(bank.count)) == entry
+
+
+def test_least_reaching_sum_keeps_every_row_that_can_reach():
+    # a row with S below the threshold has gain sqrt(S) + floor below lower:
+    # the threshold is at most ((lower - floor) / gain)^2 in exact rationals,
+    # and within 2^-48 of it unless that is below 2^-1000, where it is 0
+    from fractions import Fraction
+
+    rng = np.random.default_rng(3)
+    for _ in range(3000):
+        lower, gain, floor = (float(v) for v in
+                              rng.random(3) * np.ldexp(1.0, rng.integers(-540, 540, 3)))
+        least = conv._least_reaching(lower, gain, floor)
+        if lower <= floor:
+            assert least == 0
+            continue
+        exact = ((Fraction(lower) - Fraction(floor)) / Fraction(gain)) ** 2
+        if math.isinf(least):
+            assert exact > Fraction(np.finfo(float).max)
+        elif least == 0:
+            assert exact < Fraction(2) ** -999
+        else:
+            assert exact * (1 - Fraction(1, 2 ** 48)) <= Fraction(least) <= exact
 
 
 @pytest.mark.parametrize("seed", [0, 3, 4, 16])
 def test_queries_loud_in_every_window_multiply_every_row(seed):
     # white noise whose first and last 16 samples, all that the end rows'
     # windows hold, are 4 times louder: every row's bound reaches the best
-    # score, so every row is multiplied, the loudest alone in float64 and
-    # the rest through the float32 screen. Those are products of other
-    # shapes than conv_projected_peaks' one, so the peaks agree to rounding
-    # (bit for bit at seeds 3 and 4, within 3 ulps at 0 and 16)
+    # score, so every row is multiplied through the float32 screen, as
+    # conv_projected_peaks multiplies them, and the loudest row's own
+    # product is dropped: the peaks are conv_projected_peaks', bit for bit
     bank, signals, rng = _match_db_bank(seed)
     energies = np.sum(signals * signals, axis=1)
     query = rng.standard_normal(2048)
@@ -1342,8 +1374,44 @@ def test_queries_loud_in_every_window_multiply_every_row(seed):
     assert path == "float32-screen"
     want = conv_projected_peaks(query, bank)
     assert_allclose(peaks, want, rtol=1e-14, atol=0)
+    assert np.array_equal(peaks, want)
     ids = range(bank.count)
     assert _decision(peaks, energies, ids) == _decision(want, energies, ids)
+
+
+@pytest.mark.parametrize("seed", [5, 23])
+def test_last_row_kept_but_not_loudest_stops_at_the_output_end(float64_products,
+                                                               monkeypatch, seed):
+    # the match-db geometry with queries of 2047 samples: the last product
+    # row holds one stream sample past the output's end. Entry 3's first
+    # sample and the query's last are spikes, so that sample, their product,
+    # exceeds every sample of entry 3 inside the output; the loud end keeps
+    # the last row, but an earlier row, holding more of the noise, is the
+    # loudest
+    bank, signals, rng = _match_db_bank(seed)
+    signals[3, 0] = 40.0
+    bank = project_kernel_bank(signals[:, ::-1], bank.pair, bank.config)
+    energies = np.sum(signals * signals, axis=1)
+    query = 0.1 * rng.standard_normal(2047)
+    query[-1] = 30.0
+    last = _match_rows(query, bank) - 1
+    picks = []
+    bank_peaks = conv._bank_peaks
+    with monkeypatch.context() as patch:
+        patch.setattr(conv, "_bank_peaks",
+                      lambda *args: picks.append(args[-1]) or bank_peaks(*args))
+        peaks, rows, path = conv._match_peaks(query, bank, energies)
+    loudest, kept = picks
+    assert loudest[0] != last and kept[-1] == last
+    assert path == "row-screen" and rows == kept.shape[0] + 1 < last
+    want = float64_products(conv_projected_peaks, query, bank)
+    _assert_partial_peaks(peaks, want, energies, 1e-14)
+    # the last row's samples past the output's end would raise entry 3's peak
+    setup = conv._peaks_setup(query, bank, None)[0]
+    windows = conv._window_view(setup[-1], bank.block, last + 1, 0,
+                                bank.block + setup[0] - 1)
+    y = np.abs(windows[last] @ bank.toeplitz).reshape(-1, bank.count)
+    assert y[-1, 3] > want[3] >= y[:-1, 3].max()
 
 
 @pytest.mark.parametrize("seed", [5, 23, 41])
