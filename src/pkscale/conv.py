@@ -933,7 +933,7 @@ def _match_peaks(s, bank, energies, counter=None):
         peaks = _bank_peaks(bank, setup, False, loudest[None])
         sums[loudest] = -np.inf         # multiplied already
         # the best score so far in scaled units, rounded down
-        lower = math.nextafter(math.ldexp((peaks / energies).max(), -screened[1]), 0)
+        lower = math.nextafter(math.ldexp(np.maximum.reduce(peaks / energies), -screened[1]), 0)
         picked = (sums >= _least_reaching(lower, gain, floor)).nonzero()[0]
         if picked.shape[0] < rows - 1 or rows == 1:
             np.maximum(peaks, _bank_peaks(bank, setup, screened, picked), out=peaks)
@@ -957,24 +957,24 @@ def _row_bounds(bank, setup, screened, energies):
     N_e are below sqrt(K), so U_j * 2**scale < 2K * 2**scale / min energy_e."""
     scaled, scale = screened
     depth = bank.toeplitz.shape[0]
-    least = energies.min()
+    # ufunc reductions: ndarray.min and max add a Python call each
+    least = np.minimum.reduce(energies)
     if max(scale, 0) + depth.bit_length() + 2 - math.frexp(least)[1] > 1023:
         return None
     gain = ((1 + _gamma(depth, 2.0 ** -53)) * math.sqrt(1 + (depth + 1) * 2.0 ** -52)
-            * (1 + 2.0 ** -49) * (bank.screen.norms / energies).max())
+            * (1 + 2.0 ** -49) * np.maximum.reduce(bank.screen.norms / energies))
     span = bank.block + setup[0] - 1
     step = math.gcd(bank.block, span)
     pieces = scaled.reshape(scaled.shape[0], -1, step)
     sums = np.einsum("ijk,ijk->j", pieces, pieces)
     # window j: span / g pieces from piece j * B / g on
-    sums = np.correlate(sums, np.ones(span // step))[::bank.block // step]
-    return sums, gain, depth * 2.0 ** -122 / least
+    windows = np.ndarray((span // step, setup[3]), sums.dtype, sums, 0,
+                         (sums.itemsize, sums.itemsize * bank.block // step))
+    return np.add.reduce(windows, axis=0), gain, depth * 2.0 ** -122 / least
 
 
 def _least_reaching(lower, gain, floor):
     """The least S with gain * sqrt(S) + floor >= ``lower``, lowered by 2**-50
     past its three roundings (each within 2**-53 from 2**-1000 on; 0 below)."""
-    if lower <= floor:
-        return 0.0
-    root = (lower - floor) / gain
+    root = max(lower - floor, 0.0) / gain
     return root * root * (1 - 2.0 ** -50) if root * root >= 2.0 ** -1000 else 0.0
