@@ -976,5 +976,5 @@ def _row_bounds(bank, setup, screened, energies):
 def _least_reaching(lower, gain, floor):
     """The least S with gain * sqrt(S) + floor >= ``lower``, lowered by 2**-50
     past its three roundings (each within 2**-53 from 2**-1000 on; 0 below)."""
-    root = max(lower - floor, 0.0) / gain
+    root = (lower - floor) / gain if lower > floor else 0.0
     return root * root * (1 - 2.0 ** -50) if root * root >= 2.0 ** -1000 else 0.0
