@@ -22,6 +22,7 @@ import numpy as np
 from .conv import (
     ConvVariant,
     _match_peaks,
+    _row_screen,
     conv_direct,
     conv_projected_blocked,
     project_kernel_bank,
@@ -345,17 +346,19 @@ class FeatureDb:
         return cls(entries=tuple((str(entry_id), sig) for entry_id, sig in pairs))
 
     def _bank(self, group, pair, cfg, counter=None):
-        """:func:`project_kernel_bank` of a group's reversed entries.
+        """``(bank, terms)``: :func:`project_kernel_bank` of a group's
+        reversed entries, and its ``conv._row_screen`` for their energies.
 
         Built once per (group, pair matrices, configuration) and kept; the
         counter of the call that builds it is charged for the projections.
         """
         key = (group.length, pair.forward.tobytes(), pair.inverse.tobytes(), cfg)
-        bank = self._banks.get(key)
-        if bank is None:
-            bank = self._banks[key] = project_kernel_bank(
-                np.stack(group.signals)[:, ::-1], pair, cfg, counter=counter)
-        return bank
+        kept = self._banks.get(key)
+        if kept is None:
+            bank = project_kernel_bank(np.stack(group.signals)[:, ::-1], pair, cfg,
+                                       counter=counter)
+            kept = self._banks[key] = bank, _row_screen(bank, group.energies)
+        return kept
 
 
 def xcorr_match(query, db, mode=ConvMode(), counter=None):
@@ -394,8 +397,8 @@ def xcorr_match(query, db, mode=ConvMode(), counter=None):
         with np.errstate(over="ignore", invalid="ignore"):
             if mode.is_projected:
                 peaks = _match_peaks(
-                    padded, db._bank(group, mode.pair, mode.config, counter=counter),
-                    group.energies, counter=counter)[0]
+                    padded, *db._bank(group, mode.pair, mode.config, counter=counter),
+                    counter=counter)[0]
             else:
                 peaks = np.array([np.abs(mode.correlate(padded, signal, counter=counter)).max()
                                   for signal in group.signals])

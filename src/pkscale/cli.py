@@ -488,8 +488,8 @@ def cmd_match_demo(args):
         # multiplied per query
         paths = []
         for group in db._groups:
-            bank = db._bank(group, mode.pair, mode.config)
-            runs = [_match_peaks(np.asarray(q, np.float64), bank, group.energies)[1:]
+            bank, terms = db._bank(group, mode.pair, mode.config)
+            runs = [_match_peaks(np.asarray(q, np.float64), bank, terms)[1:]
                     for _, q in queries]
             rows = [r for r, _ in runs]
             path = "+".join(dict.fromkeys(p for _, p in runs))

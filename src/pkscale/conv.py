@@ -21,7 +21,8 @@ two, and overlap-save segmentation in either domain.
   ``xcorr_match`` prunes further (:func:`_match_peaks`): Cauchy-Schwarz
   bounds every product row's scores by its window's norm, and only the rows
   that can still hold the best score are multiplied (filter and refine:
-  Faloutsos et al., SIGMOD 1994).
+  Faloutsos et al., SIGMOD 1994), by the taps, not the B times larger
+  operand.
 
 The fast paths share :func:`_compact_setup`, which projects the signal into
 a zero-padded compact buffer and charges the counter, and
@@ -591,8 +592,9 @@ class KernelBank:
     (DimensionMismatch).
 
     ``screen`` is the :class:`_Screen` that :func:`conv_projected_peaks`
-    screens its products with (0.35 MB above), derived from a finite float64
-    operand, and None for any other.
+    screens its products with (0.41 MB above, 66 kB of it the B = 1
+    operand that subsets of rows run through), derived from a finite
+    float64 operand, and None for any other.
     """
 
     pair: object
@@ -620,12 +622,15 @@ class _Screen(NamedTuple):
     max |T| * 2**shift in [1/2, 1), rounded to float32; ``norms[e]`` the
     largest 2-norm of kernel e's scaled columns, rounded up; row r*E + e of
     ``taps`` kernel e's phase-r taps, column r*E + e of T in rows l*(B + Q
-    - 1) + q, q < Q."""
+    - 1) + q, q < Q; ``stack`` their C-contiguous transpose, the (p * Q, P *
+    E) operand :func:`_toeplitz_segment` builds at B = 1, which
+    :func:`_bank_peaks` multiplies subsets of rows by."""
 
     shift: int
     operand: np.ndarray
     norms: np.ndarray
     taps: np.ndarray
+    stack: np.ndarray
 
 
 def _screen_operand(bank):
@@ -648,10 +653,12 @@ def _screen_operand(bank):
     taps = toeplitz.reshape(used, -1, toeplitz.shape[1])[
         :, :_compact_kernel_len(bank.kernel_len, bank.pair.size), :toeplitz.shape[1] // bank.block]
     taps = np.ascontiguousarray(taps.transpose(2, 0, 1)).reshape(taps.shape[2], -1)
+    stack = np.ascontiguousarray(taps.T)
     taps.setflags(write=False)
+    stack.setflags(write=False)
     # every column of phase r and kernel e holds those taps
     norms = _norms_up(np.ldexp(taps, shift)).reshape(-1, count).max(axis=0)
-    return _Screen(shift, operand, norms, taps)
+    return _Screen(shift, operand, norms, taps, stack)
 
 
 def _norms_up(rows):
@@ -847,7 +854,9 @@ def _peaks_setup(s, bank, counter):
 
 def _bank_peaks(bank, setup, screened, picked):
     """The peaks of product rows ``picked``, ascending: in float32 where
-    :func:`_float32_rows` holds, else in float64."""
+    :func:`_float32_rows` holds, else in float64, through the bank's
+    operand, or for fewer rows than every row through its screen's
+    ``stack`` where their windows' copy is the smaller."""
     block, count = bank.block, bank.count
     compact_len, out_len, kept, rows, padded = setup
     phases = len(bank.config.phases())
@@ -859,11 +868,22 @@ def _bank_peaks(bank, setup, screened, picked):
     end = out_len if phases > 1 else kept
     tail = (rows * block * phases - end) * count if total and picked[-1] == rows - 1 else 0
     if not _float32_rows(bank, screened, total):
-        peaks = None
+        if not total:
+            return np.zeros(count)
+        if total < rows and 2 * total * compact_len < span * phases * count:
+            # row j's B windows of Q compact samples from j*B on times the
+            # stack: the row's samples in the operand's column order. The
+            # stack, B times smaller than the operand, stays in cache from
+            # query to query; the copy, written once and read once, must be
+            # smaller than the operand (p * (B + Q - 1) * B * P * E)
+            windows = _window_view(padded, 1, rows * block, 0, compact_len)
+            x = windows.reshape(rows, block, *windows.shape[1:])[picked]
+            y = (x.reshape(total * block, -1) @ bank.screen.stack).reshape(total, -1)
+            return _kernel_maxima(y, tail, 0, count)
         for lo, hi, x in _compact_windows(padded, block, rows, 0, span, picked):
             chunk = _kernel_maxima(x @ bank.toeplitz, tail if hi == total else 0, 0, count)
-            peaks = chunk if peaks is None else np.maximum(peaks, chunk, out=peaks)
-        return np.zeros(count) if peaks is None else peaks
+            peaks = chunk if lo == 0 else np.maximum(peaks, chunk, out=peaks)
+        return peaks
     flat = screened[0].reshape(-1)
     depth = bank.toeplitz.shape[0]
     # Delta_e, ||x|| the scaled signal's 2-norm rounded up, plus 2**-126 for
@@ -904,9 +924,10 @@ def _float32_rows(bank, screened, rows):
     return bool(screened) and rows * bank.toeplitz.size >= CONV_SCREEN_MACS
 
 
-def _match_peaks(s, bank, energies, counter=None):
+def _match_peaks(s, bank, terms, counter=None):
     """:func:`conv_projected_peaks` of the 1-D float64 ``s`` for the scores
-    peaks / ``energies`` of ``xcorr_match``: ``(peaks, rows, path)``, the
+    peaks / energies of ``xcorr_match``, ``terms`` the bank's
+    :func:`_row_screen` for those energies: ``(peaks, rows, path)``, the
     peaks, the product rows multiplied and how: "row-screen" (the rows the
     screen kept, in float64), "float32-screen" (those rows, or every row,
     through the float32 screen) or "float64-product" (every row in
@@ -918,23 +939,24 @@ def _match_peaks(s, bank, energies, counter=None):
     score from below, and only the other rows whose bound reaches it are
     multiplied, their peaks folded into the loudest row's (every row, as
     :func:`conv_projected_peaks` does, where that is every other row). So
-    every row left out scores below the best in float64; a subset of rows
-    is a product of another shape, so samples agree with every row's up to
+    every row left out scores below the best in float64. Fewer rows than
+    every row run in float64 through the screen's ``stack``, not the bank's
+    operand (:func:`_bank_peaks`), so samples agree with every row's up to
     rounding. The counter is charged as :func:`conv_projected_peaks` is."""
     setup, screened = _peaks_setup(s, bank, counter)
     rows = setup[3]
     if not screened:
         return _bank_peaks(bank, setup, False, np.arange(rows)), rows, "float64-product"
-    screen = _row_bounds(bank, setup, screened, energies)
+    sums = _row_bounds(bank, setup, screened, terms)
     # None: scores could leave float64, though the products cannot
-    if screen is not None:
-        sums, gain, floor = screen
+    if sums is not None:
         loudest = sums.argmax()
         peaks = _bank_peaks(bank, setup, False, loudest[None])
         sums[loudest] = -np.inf         # multiplied already
         # the best score so far in scaled units, rounded down
-        lower = math.nextafter(math.ldexp(np.maximum.reduce(peaks / energies), -screened[1]), 0)
-        picked = (sums >= _least_reaching(lower, gain, floor)).nonzero()[0]
+        lower = math.nextafter(
+            math.ldexp(np.maximum.reduce(peaks / terms.energies), -screened[1]), 0)
+        picked = (sums >= _least_reaching(lower, terms.gain, terms.floor)).nonzero()[0]
         if picked.shape[0] < rows - 1 or rows == 1:
             np.maximum(peaks, _bank_peaks(bank, setup, screened, picked), out=peaks)
             return (peaks, picked.shape[0] + 1, "float32-screen"
@@ -942,35 +964,62 @@ def _match_peaks(s, bank, energies, counter=None):
     return _bank_peaks(bank, setup, screened, np.arange(rows)), rows, "float32-screen"
 
 
-def _row_bounds(bank, setup, screened, energies):
-    """``(sums, gain, floor)``: U_j = gain * sqrt(S_j) + floor bounds every
-    score in product row j in scaled units (times 2**scale). Its float64
-    samples of entry e are at most (1 + gamma_K) * W_j * N_e (Cauchy-Schwarz,
-    and Higham's bound on a sum of K terms), N_e the screen's norm of the
-    entry's columns and W_j the 2-norm of the row's window of the scaled
-    compact signal, plus 2**-126 for each of 8 operations per term for
-    underflow (doubled for the rounding of its quotient); ``gain`` is raised
-    by 2**-49 for its roundings. S_j, the window's sum of squares, adds up
-    pieces of g = gcd(B, B + Q - 1) columns, which tile every window; all
-    its terms are nonnegative, so in any order W_j <= sqrt(S_j * (1 + (K +
-    1) * 2**-52)). None where a bound could leave float64's range: W_j and
-    N_e are below sqrt(K), so U_j * 2**scale < 2K * 2**scale / min energy_e."""
-    scaled, scale = screened
+class _RowScreen(NamedTuple):
+    """A bank's terms of :func:`_row_bounds` for the scores peaks /
+    ``energies``: ``gain`` and ``floor``, ``reach`` the bits by which a
+    bound can exceed 2**scale, and ``step`` g = gcd(B, B + Q - 1)."""
+
+    energies: np.ndarray
+    gain: float
+    floor: float
+    reach: int
+    step: int
+
+
+def _row_screen(bank, energies):
+    """The :class:`_RowScreen` of ``bank`` for ``energies``, once per bank
+    and energies; ``gain`` is NaN for a bank without a screen, whose rows
+    are never screened."""
     depth = bank.toeplitz.shape[0]
     # ufunc reductions: ndarray.min and max add a Python call each
     least = np.minimum.reduce(energies)
-    if max(scale, 0) + depth.bit_length() + 2 - math.frexp(least)[1] > 1023:
-        return None
     gain = ((1 + _gamma(depth, 2.0 ** -53)) * math.sqrt(1 + (depth + 1) * 2.0 ** -52)
-            * (1 + 2.0 ** -49) * np.maximum.reduce(bank.screen.norms / energies))
+            * (1 + 2.0 ** -49) * np.maximum.reduce(bank.screen.norms / energies)
+            if bank.screen else math.nan)
+    return _RowScreen(energies, gain, depth * 2.0 ** -122 / least,
+                      depth.bit_length() + 2 - math.frexp(least)[1],
+                      math.gcd(bank.block, depth // bank.config.projections_used))
+
+
+def _row_bounds(bank, setup, screened, terms):
+    """S_j, the sum of squares of product row j's window of the scaled
+    compact signal, for every row j; None where a bound could leave
+    float64's range.
+
+    With ``terms`` (:class:`_RowScreen`), U_j = gain * sqrt(S_j) + floor
+    bounds every score in row j in scaled units (times 2**scale). Its
+    float64 samples of entry e are at most (1 + gamma_K) * W_j * N_e
+    (Cauchy-Schwarz, and Higham's bound on a sum of K = p * (B + Q - 1)
+    terms), N_e the screen's norm of the entry's columns and W_j the 2-norm
+    of the row's window, plus 2**-126 for each of 8 operations per term for
+    underflow (doubled for the rounding of its quotient); gain is raised by
+    2**-49 for its roundings. A row multiplied through the stack sums p * Q
+    of those K terms, the rest being zeros, over a part of the window, and
+    gamma_n grows with n, so U_j bounds it too. S_j adds up pieces of g
+    columns, which tile every window; all its terms are nonnegative, so in
+    any order W_j <= sqrt(S_j * (1 + (K + 1) * 2**-52)). W_j and N_e are
+    below sqrt(K), so U_j * 2**scale < 2K * 2**scale / min energy_e."""
+    scaled, scale = screened
+    if max(scale, 0) + terms.reach > 1023:
+        return None
     span = bank.block + setup[0] - 1
-    step = math.gcd(bank.block, span)
+    step = terms.step
     pieces = scaled.reshape(scaled.shape[0], -1, step)
     sums = np.einsum("ijk,ijk->j", pieces, pieces)
     # window j: span / g pieces from piece j * B / g on
     windows = np.ndarray((span // step, setup[3]), sums.dtype, sums, 0,
                          (sums.itemsize, sums.itemsize * bank.block // step))
-    return np.add.reduce(windows, axis=0), gain, depth * 2.0 ** -122 / least
+    return np.add.reduce(windows, axis=0)
 
 
 def _least_reaching(lower, gain, floor):

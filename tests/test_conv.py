@@ -1,3 +1,4 @@
+import copy
 import dataclasses
 import functools
 import math
@@ -1243,6 +1244,11 @@ def _decision(peaks, energies, ids):
     return min(ids[i] for i in np.flatnonzero(scores == scores.max()))
 
 
+def _match_peaks_of(s, bank, energies):
+    """conv._match_peaks of ``s`` for the scores peaks / ``energies``."""
+    return conv._match_peaks(s, bank, conv._row_screen(bank, energies))
+
+
 def _match_rows(s, bank):
     """The product rows of ``s`` against ``bank``."""
     kept = -(-(s.shape[0] + bank.kernel_len - 1) // bank.pair.size)
@@ -1258,6 +1264,73 @@ def _assert_partial_peaks(peaks, want, energies, rtol):
     assert np.all(want[short] / energies[short] < best)
     winner = np.argmax(want / energies)
     assert_allclose(peaks[winner], want[winner], rtol=rtol, atol=0)
+
+
+class _Unread(np.ndarray):
+    """An operand that fails every ufunc it enters, matmul among them."""
+
+    def __array_ufunc__(self, ufunc, method, *args, **kwargs):
+        raise AssertionError(f"bank.toeplitz entered {ufunc.__name__}")
+
+
+@pytest.mark.parametrize("family,size", [(f, s) for f in ("dct", "haar", "custom")
+                                         for s in (2, 3, 4, 8) if f != "haar" or s != 3])
+@pytest.mark.parametrize("full", [False, True])
+@pytest.mark.parametrize("mode", list(SampleMode))
+def test_row_subsets_through_the_stack_equal_their_block_toeplitz_rows(
+        screen_every_call, monkeypatch, family, size, full, mode):
+    # float64 products of fewer rows than every row, as the row screen takes
+    # them (the float32 screen on every call, so only calls with screened
+    # False run in float64): each picked row's B windows of Q compact
+    # samples times the stack, against the row's window times the block-
+    # Toeplitz operand, in its layout. Both sum the same nonzero terms, each
+    # within gamma_K(2^-53) W_j N_e of the exact sample, and the operand is
+    # never multiplied, until the rows' copy outgrows it
+    pair = random_pair(family, size, 31)
+    cfg = PrecisionConfig(size, size if full else 1, sample_mode=mode)
+    rng = np.random.default_rng(size)
+    bank = project_kernel_bank(rng.standard_normal((16, 40 * size + 3)), pair, cfg)
+    setup = conv._peaks_setup(rng.standard_normal(300 * size + 1), bank, None)[0]
+    compact_len, out_len, kept, rows, padded = setup
+    block, count, toeplitz = bank.block, bank.count, bank.toeplitz
+    phases = len(cfg.phases())
+    end = out_len if phases > 1 else kept
+    tail = (rows * block * phases - end) * count
+    # the fewest rows whose copy, 2 * rows * Q, reaches the operand's size
+    least = -(-(block + compact_len - 1) * phases * count // (2 * compact_len))
+    assert block in (4, 5) and 8 < least < rows and tail > 0
+    taps = bank.screen.taps
+    assert np.array_equal(bank.screen.stack, conv._toeplitz_segment(
+        taps.reshape(taps.shape[0], cfg.projections_used, -1), 1))
+    spy = copy.copy(bank)
+    object.__setattr__(spy, "toeplitz", toeplitz.view(_Unread))
+    windows = conv._window_view(padded, block, rows, 0, block + compact_len - 1)
+    depth = toeplitz.shape[0]
+    gamma = depth * 2.0 ** -53 / (1 - depth * 2.0 ** -53)
+    norms = np.sqrt((toeplitz ** 2).sum(axis=0)).reshape(-1, count).max(axis=0)
+    products = []
+    maxima = conv._kernel_maxima
+
+    def spy_maxima(y, *args):
+        products.append(y.copy())
+        return maxima(y, *args)
+
+    monkeypatch.setattr(conv, "_kernel_maxima", spy_maxima)
+    for picked in ([0], [rows // 2], [rows - 1], range(3, 9), [1, 4, 5, 13, rows - 1],
+                   range(least - 1)):
+        picked = np.array(picked)
+        products.clear()
+        peaks = conv._bank_peaks(spy, setup, False, picked)
+        (y,) = products
+        want = windows[picked].reshape(picked.shape[0], -1) @ toeplitz
+        assert y.shape == want.shape
+        bound = gamma * np.sqrt((windows[picked] ** 2).sum(axis=(1, 2)))[:, None] * norms
+        gap = np.abs(y - want).reshape(picked.shape[0], -1, count).max(axis=1)
+        assert np.all(gap <= 2 * bound)
+        cut = tail if picked[-1] == rows - 1 else 0
+        assert np.all(np.abs(peaks - maxima(want, cut, 0, count)) <= 2 * bound.max(axis=0))
+    with pytest.raises(AssertionError, match="entered matmul"):
+        conv._bank_peaks(spy, setup, False, np.arange(least))
 
 
 @pytest.mark.parametrize("family,size,used,mode", [
@@ -1284,7 +1357,8 @@ def test_window_norms_bound_each_window(screen_every_call, family, size, used, m
     for s in (spread, stepped):
         setup, screened = conv._peaks_setup(s, bank, None)
         scaled = screened[0]
-        sums = conv._row_bounds(bank, setup, screened, np.ones(bank.count))[0]
+        sums = conv._row_bounds(bank, setup, screened,
+                                conv._row_screen(bank, np.ones(bank.count)))
         compact_len, rows = setup[0], setup[3]
         span = bank.block + compact_len - 1
         assert sums.shape == (rows,)
@@ -1312,7 +1386,8 @@ def test_row_bounds_hold_every_score_of_their_row(float64_products):
     query[1600:1600 + 2 * compact_len] = np.repeat(bank.screen.taps[entry] / math.sqrt(2), 2)
     setup, screened = conv._peaks_setup(query, bank, None)
     scale = screened[1]
-    sums, gain, floor = conv._row_bounds(bank, setup, screened, energies)
+    terms = conv._row_screen(bank, energies)
+    sums, gain, floor = conv._row_bounds(bank, setup, screened, terms), terms.gain, terms.floor
     depth = bank.toeplitz.shape[0]
     gamma = Fraction(depth, 2 ** 53) / (1 - Fraction(depth, 2 ** 53))
     ratio = max(Fraction(float(n)) / Fraction(float(e))
@@ -1357,6 +1432,39 @@ def test_least_reaching_sum_keeps_every_row_that_can_reach():
             assert exact * (1 - Fraction(1, 2 ** 48)) <= Fraction(least) <= exact
 
 
+@pytest.mark.parametrize("seed", [5, 41])
+def test_lower_bound_sits_strictly_below_the_loudest_rows_best_score(monkeypatch, seed):
+    # the threshold's lower bound, the loudest row's best score in scaled
+    # units, is rounded down, so a row whose bound only ties it is kept
+    bank, signals, rng = _match_db_bank(seed)
+    energies = np.sum(signals * signals, axis=1)
+    db = FeatureDb.from_arrays((f"e{i:03d}", sig) for i, sig in enumerate(signals))
+    queries = [q for _, q in synth_queries(db, 32, 2048, rng, 10.0)] + [np.zeros(2048)]
+    seen = []
+    bank_peaks, least_reaching = conv._bank_peaks, conv._least_reaching
+
+    def peaks_spy(*args):
+        seen.append(bank_peaks(*args))
+        return seen[-1]
+
+    def lower_spy(lower, *args):
+        seen.append(lower)
+        return least_reaching(lower, *args)
+
+    monkeypatch.setattr(conv, "_bank_peaks", peaks_spy)
+    monkeypatch.setattr(conv, "_least_reaching", lower_spy)
+    positive = 0
+    for query in queries:
+        seen.clear()
+        _match_peaks_of(query, bank, energies)
+        peaks, lower = seen[:2]
+        scale = conv._peaks_setup(query, bank, None)[1][1]
+        best = math.ldexp(np.maximum.reduce(peaks / energies), -scale)
+        assert lower < best if lower > 0 else lower == best == 0
+        positive += lower > 0
+    assert positive == len(queries) - 1
+
+
 @pytest.mark.parametrize("seed", [0, 3, 4, 16])
 def test_queries_loud_in_every_window_multiply_every_row(seed):
     # white noise whose first and last 16 samples, all that the end rows'
@@ -1369,7 +1477,7 @@ def test_queries_loud_in_every_window_multiply_every_row(seed):
     query = rng.standard_normal(2048)
     query[:16] *= 4
     query[-16:] *= 4
-    peaks, rows, path = conv._match_peaks(query, bank, energies)
+    peaks, rows, path = _match_peaks_of(query, bank, energies)
     assert rows == _match_rows(query, bank) == 144
     assert path == "float32-screen"
     want = conv_projected_peaks(query, bank)
@@ -1400,7 +1508,7 @@ def test_last_row_kept_but_not_loudest_stops_at_the_output_end(float64_products,
     with monkeypatch.context() as patch:
         patch.setattr(conv, "_bank_peaks",
                       lambda *args: picks.append(args[-1]) or bank_peaks(*args))
-        peaks, rows, path = conv._match_peaks(query, bank, energies)
+        peaks, rows, path = _match_peaks_of(query, bank, energies)
     loudest, kept = picks
     assert loudest[0] != last and kept[-1] == last
     assert path == "row-screen" and rows == kept.shape[0] + 1 < last
@@ -1426,8 +1534,9 @@ def test_row_screen_multiplies_under_a_quarter_of_the_rows(float64_products, see
     energies = np.sum(signals * signals, axis=1)
     counts = []
     for _, query in queries:
-        peaks, rows, _ = conv._match_peaks(query, bank, energies)
+        peaks, rows, path = _match_peaks_of(query, bank, energies)
         counts.append(rows)
+        assert path == "row-screen"
         _assert_partial_peaks(peaks, float64_products(conv_projected_peaks, query, bank),
                               energies, 1e-14)
     assert np.mean(counts) < 144 / 4
@@ -1445,7 +1554,7 @@ def test_pruned_peaks_keep_planted_near_ties(float64_products):
     query[1200:1456] = signals[0] * tie
     energies = np.sum(signals * signals, axis=1)
     assert conv._screens(query.shape[0], bank)
-    got, rows, _ = conv._match_peaks(query, bank, energies)
+    got, rows, _ = _match_peaks_of(query, bank, energies)
     want = float64_products(conv_projected_peaks, query, bank)
     assert 2 <= rows < _match_rows(query, bank)
     assert got[0] > 0 and got[1] > 0
@@ -1474,7 +1583,7 @@ def test_pruning_keeps_entries_whose_score_sits_in_the_details(pruning, float64_
     for delay in (1, 515, 1791):
         query = 0.05 * rng.standard_normal(2048)
         query[delay:delay + 256] += signals[7]
-        got = conv._match_peaks(query, bank, energies)[0]
+        got = _match_peaks_of(query, bank, energies)[0]
         want = float64_products(conv_projected_peaks, query, bank)
         assert got[7] > 0
         assert _decision(got, energies, ids) == _decision(want, energies, ids) == "e007"
@@ -1493,7 +1602,7 @@ def test_pruned_duplicates_go_to_the_lowest_id(float64_products):
     for delay in (11, 1000):
         query = 0.1 * rng.standard_normal(2048)
         query[delay:delay + 256] += signals[3]
-        got, rows, _ = conv._match_peaks(query, bank, energies)
+        got, rows, _ = _match_peaks_of(query, bank, energies)
         assert rows < _match_rows(query, bank)
         assert got[3] == got[9] == got[40] > 0
         assert xcorr_match(query, db, mode)[0] == "a040"
@@ -1514,8 +1623,8 @@ def test_pruned_peaks_of_scaled_entries_and_queries(entry_exp, query_exp):
     for pick in (2, 50):
         query = 0.1 * rng.standard_normal(2048)
         query[900:1156] += signals[pick]
-        plain, rows, _ = conv._match_peaks(query, bank, energies)
-        got, scaled_rows, _ = conv._match_peaks(np.ldexp(query, query_exp), scaled_bank,
+        plain, rows, _ = _match_peaks_of(query, bank, energies)
+        got, scaled_rows, _ = _match_peaks_of(np.ldexp(query, query_exp), scaled_bank,
                                                 scaled_energies)
         assert scaled_rows == rows < _match_rows(query, bank)
         assert np.array_equal(got, np.ldexp(plain, entry_exp + query_exp))
@@ -1550,7 +1659,7 @@ def test_pruned_match_decisions_across_pairs_and_phases(pruning, float64_product
         query = 0.2 * rng.standard_normal(700)
         delay = int(rng.integers(0, 700 - 96))
         query[delay:delay + 96] += entries[pick]
-        peaks, rows, _ = conv._match_peaks(query, bank, energies)
+        peaks, rows, _ = _match_peaks_of(query, bank, energies)
         want = float64_products(conv_projected_peaks, query, bank)
         counts.append(rows / _match_rows(query, bank))
         _assert_partial_peaks(peaks, want, energies, 1e-13)
@@ -1589,7 +1698,7 @@ def test_pruned_decisions_equal_float64_products_property(pruning, float64_produ
     query[delay:delay + klen] += entries[int(rng.integers(count))]
     bank = project_kernel_bank(entries[:, ::-1], pair, cfg)
     energies = np.sum(entries * entries, axis=1)
-    peaks = conv._match_peaks(query, bank, energies)[0]
+    peaks = _match_peaks_of(query, bank, energies)[0]
     want = float64_products(conv_projected_peaks, query, bank)
     _assert_partial_peaks(peaks, want, energies, 1e-12)
     ids = [f"e{i:03d}" for i in range(count)]
@@ -1612,6 +1721,6 @@ def test_pruning_bounds_stop_at_the_output_end(pruning, float64_products, seed):
     query[-4:] = rng.standard_normal(4)
     bank = project_kernel_bank(entries[:, ::-1], pair, cfg)
     energies = np.sum(entries * entries, axis=1)
-    peaks = conv._match_peaks(query, bank, energies)[0]
+    peaks = _match_peaks_of(query, bank, energies)[0]
     want = float64_products(conv_projected_peaks, query, bank)
     assert _decision(peaks, energies, "ab") == _decision(want, energies, "ab")
