@@ -1,12 +1,11 @@
 """Convolution and cross-correlation kernels, exact and projection-based.
 
 Baselines: direct evaluation of the four variants (linear and circular
-convolution and cross-correlation), an FFT kernel zero-padded to a power of
-two, and overlap-save segmentation in either domain.
+convolution and cross-correlation) and an FFT kernel zero-padded to a power
+of two. The references the fast paths are checked against, overlap-save
+segmentation and the exact translate-and-project convolution, are in
+:mod:`pkscale.reference`.
 
-* :func:`conv_translate_project` is the exact reference: each output sample
-  is the inner product of a translated copy of one operand with the other,
-  projected group-wise on both sides and truncated to the kept projections.
 * :func:`conv_projected_blocked` is the fast path, the polyphase
   convolution with the pair inserted into every polyphase inner product.
   Its compact convolutions run, chosen per call by operation counts, as
@@ -39,10 +38,10 @@ from typing import NamedTuple
 import numpy as np
 
 from .config import SampleMode
-from .errors import DimensionMismatch, DomainError, IndexOutOfRange
+from .errors import DimensionMismatch
 # project_signal_dual is unused here; perfbench/tracing.py wraps it under
 # this module's name, so the name must resolve.
-from .projection import _as_real, project_signal, project_signal_dual  # noqa: F401
+from .projection import _as_real, _dtype_of, project_signal, project_signal_dual  # noqa: F401
 
 # Block-Toeplitz products of conv_projected_blocked: output samples per row
 # of the product, most compact kernel taps per Toeplitz segment, and most
@@ -86,40 +85,10 @@ class ConvDomain(enum.Enum):
     FREQ = "freq"
 
 
-@dataclass(frozen=True)
-class ConvPlan:
-    """Overlap-save segmentation: blocks of ``block_len`` samples, kernel of
-    ``kernel_len``, each block convolved independently in ``domain``."""
-
-    block_len: int
-    kernel_len: int
-    domain: ConvDomain = ConvDomain.TIME
-
-    def __post_init__(self):
-        if self.kernel_len < 1:
-            raise DomainError(f"kernel length must be positive, got {self.kernel_len}")
-        if self.block_len < self.kernel_len:
-            raise DomainError(
-                f"block length {self.block_len} shorter than kernel {self.kernel_len}")
-
-    @classmethod
-    def minimum(cls, kernel_len, domain=ConvDomain.TIME):
-        """The smallest standard segmentation, block_len = 3 * kernel_len + 1."""
-        return cls(3 * kernel_len + 1, kernel_len, domain)
-
-
 def _check_linear(s, k):
     if not (1 <= k.shape[0] <= s.shape[0]):
         raise DimensionMismatch(
             f"need 1 <= kernel length <= signal length, got {k.shape[0]} and {s.shape[0]}")
-
-
-def cyclic_translate(v, n):
-    """Rotate left by ``n``: out[j] = v[(j + n) mod len(v)]."""
-    v = _as_real(v, 1, "vector")
-    if not (0 <= n < v.shape[0]):
-        raise IndexOutOfRange(f"translation {n} outside [0, {v.shape[0]})")
-    return np.roll(v, -n)
 
 
 def conv_direct(s, k, variant=ConvVariant.CONV, counter=None):
@@ -172,115 +141,6 @@ def conv_fft(s, k):
     k = _as_real(k, 1, "kernel")
     _check_linear(s, k)
     return _fft_linear(s, k, s.shape[0] + k.shape[0] - 1)
-
-
-def conv_overlap_save(s, k, plan, counter=None):
-    """Linear convolution by overlap-save segmentation: blocks of
-    ``plan.block_len`` samples, overlapping by ``len(k) - 1``, convolved
-    independently (direct or FFT per ``plan.domain``), keeping each block's
-    aliasing-free tail. Equals :func:`conv_direct` for any legal plan.
-    """
-    s = _as_real(s, 1, "signal")
-    k = _as_real(k, 1, "kernel")
-    _check_linear(s, k)
-    if plan.kernel_len != k.shape[0]:
-        raise DimensionMismatch(
-            f"plan built for kernel length {plan.kernel_len}, got {k.shape[0]}")
-    klen = k.shape[0]
-    wlen = plan.block_len
-    hop = wlen - klen + 1
-    out_len = s.shape[0] + klen - 1
-    blocks = -(-out_len // hop)
-    padded = np.zeros(klen - 1 + (blocks - 1) * hop + wlen, dtype=s.dtype)
-    padded[klen - 1:klen - 1 + s.shape[0]] = s
-    out = np.empty(blocks * hop, dtype=_dtype_of(s, k))
-    for bi in range(blocks):
-        block = padded[bi * hop:bi * hop + wlen]
-        if plan.domain is ConvDomain.TIME:
-            y = np.convolve(block, k)
-            if counter is not None:
-                counter.add(block.shape[0] * klen)
-        else:
-            y = _fft_linear(block, k, wlen + klen - 1)
-        out[bi * hop:(bi + 1) * hop] = y[klen - 1:klen - 1 + hop]
-    return out[:out_len]
-
-
-def _dtype_of(s, k):
-    return np.float32 if (s.dtype == np.float32 and k.dtype == np.float32) else np.float64
-
-
-def _translated_window(a, variant, m, length):
-    """Zero-extended window holding the translated copy of ``a`` for output m."""
-    w = np.zeros(length, dtype=a.dtype)
-    alen = a.shape[0]
-    if variant is ConvVariant.CONV:
-        # w[j] = a[m - j] over the valid range
-        jlo = max(0, m - alen + 1)
-        jhi = min(m, length - 1)
-        if jlo <= jhi:
-            w[jlo:jhi + 1] = a[m - jhi:m - jlo + 1][::-1]
-    else:
-        # w[j] = a[j - d] with lag d = blen - 1 - m encoded by the caller via m
-        d = m
-        jlo = max(0, d)
-        jhi = min(length, d + alen)
-        if jlo < jhi:
-            w[jlo:jhi] = a[jlo - d:jhi - d]
-    return w
-
-
-def conv_translate_project(a, b, pair, cfg, variant=ConvVariant.CIRC_XCORR):
-    """Exact-reference projected convolution via explicit translations.
-
-    Every output sample is an inner product of a translated copy of ``a``
-    (cyclic for circular variants, zero-extended for linear ones) with
-    ``b``, projected group-wise on both sides (analysis on ``a``, synthesis
-    on ``b``) and summed over the first ``cfg.projections_used`` indices.
-    With all indices kept it equals :func:`conv_direct` to rounding.
-    Circular variants need ``len(a) == len(b) == pair.size``; translation n
-    lands at output ``(N - n) mod N`` for circular cross-correlation and,
-    with ``b`` reversed, at ``(n - 1) mod N`` for circular convolution.
-    """
-    cfg.check_pair(pair)
-    a = _as_real(a, 1, "signal")
-    b = _as_real(b, 1, "kernel")
-    used = cfg.projections_used
-    size = pair.size
-    forward = pair.forward[:, :used]
-    synthesis = pair.inverse[:used]
-
-    if variant in (ConvVariant.CIRC_CONV, ConvVariant.CIRC_XCORR):
-        if a.shape[0] != size or b.shape[0] != size:
-            raise DimensionMismatch(
-                f"circular translate-project needs both lengths equal to the pair size "
-                f"{size}, got {a.shape[0]} and {b.shape[0]}")
-        bb = b[::-1] if variant is ConvVariant.CIRC_CONV else b
-        bd = synthesis @ bb
-        out = np.zeros(size, dtype=_dtype_of(a, b))
-        for n in range(size):
-            ac = cyclic_translate(a, n) @ forward
-            val = ac @ bd
-            if variant is ConvVariant.CIRC_XCORR:
-                out[(size - n) % size] = val
-            else:
-                out[(n - 1) % size] = val
-        return out
-
-    _check_linear(a, b)
-    alen, blen = a.shape[0], b.shape[0]
-    total = alen + blen - 1
-    length = -(-total // size) * size
-    wb = np.zeros(length, dtype=b.dtype)
-    wb[:blen] = b
-    proj_b = wb.reshape(-1, size) @ synthesis.T
-    out = np.empty(total, dtype=_dtype_of(a, b))
-    for m in range(total):
-        arg = m if variant is ConvVariant.CONV else blen - 1 - m
-        wa = _translated_window(a, variant, arg, length)
-        proj_a = wa.reshape(-1, size) @ forward
-        out[m] = float(np.sum(proj_a * proj_b))
-    return out
 
 
 def _compact_kernel_len(kernel_len, size):

@@ -1,4 +1,4 @@
-"""Analytic MAC and memory-transfer models, plus instrumented validation.
+"""Analytic MAC and memory-transfer models, and the counter kernels charge.
 
 Formulas count multiply-accumulate operations (one MAC = one multiply plus
 one accumulate) for square-N GEMM and for one minimum overlap-save block
@@ -20,16 +20,14 @@ Memory transfer in bits: GEMM moves both square operands (2 N^2 b plain,
 plain, ceil((l+1)/L (4N+1)) projected). The reported reduction percentage is
 the closed form (1 - (l+1)/L) * 100, quoted only when l < L-1.
 
-The instrumented counterparts execute real kernels with a
-:class:`MacCounter` and must equal the time-domain formulas exactly. The
-counting convention (documented on the kernels): matrix projection passes
-charge every element of the operand, signal projections charge real samples
-only, block products charge h*c*w, GEMM partial-sum accumulation charges one
-count per output element, CONV accumulation and output interpolation are
-free (matching the closed forms above). Validation convolutions run the
-minimum blocking and keep the 2N steady-state outputs starting at the first
-full-overlap position, each costing N counts; the frequency-domain closed
-forms have no instrumented counterpart. The shipping projected convolution,
+Kernels charge a :class:`MacCounter` by one convention (documented on the
+kernels): matrix projection passes charge every element of the operand,
+signal projections charge real samples only, block products charge h*c*w,
+GEMM partial-sum accumulation charges one count per output element, CONV
+accumulation and output interpolation are free (matching the closed forms
+above). The instrumented runs that must equal the time-domain formulas
+exactly are in :mod:`pkscale.reference`; the frequency-domain closed forms
+have no instrumented counterpart. The shipping projected convolution,
 :func:`pkscale.conv.conv_projected_blocked`, runs its compact convolutions
 in either domain, chosen per call by an operation count, and charges the
 same per-slice count in both, so :func:`mac_conv_proj_general` counts it in
@@ -42,13 +40,7 @@ import enum
 import math
 from dataclasses import dataclass
 
-import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
-
-from .errors import CounterMismatch, DimensionMismatch, DomainError
-from .gemm import gemm_conventional, gemm_projected
-from .config import PrecisionConfig
-from .projection import project_signal, project_signal_dual
+from .errors import DomainError
 
 
 class Domain(enum.Enum):
@@ -196,120 +188,3 @@ def ratio_percent(domain, n, size, l=0):
     else:
         raise DomainError(f"unknown domain {domain!r}")
     return 100.0 * ratio
-
-
-@dataclass(frozen=True)
-class CostReport:
-    domain: Domain
-    n: int
-    l: int | None
-    size: int | None
-    repr_bits: int
-    macs_model: int
-    macs_measured: int | None
-    mem_bits_model: int
-
-
-def _require_equal(model, measured, what):
-    if model != measured:
-        raise CounterMismatch(f"{what}: model {model}, measured {measured}")
-
-
-def counted_block_conv(block, kernel, counter=None):
-    """One minimum overlap-save block, steady-state outputs only.
-
-    ``len(block)`` must be ``3 * len(kernel) + 1``; returns the 2N outputs
-    starting at the first full-overlap position (a slice of the direct
-    convolution), charging N counts each.
-    """
-    block = np.asarray(block, dtype=np.float64)
-    kernel = np.asarray(kernel, dtype=np.float64)
-    n = kernel.shape[0]
-    if block.shape[0] != 3 * n + 1:
-        raise DimensionMismatch(
-            f"minimum blocking needs {3 * n + 1} samples for kernel length {n}, "
-            f"got {block.shape[0]}")
-    windows = sliding_window_view(block, n)[:2 * n]
-    if counter is not None:
-        counter.add(2 * n * n)
-    return windows @ kernel[::-1]
-
-
-def counted_conv_projected_block(block, kernel, pair, projections, counter=None):
-    """Projected counterpart of :func:`counted_block_conv`.
-
-    Projects the block and kernel per kept index (charging real samples),
-    then runs the compacted minimum-block convolution for each. The kernel
-    length must be divisible by the pair size so the compact geometry is
-    again a minimum block.
-    """
-    n = np.asarray(kernel).shape[0]
-    if n % pair.size:
-        raise DomainError(f"kernel length {n} not divisible by projection size {pair.size}")
-    acc = None
-    for l in range(projections):
-        sc = project_signal(block, pair, l)
-        kd = project_signal_dual(kernel, pair, l)
-        if counter is not None:
-            counter.add(np.asarray(block).shape[0])
-            counter.add(n)
-        part = counted_block_conv(sc, kd, counter)
-        acc = part if acc is None else acc + part
-    return acc
-
-
-def validate_gemm_plain(n, repr_bits=64, seed=0):
-    """Run the blocked kernel on an N x N x N product and check its counter."""
-    rng = np.random.default_rng(seed)
-    a = rng.uniform(-1.0, 1.0, (n, n))
-    b = rng.uniform(-1.0, 1.0, (n, n))
-    counter = MacCounter()
-    gemm_conventional(a, b, n, counter=counter)
-    model = mac_gemm_plain(n)
-    _require_equal(model, counter.count, f"gemm plain N={n}")
-    mem = mem_transfer(Domain.GEMM, n, 0, 2, repr_bits)
-    return CostReport(Domain.GEMM, n, None, None, repr_bits, model, counter.count,
-                      mem.plain_bits)
-
-
-def validate_gemm_projected(n, l, size, pair, repr_bits=64, seed=0):
-    """Run the projected kernel with l+1 projections and check its counter."""
-    rng = np.random.default_rng(seed)
-    a = rng.uniform(-1.0, 1.0, (n, n))
-    b = rng.uniform(-1.0, 1.0, (n, n))
-    counter = MacCounter()
-    cfg = PrecisionConfig(size, l + 1)
-    gemm_projected(a, b, pair, cfg, counter=counter)
-    model = mac_gemm_proj(n, l, size)
-    _require_equal(model, counter.count, f"gemm projected N={n} l={l} L={size}")
-    mem = mem_transfer(Domain.GEMM, n, l, size, repr_bits)
-    return CostReport(Domain.GEMM, n, l, size, repr_bits, model, counter.count,
-                      mem.projected_bits)
-
-
-def validate_conv_plain_time(n, repr_bits=64, seed=0):
-    """Run one instrumented minimum block and check the 2N^2 count."""
-    rng = np.random.default_rng(seed)
-    block = rng.uniform(-1.0, 1.0, 3 * n + 1)
-    kernel = rng.uniform(-1.0, 1.0, n)
-    counter = MacCounter()
-    counted_block_conv(block, kernel, counter)
-    model = mac_conv_plain_time(n)
-    _require_equal(model, counter.count, f"conv plain time N={n}")
-    mem = mem_transfer(Domain.CONV_TIME, n, 0, 2, repr_bits)
-    return CostReport(Domain.CONV_TIME, n, None, None, repr_bits, model, counter.count,
-                      mem.plain_bits)
-
-
-def validate_conv_projected_time(n, l, size, pair, repr_bits=64, seed=0):
-    """Run the instrumented projected minimum block and check its counter."""
-    rng = np.random.default_rng(seed)
-    block = rng.uniform(-1.0, 1.0, 3 * n + 1)
-    kernel = rng.uniform(-1.0, 1.0, n)
-    counter = MacCounter()
-    counted_conv_projected_block(block, kernel, pair, l + 1, counter)
-    model = mac_conv_proj_time(n, l, size)
-    _require_equal(model, counter.count, f"conv projected time N={n} l={l} L={size}")
-    mem = mem_transfer(Domain.CONV_TIME, n, l, size, repr_bits)
-    return CostReport(Domain.CONV_TIME, n, l, size, repr_bits, model, counter.count,
-                      mem.projected_bits)

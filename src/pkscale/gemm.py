@@ -32,16 +32,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch, DomainError
-from .projection import _as_real, project_cols, project_rows
+from .projection import _as_real, _dtype_of, project_cols, project_rows
 
 
 class Orientation(enum.Enum):
     ROW_WISE = "row"     # blocks scanned row-by-row, row-major inside a block
     COL_WISE = "col"     # blocks scanned column-by-column, column-major inside
-
-
-def _result_dtype(a, b):
-    return np.float32 if (a.dtype == np.float32 and b.dtype == np.float32) else np.float64
 
 
 @dataclass
@@ -118,7 +114,7 @@ def gemm_conventional(a, b, block, counter=None):
         raise DimensionMismatch(f"inner dims disagree: {a.shape} x {b.shape}")
     ra = reorder_block_major(a, block, Orientation.ROW_WISE)
     rb = reorder_block_major(b, block, Orientation.COL_WISE)
-    out = np.zeros((a.shape[0], b.shape[1]), dtype=_result_dtype(a, b))
+    out = np.zeros((a.shape[0], b.shape[1]), dtype=_dtype_of(a, b))
     inner_blocks = ra.grid[1]
     for bi in range(ra.grid[0]):
         r0, h = ra.index[ra._slot(bi, 0)][0], ra.index[ra._slot(bi, 0)][2]
@@ -134,25 +130,6 @@ def gemm_conventional(a, b, block, counter=None):
             c0 = rb.index[rb._slot(0, bj)][1]
             out[r0:r0 + acc.shape[0], c0:c0 + acc.shape[1]] = acc
     return out
-
-
-def gemm_partial(a, b, pair, l, counter=None):
-    """One rank slice of the projected product: project both operands onto
-    index ``l`` and multiply the compacted matrices.
-
-    The inner dimension must be divisible by the pair size.
-    """
-    a = _as_real(a, 2, "left operand")
-    b = _as_real(b, 2, "right operand")
-    if a.shape[1] != b.shape[0]:
-        raise DimensionMismatch(f"inner dims disagree: {a.shape} x {b.shape}")
-    ac = project_rows(a, pair, l)
-    bd = project_cols(b, pair, l)
-    if counter is not None:
-        counter.add(a.size)
-        counter.add(b.size)
-        counter.add(ac.shape[0] * ac.shape[1] * bd.shape[1])
-    return ac @ bd
 
 
 def _pad_inner(a, b, size):

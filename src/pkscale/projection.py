@@ -190,6 +190,11 @@ def _as_real(a, ndim, name):
     return np.ascontiguousarray(a)
 
 
+def _dtype_of(a, b):
+    """The result dtype of two operands: float32 only when both are."""
+    return np.float32 if (a.dtype == np.float32 and b.dtype == np.float32) else np.float64
+
+
 def _check_indices(pair, l):
     """Check ``l``, one projection index or a nonempty sequence of them, each
     in [0, size), and return the indices as a list of ints."""

@@ -19,13 +19,10 @@ from pkscale.cli import DEMO_HEADER, main
 from pkscale.config import PrecisionConfig, SampleMode
 from pkscale.conv import (
     ConvDomain,
-    ConvPlan,
     ConvVariant,
     conv_direct,
     conv_fft,
-    conv_overlap_save,
     conv_projected_blocked,
-    conv_translate_project,
 )
 from pkscale.costs import (
     mac_conv_plain_freq,
@@ -34,15 +31,21 @@ from pkscale.costs import (
     mac_gemm_plain,
     mac_gemm_proj,
     mem_transfer,
+    Domain,
+)
+from pkscale.gemm import gemm_projected
+from pkscale.metrics import snr
+from pkscale.projection import make_dct_pair, make_haar_pair
+from pkscale.reference import (
+    ConvPlan,
+    conv_overlap_save,
+    conv_translate_project,
+    gemm_partial,
     validate_conv_plain_time,
     validate_conv_projected_time,
     validate_gemm_plain,
     validate_gemm_projected,
-    Domain,
 )
-from pkscale.gemm import gemm_partial, gemm_projected
-from pkscale.metrics import snr
-from pkscale.projection import make_dct_pair, make_haar_pair
 
 PAIR_IDENTITY_TOL = 1e-10
 GEMM_EXACT_REL = 1e-10

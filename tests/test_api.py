@@ -33,9 +33,9 @@ def test_kernels_reject_complex_input(call):
 # kernels (the convolution in both domains) and matching, the synthetic generators, the 2D-PCA pipeline and a
 # `bench-gemm` run, then the FFT baselines. Prints the package modules that
 # `import pkscale` and `import pkscale.cli` loaded, the standard-library
-# number modules the latter loaded, the scipy modules loaded before and
-# after the FFT calls, and the FFT baselines' largest deviation from
-# conv_direct.
+# number modules the latter loaded, the package modules loaded after every
+# shipping call, the scipy modules loaded before and after the FFT calls,
+# and the FFT baselines' largest deviation from conv_direct.
 NUMPY_ONLY_SCRIPT = """
 import json
 import os
@@ -58,8 +58,7 @@ from pkscale.apps import (ConvMode, FeatureDb, GemmMode, TrainingSet, pca_extrac
                           pca_match, pca_train, xcorr_match)
 from pkscale.config import PrecisionConfig, SampleMode
 from pkscale import conv
-from pkscale.conv import (ConvDomain, ConvPlan, conv_direct, conv_fft,
-                          conv_overlap_save, conv_projected_blocked)
+from pkscale.conv import ConvDomain, conv_direct, conv_fft, conv_projected_blocked
 from pkscale.gemm import gemm_projected
 from pkscale.projection import make_custom_pair, make_dct_pair, make_haar_pair
 
@@ -94,14 +93,16 @@ for mode in (GemmMode(), GemmMode(make_dct_pair(8), PrecisionConfig(8, 1))):
     pca_match(pca_extract(faces, basis, mode=mode), gallery)
 assert pkscale.cli.main(["bench-gemm", "--n", "8", "--inner", "8", "--L", "2",
                          "--reps", "1", "--out", os.devnull]) == 0
+shipping = package_modules()
 before = scipy_modules()
 
+from pkscale.reference import ConvPlan, conv_overlap_save
 direct = conv_direct(s, k)
 errors = [float(np.abs(conv_fft(s, k) - direct).max())]
 for block_len in (17, 40, 121):
     plan = ConvPlan(block_len, k.shape[0], ConvDomain.FREQ)
     errors.append(float(np.abs(conv_overlap_save(s, k, plan) - direct).max()))
-print(json.dumps({"package": package, "cli": cli, "startup": startup,
+print(json.dumps({"package": package, "cli": cli, "startup": startup, "shipping": shipping,
                   "before": before, "after": scipy_modules(), "errors": errors}))
 """
 
@@ -119,6 +120,8 @@ def test_projected_paths_load_no_scipy():
                              "pkscale.io", "pkscale.projection"]
     # statistics pulls in decimal and fractions, a few ms of every start-up
     assert report["startup"] == []
+    # the criteria's references are for the tests: no shipping path loads them
+    assert "pkscale.reference" not in report["shipping"]
     assert report["before"] == []
     # the FFT baselines import scipy.fft on their first call, and still
     # equal the direct kernel

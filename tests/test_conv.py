@@ -19,16 +19,12 @@ from pkscale.config import PrecisionConfig, SampleMode
 from pkscale import conv
 from pkscale.conv import (
     ConvDomain,
-    ConvPlan,
     ConvVariant,
     _interp_uniform,
     conv_direct,
     conv_fft,
-    conv_overlap_save,
     conv_projected_blocked,
     conv_projected_peaks,
-    conv_translate_project,
-    cyclic_translate,
     project_kernel_bank,
 )
 from pkscale.costs import MacCounter, mac_conv_proj_general
@@ -43,6 +39,12 @@ from pkscale.projection import (
     make_dct_pair,
     make_haar_pair,
     project_signal,
+)
+from pkscale.reference import (
+    ConvPlan,
+    conv_overlap_save,
+    conv_translate_project,
+    cyclic_translate,
 )
 
 from pair_cases import pair_geometry, random_pair

@@ -3,11 +3,8 @@ import pytest
 from numpy.testing import assert_allclose
 
 from pkscale.costs import (
-    CostReport,
     Domain,
     MacCounter,
-    counted_block_conv,
-    counted_conv_projected_block,
     mac_conv_plain_freq,
     mac_conv_plain_general,
     mac_conv_plain_time,
@@ -20,13 +17,18 @@ from pkscale.costs import (
     mac_gemm_proj_general,
     mem_transfer,
     ratio_percent,
+)
+from pkscale.errors import DimensionMismatch, DomainError
+from pkscale.projection import make_dct_pair, make_haar_pair
+from pkscale.reference import (
+    CostReport,
+    counted_block_conv,
+    counted_conv_projected_block,
     validate_conv_plain_time,
     validate_conv_projected_time,
     validate_gemm_plain,
     validate_gemm_projected,
 )
-from pkscale.errors import DimensionMismatch, DomainError
-from pkscale.projection import make_dct_pair, make_haar_pair
 
 
 def test_gemm_mac_golden_values():

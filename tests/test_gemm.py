@@ -10,11 +10,11 @@ from pkscale.errors import DimensionMismatch, DomainError
 from pkscale.gemm import (
     Orientation,
     gemm_conventional,
-    gemm_partial,
     gemm_projected,
     reorder_block_major,
 )
 from pkscale.projection import make_dct_pair, make_haar_pair, project_cols, project_rows
+from pkscale.reference import gemm_partial
 
 from pair_cases import pair_geometry, random_pair
 
