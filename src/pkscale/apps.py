@@ -280,12 +280,14 @@ def _checked_signal(x, name):
 
 
 class _LengthGroup(NamedTuple):
-    """The nonzero-energy entries of one length, scored together."""
+    """The nonzero-energy entries of one length, scored together; entry j
+    equals entry ``first[j]`` up to sign, and ``first[j]`` is the first such."""
 
     length: int
     ids: tuple
     energies: np.ndarray
     signals: tuple
+    first: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -326,11 +328,17 @@ class FeatureDb:
         groups = []
         for length in dict.fromkeys(sig.shape[0] for _, sig, _ in live):
             members = [m for m in live if m[1].shape[0] == length]
+            stack = np.stack([sig for _, sig, _ in members])
+            # each entry times the sign of its first nonzero sample
+            lead = stack[np.arange(len(members)), (stack != 0).argmax(axis=1)]
+            _, first, inverse = np.unique(np.sign(lead)[:, None] * stack, axis=0,
+                                          return_index=True, return_inverse=True)
             groups.append(_LengthGroup(
                 length=length,
                 ids=tuple(entry_id for entry_id, _, _ in members),
                 energies=np.array([energy for _, _, energy in members]),
-                signals=tuple(sig for _, sig, _ in members)))
+                signals=tuple(sig for _, sig, _ in members),
+                first=first[inverse]))
         object.__setattr__(self, "_groups", tuple(groups))
 
     @classmethod
@@ -396,9 +404,11 @@ def xcorr_match(query, db, mode=ConvMode(), counter=None):
         # first
         with np.errstate(over="ignore", invalid="ignore"):
             if mode.is_projected:
+                # entries equal up to sign take the first one's peak: BLAS
+                # can round equal columns apart, and their tie is exact
                 peaks = _match_peaks(
                     padded, *db._bank(group, mode.pair, mode.config, counter=counter),
-                    counter=counter)[0]
+                    counter=counter)[0][group.first]
             else:
                 peaks = np.array([np.abs(mode.correlate(padded, signal, counter=counter)).max()
                                   for signal in group.signals])

@@ -2,8 +2,7 @@
 
 Baselines: direct evaluation of the four variants (linear and circular
 convolution and cross-correlation) and an FFT kernel zero-padded to a power
-of two. The references the fast paths are checked against, overlap-save
-segmentation and the exact translate-and-project convolution, are in
+of two. The references the fast paths are checked against are in
 :mod:`pkscale.reference`.
 
 * :func:`conv_projected_blocked` is the fast path, the polyphase
@@ -716,9 +715,12 @@ def _bank_peaks(bank, setup, screened, picked):
     """The peaks of product rows ``picked``, ascending: in float32 where
     :func:`_float32_rows` holds, else in float64, through the bank's
     operand, or for fewer rows than every row through its screen's
-    ``stack`` where their windows' copy is the smaller."""
+    ``stack`` where their windows' copy is the smaller. At B = 1 one row
+    takes a neighbour, as one-row products round equal columns apart."""
     block, count = bank.block, bank.count
     compact_len, out_len, kept, rows, padded = setup
+    if block == 1 and picked.shape[0] == 1 and rows > 1:
+        picked = np.arange(2) + min(picked[0], rows - 2)
     phases = len(bank.config.phases())
     span = block + compact_len - 1
     total = picked.shape[0]

@@ -1,11 +1,7 @@
-"""Literal references that the shipping kernels and cost models are checked
-against: overlap-save blocking (:func:`conv_overlap_save`), projected
-convolution by explicit translations (:func:`conv_translate_project`), one
-rank slice of the projected product (:func:`gemm_partial`), and counted
-minimum blocks, whose ``validate_*`` runs check a kernel's counter against the
-closed forms of :mod:`pkscale.costs`. Nothing in the package imports this
-module, so no ``pkscale`` run compiles it.
-"""
+"""Literal references the shipping kernels are checked against: overlap-save
+blocking, projected convolution by explicit translations, one rank slice of
+the projected product, and counted minimum blocks that check the closed forms
+of :mod:`pkscale.costs`. Nothing in the package imports this module."""
 
 from __future__ import annotations
 

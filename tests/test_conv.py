@@ -1688,6 +1688,10 @@ def pruning_case(draw):
 @settings(max_examples=40, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(pruning_case(), st.sampled_from(list(SampleMode)))
+# entries of one sample that tie exactly at B = 1, where a one-row product
+# runs as a matrix-vector product and can round identical columns apart
+@example(("haar", 4, 1, 3, 1, 8, 5), SampleMode.HALF_INTERPOLATE)
+@example(("dct", 3, 19865, 2, 1, 88, 34), SampleMode.HALF_INTERPOLATE)
 def test_pruned_decisions_equal_float64_products_property(pruning, float64_products, case,
                                                           mode):
     family, size, seed, used, klen, slen, count = case
@@ -1705,6 +1709,52 @@ def test_pruned_decisions_equal_float64_products_property(pruning, float64_produ
     _assert_partial_peaks(peaks, want, energies, 1e-12)
     ids = [f"e{i:03d}" for i in range(count)]
     assert _decision(peaks, energies, ids) == _decision(want, energies, ids)
+
+
+def test_products_of_2_to_8_rows_keep_identical_columns_equal():
+    # _bank_peaks multiplies a single row at B = 1 with a neighbour on this
+    # BLAS property: with 1 to 8 terms (entries of one sample, p <= 8) a
+    # product of 2 to 8 rows gives columns equal up to sign equal |values|,
+    # where a one-row product, run as a matrix-vector product, may not
+    rng = np.random.default_rng(0)
+    for terms in range(1, 9):
+        for rows in range(2, 9):
+            for columns in range(2, 70):
+                x = rng.standard_normal((rows, terms))
+                w = rng.standard_normal((terms, 1)) * rng.choice([-1.0, 1.0], columns)
+                y = np.abs(x @ w)
+                assert np.array_equal(y, np.repeat(y[:, :1], columns, axis=1))
+
+
+@pytest.mark.parametrize("klen", [1, 3, 5, 64])
+@pytest.mark.parametrize("family,size", [("haar", 2), ("haar", 4), ("dct", 3)])
+def test_entries_equal_up_to_sign_go_to_the_lowest_id(pruning, family, size, klen):
+    # conventional mode ties exact +-duplicates and gives the tie to the
+    # lowest id; projected mode must too, at B = 1 (entries of 1 to 5
+    # samples) and at B >= 2 (64 samples), where a product of 33 entries'
+    # columns rounds its edge columns apart from the others
+    pair = random_pair(family, size, 0)
+    rng = np.random.default_rng(klen)
+    base = _smooth_rows(rng, 2, klen)
+    entries = np.vstack([base[:1], rng.choice([-1.0, 1.0], (32, 1)) * base[1]])
+    ids = [f"e{i:03d}" for i in range(33)]
+    db = FeatureDb.from_arrays(zip(ids, entries))
+    lowest = {ids[j]: ids[min(i for i in range(33) for sign in (1, -1)
+                              if np.array_equal(entries[i], sign * entries[j]))]
+              for j in range(33)}
+    for used in range(1, size + 1):
+        for mode in SampleMode:
+            cfg = PrecisionConfig(size, used, sample_mode=mode)
+            assert (project_kernel_bank(entries, pair, cfg).block == 1) == (klen < 64)
+            for _ in range(5):
+                query = 0.05 * rng.standard_normal(120)
+                delay = int(rng.integers(0, 120 - klen))
+                query[delay:delay + klen] += base[1]
+                want = xcorr_match(query, db)[0]
+                got = xcorr_match(query, db, ConvMode(pair=pair, config=cfg))[0]
+                assert want == lowest[want] and got == lowest[got]
+                if used == size and mode is SampleMode.ALL_PHASES:
+                    assert got == want
 
 
 @pytest.mark.parametrize("seed", range(110, 125))
