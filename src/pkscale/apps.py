@@ -329,16 +329,16 @@ class FeatureDb:
         for length in dict.fromkeys(sig.shape[0] for _, sig, _ in live):
             members = [m for m in live if m[1].shape[0] == length]
             stack = np.stack([sig for _, sig, _ in members])
-            # each entry times the sign of its first nonzero sample
+            # each entry times the sign of its first nonzero sample, -0.0 as 0.0
             lead = stack[np.arange(len(members)), (stack != 0).argmax(axis=1)]
-            _, first, inverse = np.unique(np.sign(lead)[:, None] * stack, axis=0,
-                                          return_index=True, return_inverse=True)
+            first = {}
             groups.append(_LengthGroup(
                 length=length,
                 ids=tuple(entry_id for entry_id, _, _ in members),
                 energies=np.array([energy for _, _, energy in members]),
                 signals=tuple(sig for _, sig, _ in members),
-                first=first[inverse]))
+                first=np.array([first.setdefault(row.tobytes(), j) for j, row
+                                in enumerate(np.sign(lead)[:, None] * stack + 0.0)])))
         object.__setattr__(self, "_groups", tuple(groups))
 
     @classmethod

@@ -127,7 +127,7 @@ def _next_pow2(n):
 
 def _fft_linear(s, k, out_len):
     # imported here: scipy.fft is slow to import, and only the FFT baselines
-    # (conv_fft, overlap-save in the FREQ domain) use it
+    # (conv_fft, reference.conv_overlap_save in the FREQ domain) use it
     import scipy.fft
 
     nfft = _next_pow2(out_len)

@@ -1,4 +1,4 @@
-"""Analytic MAC and memory-transfer models, and the counter kernels charge.
+"""Analytic MAC and memory-transfer models, and the MAC counter that kernels charge.
 
 Formulas count multiply-accumulate operations (one MAC = one multiply plus
 one accumulate) for square-N GEMM and for one minimum overlap-save block
