@@ -1731,8 +1731,8 @@ def test_products_of_2_to_8_rows_keep_identical_columns_equal():
 def test_entries_equal_up_to_sign_go_to_the_lowest_id(pruning, family, size, klen):
     # conventional mode ties exact +-duplicates and gives the tie to the
     # lowest id; projected mode must too, at B = 1 (entries of 1 to 5
-    # samples) and at B >= 2 (64 samples), where a product of 33 entries'
-    # columns rounds its edge columns apart from the others
+    # samples) and at B >= 2 (64 samples), where a wide product can round
+    # its last columns apart from the others
     pair = random_pair(family, size, 0)
     rng = np.random.default_rng(klen)
     base = _smooth_rows(rng, 2, klen)
