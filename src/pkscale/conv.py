@@ -14,13 +14,12 @@ of two. The references the fast paths are checked against are in
 * :func:`conv_projected_peaks` runs those products for one signal against a
   :class:`KernelBank` and returns each kernel's peak magnitude. The windows'
   overlap sits in the cached operand, not in per-call copies (Cho & Brand,
-  "MEC", ICML 2017). Large float64 products are screened in float32, and
-  the few samples a rounding bound leaves are recomputed in float64.
-  ``xcorr_match`` prunes further (:func:`_match_peaks`): Cauchy-Schwarz
-  bounds every product row's scores by its window's norm, and only the rows
-  that can still hold the best score are multiplied (filter and refine:
-  Faloutsos et al., SIGMOD 1994), by the taps, not the B times larger
-  operand.
+  "MEC", ICML 2017). ``xcorr_match`` prunes (:func:`_match_peaks`):
+  Cauchy-Schwarz bounds every product row's scores by its window's norm,
+  and only the rows that can still hold the best score are multiplied
+  (filter and refine: Faloutsos et al., SIGMOD 1994), by the taps, not the
+  B times larger operand. Either way a peak is the largest of the same
+  float64 products of a float64 bank.
 
 The fast paths share :func:`_compact_setup`, which projects the signal into
 a zero-padded compact buffer and charges the counter, and
@@ -60,16 +59,11 @@ CONV_FFT_OVERHEAD = 100_000
 # Block-Toeplitz bank of conv_projected_peaks: about this many columns per
 # product, B compact samples of each of its P phases and E kernels.
 CONV_BANK_COLUMNS = 512
-# conv_projected_peaks screens a float64 bank's products in float32 when a
-# call's product makes at least CONV_SCREEN_MACS multiply-adds; below, the
-# screen's fixed work (about 80 us) costs more than float32 saves (fitted at
-# 16 geometries, 0.7 to 200 million multiply-adds; right at 15). The same
-# calls of _match_peaks screen product rows, and rows that still make that
-# many multiply-adds take the float32 screen.
+# _match_peaks screens the product rows of a float64 bank when a call's
+# product makes at least CONV_SCREEN_MACS multiply-adds (_screens). The value
+# was fitted for a float32 screen of the products, since removed, not for the
+# row screen, which wins on smaller banks too (ROADMAP item 7).
 CONV_SCREEN_MACS = 4_000_000
-# A screened chunk runs its float64 product instead when CONV_REFINE_COST
-# times its candidates reaches its product's entries.
-CONV_REFINE_COST = 64
 
 
 class ConvVariant(enum.Enum):
@@ -224,7 +218,11 @@ def _compact_setup(s, pair, cfg, kernel_len, block, count, dtype, counter):
     rows = -(-kept // block)
     groups = -(-s.shape[0] // size)
     padded = np.zeros((used, rows * block + compact_len - 1), dtype=dtype)
-    project_signal(s.astype(dtype, copy=False), pair, range(used),
+    grouped = s.astype(dtype, copy=False)
+    if s.shape[0] < size:
+        # project_signal refuses a signal shorter than one group
+        grouped = np.concatenate([grouped, np.zeros(size - s.shape[0], dtype)])
+    project_signal(grouped, pair, range(used),
                    out=padded[:, compact_len - 1:compact_len - 1 + groups])
     if counter is not None:
         counter.add(used * s.shape[0]
@@ -450,10 +448,10 @@ class KernelBank:
     (DomainError), and so is an operand of another shape
     (DimensionMismatch).
 
-    ``screen`` is the :class:`_Screen` that :func:`conv_projected_peaks`
-    screens its products with (0.41 MB above, 66 kB of it the B = 1
-    operand that subsets of rows run through), derived from a finite
-    float64 operand, and None for any other.
+    ``screen`` is the :class:`_Screen` that :func:`_match_peaks` screens
+    product rows with (67 kB above, almost all of it the B = 1 operand that
+    subsets of rows run through), derived from a finite float64 operand, and
+    None for any other.
     """
 
     pair: object
@@ -477,18 +475,15 @@ class KernelBank:
 
 
 class _Screen(NamedTuple):
-    """A float64 bank operand T's screen: ``operand`` is T * 2**``shift``,
-    max |T| * 2**shift in [1/2, 1), rounded to float32; ``norms[e]`` the
-    largest 2-norm of kernel e's scaled columns, rounded up; row r*E + e of
-    ``taps`` kernel e's phase-r taps, column r*E + e of T in rows l*(B + Q
-    - 1) + q, q < Q; ``stack`` their C-contiguous transpose, the (p * Q, P *
-    E) operand :func:`_toeplitz_segment` builds at B = 1, which
+    """A float64 bank operand T's screen: max |T| * 2**``shift`` is in [1/2,
+    1); ``norms[e]`` is the largest 2-norm of kernel e's columns times
+    2**shift, rounded up; column r*E + e of ``stack`` holds kernel e's
+    phase-r taps, column r*E + e of T in rows l*(B + Q - 1) + q, q < Q: the
+    (p * Q, P * E) operand :func:`_toeplitz_segment` builds at B = 1, which
     :func:`_bank_peaks` multiplies subsets of rows by."""
 
     shift: int
-    operand: np.ndarray
     norms: np.ndarray
-    taps: np.ndarray
     stack: np.ndarray
 
 
@@ -498,26 +493,21 @@ def _screen_operand(bank):
     toeplitz, count = bank.toeplitz, bank.count
     if toeplitz.dtype != np.float64:
         return None
-    top = float(max(toeplitz.max(), -toeplitz.min()))
-    if not math.isfinite(top):
-        return None
-    shift = -math.frexp(top)[1]
-    # scaled in float64, rounded once, and no float64 copy
-    operand = np.ldexp(toeplitz, shift, out=np.empty(toeplitz.shape, np.float32))
-    operand.setflags(write=False)
-    # block sample 0's columns as rows: a refined sample reads one row, not
-    # an element in every operand row (on a 4 MB operand such reads cost
-    # more than the float64 product)
+    # block sample 0's columns as rows: every tap of T, and the other
+    # entries of T are zeros
     used = bank.config.projections_used
     taps = toeplitz.reshape(used, -1, toeplitz.shape[1])[
         :, :_compact_kernel_len(bank.kernel_len, bank.pair.size), :toeplitz.shape[1] // bank.block]
     taps = np.ascontiguousarray(taps.transpose(2, 0, 1)).reshape(taps.shape[2], -1)
+    top = float(max(taps.max(), -taps.min()))
+    if not math.isfinite(top):
+        return None
+    shift = -math.frexp(top)[1]
     stack = np.ascontiguousarray(taps.T)
-    taps.setflags(write=False)
     stack.setflags(write=False)
     # every column of phase r and kernel e holds those taps
     norms = _norms_up(np.ldexp(taps, shift)).reshape(-1, count).max(axis=0)
-    return _Screen(shift, operand, norms, taps, stack)
+    return _Screen(shift, norms, stack)
 
 
 def _norms_up(rows):
@@ -589,7 +579,7 @@ def _bank_block(phases, count, compact_len):
 
 
 def _screens(signal_len, bank):
-    """Whether :func:`conv_projected_peaks` screens a signal of
+    """Whether :func:`_match_peaks` screens the product rows of a signal of
     ``signal_len`` samples against ``bank``: the bank has a screen and the
     call's product makes at least CONV_SCREEN_MACS multiply-adds."""
     if bank.screen is None:
@@ -598,19 +588,20 @@ def _screens(signal_len, bank):
     return -(-kept // bank.block) * bank.toeplitz.size >= CONV_SCREEN_MACS
 
 
-def _screen_signal(padded, screen):
+def _screen_signal(padded, bank):
     """``(scaled, scale)``: the float64 compact signal times the power of
     two that puts its largest magnitude in [1/2, 1), and the exponent that
     takes a product in those units back (screen units times 2**scale). None
-    for a signal that is not finite, or whose products could overflow
-    float64 or underflow it by more than 2**-126 in scaled units."""
+    for a signal that is not finite, or whose products against ``bank``
+    could overflow float64 or underflow it by more than 2**-126 in scaled
+    units."""
     top = float(np.abs(padded).max())
     if not math.isfinite(top):
         return None
     exponent = math.frexp(top)[1]
     # every product sample and partial sum is below K * 2**scale
-    scale = exponent - screen.shift
-    if scale + screen.operand.shape[0].bit_length() > 1023 or scale < -896:
+    scale = exponent - bank.screen.shift
+    if scale + bank.toeplitz.shape[0].bit_length() > 1023 or scale < -896:
         return None
     return np.ldexp(padded, -exponent), scale
 
@@ -619,49 +610,17 @@ def _gamma(n, v):
     return n * v / (1 - n * v) if n * v < 1 else math.inf
 
 
-def _rounding_gap(depth):
-    """c_K for K = ``depth`` terms: 2u + u**2 for rounding both operands to
-    float32, gamma_K(u) * (1 + u)**2 for the float32 sum and gamma_K(2**-53)
-    for a float64 sum in any order, with u = 2**-24 and gamma_n(v) = n*v /
-    (1 - n*v); raised by 2**-40 of itself for the roundings of a slack."""
-    u = 2.0 ** -24
-    return ((2 * u + u * u + _gamma(depth, u) * (1 + u) ** 2 + _gamma(depth, 2.0 ** -53))
-            * (1 + 2.0 ** -40))
-
-
-def _screen_thresholds(peaks, slack):
-    """M_e - 2 * Delta_e rounded down to float32, strictly below its
-    float64 value, so never above the exact one."""
-    exact = peaks - 2 * slack
-    low = exact.astype(np.float32)
-    return np.nextafter(low, -np.inf, out=low, where=low >= exact)
-
-
-def _kernel_maxima(y, tail, fill, count):
+def _kernel_maxima(y, tail, count):
     """Each of ``count`` kernels' largest |y| in a product chunk: |y| in
-    place, its last ``tail`` samples (past the output's end) set to
-    ``fill``, the largest of each column, then of each kernel's columns."""
+    place, its last ``tail`` samples (past the output's end) set to 0, the
+    largest of each column, then of each kernel's columns."""
     # |y| in place: a second product-sized temporary made the allocator
     # hand pages back and fault them in on every call
     np.abs(y, out=y)
     if tail:
-        y.reshape(-1)[y.size - tail:] = fill
+        y.reshape(-1)[y.size - tail:] = 0
     largest = y[0] if y.shape[0] == 1 else np.maximum.reduce(y, axis=0)
     return np.maximum.reduce(largest.reshape(-1, count), axis=0)
-
-
-def _screened_chunk(y, tail, top, slack):
-    """The flat indices of the candidates in float32 product chunk ``y``:
-    samples before its last ``tail`` at least their kernel's threshold,
-    after ``top``, the kernels' float32 peaks so far, is raised in place.
-    Index (j*B + i)*P*E + r*E + e is kernel e's phase r at compact sample
-    j*B + i of the chunk."""
-    count = top.shape[0]
-    np.maximum(top, _kernel_maxima(y, tail, -np.inf, count), out=top)
-    # one comparison over the chunk: gathering the columns that hold a
-    # candidate took 5 times as long on chunks of thousands of rows
-    hits = y.reshape(y.shape[0], -1, count) >= _screen_thresholds(top, slack)
-    return hits.ravel().nonzero()[0]
 
 
 def conv_projected_peaks(s, bank, counter=None):
@@ -676,51 +635,27 @@ def conv_projected_peaks(s, bank, counter=None):
     samples j*B .. j*B + B - 1 of every phase of every kernel, one product
     per chunk of windows. Only the stream samples inside the output count:
     the other output samples are zero, copies, or interpolations between
-    two computed ones.
-
-    Large products against a float64 bank (:func:`_screens`) run in float32
-    on the compact signal and the :class:`_Screen` operand, each scaled by a
-    power of two. With K = p * (B + Q - 1) terms, a sample's float32 and
-    float64 products, in any summation order, differ by at most Delta_e =
-    c_K * ||x|| * ||T_e|| plus 2**-126 per operation in scaled units
-    (:func:`_rounding_gap`; Higham, *Accuracy and Stability of Numerical
-    Algorithms*, 2002, sections 2.1 and 3.1), ||x|| the compact signal's
-    2-norm and ||T_e|| kernel e's largest column norm. So a sample below
-    M_e - 2 * Delta_e, M_e kernel e's largest float32 |y| inside the output
-    so far, holds neither its float64 nor its exact peak. The others, about
-    one per kernel on a match query, are recomputed in float64 from the
-    compact signal and the kernel's taps. A chunk with too many of them
-    (CONV_REFINE_COST) runs its float64 product, and so does a call whose
-    signal is not finite or could leave float64's range in the products
-    (:func:`_screen_signal`): such calls round and warn as before.
-
-    The counter is charged p * len(s) plus p * G * Q per kernel and computed
-    phase, :func:`conv_projected_blocked`'s convention less the kernel pass
-    the bank paid for, however the products run.
+    two computed ones. The counter is charged p * len(s) plus p * G * Q per
+    kernel and computed phase, :func:`conv_projected_blocked`'s convention
+    less the kernel pass the bank paid for.
     """
-    setup, screened = _peaks_setup(_as_real(s, 1, "signal"), bank, counter)
-    return _bank_peaks(bank, setup, screened, np.arange(setup[3]))
+    setup = _peaks_setup(_as_real(s, 1, "signal"), bank, counter)
+    return _bank_peaks(bank, setup, np.arange(setup[3]))
 
 
 def _peaks_setup(s, bank, counter):
     """The :func:`_compact_setup` of a peaks call on the 1-D float ``s``,
-    projected in float64 against a float64 bank, and its
-    :func:`_screen_signal`, or False where the float32 screen does not run."""
-    setup = _compact_setup(s, bank.pair, bank.config, bank.kernel_len, bank.block,
-                           bank.count, _dtype_of(s, bank.toeplitz), counter)
-    return setup, _screens(s.shape[0], bank) and _screen_signal(setup[-1], bank.screen)
+    projected in float64 against a float64 bank."""
+    return _compact_setup(s, bank.pair, bank.config, bank.kernel_len, bank.block,
+                          bank.count, _dtype_of(s, bank.toeplitz), counter)
 
 
-def _bank_peaks(bank, setup, screened, picked):
-    """The peaks of product rows ``picked``, ascending: in float32 where
-    :func:`_float32_rows` holds, else in float64, through the bank's
-    operand, or for fewer rows than every row through its screen's
-    ``stack`` where their windows' copy is the smaller. At B = 1 one row
-    takes a neighbour, as one-row products round equal columns apart."""
+def _bank_peaks(bank, setup, picked):
+    """The peaks of product rows ``picked``, ascending, at least one: through
+    the bank's operand, or for fewer rows than every row through its
+    screen's ``stack`` where their windows' copy is the smaller."""
     block, count = bank.block, bank.count
     compact_len, out_len, kept, rows, padded = setup
-    if block == 1 and picked.shape[0] == 1 and rows > 1:
-        picked = np.arange(2) + min(picked[0], rows - 2)
     phases = len(bank.config.phases())
     span = block + compact_len - 1
     total = picked.shape[0]
@@ -728,62 +663,29 @@ def _bank_peaks(bank, setup, screened, picked):
     # stream row (j*B + i)*P + r is output sample (j*B + i)*L + r with every
     # phase, compact sample j*B + i of phase 0 at half rate
     end = out_len if phases > 1 else kept
-    tail = (rows * block * phases - end) * count if total and picked[-1] == rows - 1 else 0
-    if not _float32_rows(bank, screened, total):
-        if not total:
-            return np.zeros(count)
-        if total < rows and 2 * total * compact_len < span * phases * count:
-            # row j's B windows of Q compact samples from j*B on times the
-            # stack: the row's samples in the operand's column order. The
-            # stack, B times smaller than the operand, stays in cache from
-            # query to query; the copy, written once and read once, must be
-            # smaller than the operand (p * (B + Q - 1) * B * P * E)
-            windows = _window_view(padded, 1, rows * block, 0, compact_len)
-            x = windows.reshape(rows, block, *windows.shape[1:])[picked]
-            y = (x.reshape(total * block, -1) @ bank.screen.stack).reshape(total, -1)
-            return _kernel_maxima(y, tail, 0, count)
-        for lo, hi, x in _compact_windows(padded, block, rows, 0, span, picked):
-            chunk = _kernel_maxima(x @ bank.toeplitz, tail if hi == total else 0, 0, count)
-            peaks = chunk if lo == 0 else np.maximum(peaks, chunk, out=peaks)
-        return peaks
-    flat = screened[0].reshape(-1)
-    depth = bank.toeplitz.shape[0]
-    # Delta_e, ||x|| the scaled signal's 2-norm rounded up, plus 2**-126 for
-    # each of 8 operations per term (two roundings, a product and a sum in
-    # float32, a product and a sum in float64, their spread through the
-    # float32 sum), which covers underflow and flush-to-zero
-    norm = math.sqrt(float(flat @ flat) * (1 + (flat.shape[0] + 1) * 2.0 ** -52))
-    slack = _rounding_gap(depth) * norm * bank.screen.norms + depth * 2.0 ** -123
-    samples = _window_view(padded, 1, rows * block, 0, compact_len)
-    windows = _window_view(padded, block, rows, 0, span)
-    taps = bank.screen.taps
-    peaks = np.zeros(count)
-    top = np.zeros(count, np.float32)
-    for lo, hi, x in _compact_windows(screened[0].astype(np.float32), block, rows, 0, span,
-                                      picked):
-        at = picked[lo:hi]
-        cut = tail if hi == total else 0
-        y = x @ bank.screen.operand
-        hits = _screened_chunk(y, cut, top, slack)
-        if hits.shape[0] * CONV_REFINE_COST >= y.size:
-            y = windows[at].reshape(hi - lo, -1) @ bank.toeplitz
-            np.maximum(peaks, _kernel_maxima(y, cut, 0, count), out=peaks)
-            continue
-        # a sample of block sample i of window j, phase r and kernel e is the
-        # Q compact samples of every projection from j*B + i on times the
-        # taps of the operand's column r*E + e
-        sample, column = np.divmod(hits, phases * count)
-        first = at[sample // block] * block + sample % block
-        exact = np.einsum("ij,ij->i", samples[first].reshape(-1, taps.shape[1]), taps[column])
-        np.maximum.at(peaks, column % count, np.abs(exact))
+    tail = (rows * block * phases - end) * count if picked[-1] == rows - 1 else 0
+    if total < rows and 2 * total * compact_len < span * phases * count:
+        # row j's B windows of Q compact samples from j*B on times the
+        # stack: the row's samples in the operand's column order. The
+        # stack, B times smaller than the operand, stays in cache from
+        # query to query; the copy, written once and read once, must be
+        # smaller than the operand (p * (B + Q - 1) * B * P * E)
+        windows = _window_view(padded, 1, rows * block, 0, compact_len)
+        x = windows.reshape(rows, block, *windows.shape[1:])[picked]
+        y = (x.reshape(total * block, -1) @ bank.screen.stack).reshape(total, -1)
+        return _kernel_maxima(y, tail, count)
+    for lo, hi, x in _compact_windows(padded, block, rows, 0, span, picked):
+        chunk = _kernel_maxima(x @ bank.toeplitz, tail if hi == total else 0, count)
+        peaks = chunk if lo == 0 else np.maximum(peaks, chunk, out=peaks)
     return peaks
 
 
-def _float32_rows(bank, screened, rows):
-    """Whether :func:`_bank_peaks` multiplies ``rows`` product rows in
-    float32: ``screened`` holds and they make at least CONV_SCREEN_MACS
-    multiply-adds."""
-    return bool(screened) and rows * bank.toeplitz.size >= CONV_SCREEN_MACS
+def _with_neighbour(bank, rows, picked):
+    """``picked``, and at B = 1 a single row's neighbour: a one-row product
+    runs as a matrix-vector product, which can round equal columns apart."""
+    if bank.block == 1 and picked.shape[0] == 1 and rows > 1:
+        return np.arange(2) + min(picked[0], rows - 2)
+    return picked
 
 
 def _match_peaks(s, bank, terms, counter=None):
@@ -791,39 +693,34 @@ def _match_peaks(s, bank, terms, counter=None):
     peaks / energies of ``xcorr_match``, ``terms`` the bank's
     :func:`_row_screen` for those energies: ``(peaks, rows, path)``, the
     peaks, the product rows multiplied and how: "row-screen" (the rows the
-    screen kept, in float64), "float32-screen" (those rows, or every row,
-    through the float32 screen) or "float64-product" (every row in
-    float64). An entry whose score cannot be the largest may get a partial
-    peak, the largest over those rows.
-
-    Where the float32 screen would run, the rows are screened instead
-    (:func:`_row_bounds`): the loudest row's float64 peaks bound the best
-    score from below, and only the other rows whose bound reaches it are
-    multiplied, their peaks folded into the loudest row's (every row, as
-    :func:`conv_projected_peaks` does, where that is every other row). So
-    every row left out scores below the best in float64. Fewer rows than
-    every row run in float64 through the screen's ``stack``, not the bank's
-    operand (:func:`_bank_peaks`), so samples agree with every row's up to
-    rounding. The counter is charged as :func:`conv_projected_peaks` is."""
-    setup, screened = _peaks_setup(s, bank, counter)
+    screen kept) or "float64-product" (every row, as
+    :func:`conv_projected_peaks` multiplies them). An entry whose score
+    cannot be the largest may get a partial peak, the largest over those
+    rows. Where :func:`_screens` holds, the loudest row's peaks bound the
+    best score from below, and only the other rows whose bound reaches it
+    (:func:`_row_bounds`) are multiplied, all of them where that is every
+    other row. So every row left out scores below the best. The counter is
+    charged as :func:`conv_projected_peaks` is."""
+    setup = _peaks_setup(s, bank, counter)
     rows = setup[3]
-    if not screened:
-        return _bank_peaks(bank, setup, False, np.arange(rows)), rows, "float64-product"
-    sums = _row_bounds(bank, setup, screened, terms)
+    screened = _screens(s.shape[0], bank) and _screen_signal(setup[-1], bank)
     # None: scores could leave float64, though the products cannot
+    sums = _row_bounds(bank, setup, screened, terms) if screened else None
     if sums is not None:
-        loudest = sums.argmax()
-        peaks = _bank_peaks(bank, setup, False, loudest[None])
+        loudest = _with_neighbour(bank, rows, sums.argmax()[None])
+        peaks = _bank_peaks(bank, setup, loudest)
         sums[loudest] = -np.inf         # multiplied already
         # the best score so far in scaled units, rounded down
         lower = math.nextafter(
             math.ldexp(np.maximum.reduce(peaks / terms.energies), -screened[1]), 0)
-        picked = (sums >= _least_reaching(lower, terms.gain, terms.floor)).nonzero()[0]
-        if picked.shape[0] < rows - 1 or rows == 1:
-            np.maximum(peaks, _bank_peaks(bank, setup, screened, picked), out=peaks)
-            return (peaks, picked.shape[0] + 1, "float32-screen"
-                    if _float32_rows(bank, screened, picked.shape[0]) else "row-screen")
-    return _bank_peaks(bank, setup, screened, np.arange(rows)), rows, "float32-screen"
+        picked = _with_neighbour(bank, rows, (
+            sums >= _least_reaching(lower, terms.gain, terms.floor)).nonzero()[0])
+        multiplied = loudest.shape[0] + picked.shape[0]
+        if multiplied < rows or not picked.shape[0]:
+            if picked.shape[0]:
+                np.maximum(peaks, _bank_peaks(bank, setup, picked), out=peaks)
+            return peaks, multiplied, "row-screen"
+    return _bank_peaks(bank, setup, np.arange(rows)), rows, "float64-product"
 
 
 class _RowScreen(NamedTuple):

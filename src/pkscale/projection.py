@@ -302,7 +302,14 @@ def _project_groups(g, basis, idx, l, out=None):
             f"out must be a float32 or float64 array of shape {shape}, "
             f"got {out.dtype} {out.shape}")
     # the stack lands index-major with no transposed copy
-    np.matmul(coeff.T, g.T, out=out[None] if single else out, dtype=g.dtype)
+    target = out[None] if single else out
+    if g.dtype == np.float32 and np.isfinite(g).all():
+        # OpenBLAS's float32 matrix-vector kernels can raise the invalid
+        # flag on finite operands, which numpy reports as a RuntimeWarning
+        with np.errstate(invalid="ignore"):
+            np.matmul(coeff.T, g.T, out=target, dtype=g.dtype)
+    else:
+        np.matmul(coeff.T, g.T, out=target, dtype=g.dtype)
     return out
 
 

@@ -229,8 +229,8 @@ def test_match_demo_synthetic(tmp_path, capsys):
 
 def test_match_demo_names_the_peaks_path_of_each_projected_row(tmp_path):
     # 64 entries of 256 samples against queries of 2048: the L = 2 bank's
-    # product (10 million multiply-adds) is screened, so its rows are
-    # screened and a few of its 144 multiplied; the L = 4 bank's (2.7
+    # product (10 million multiply-adds) meets the size rule, so its rows
+    # are screened and a few of its 144 multiplied; the L = 4 bank's (2.7
     # million) runs in float64 for all 72 rows. Each projected row's banks
     # are built, and timed, before its pass
     out = tmp_path / "match.csv"
