@@ -969,6 +969,79 @@ def test_peaks_equal_copying_pipeline_bitwise(family, size, used, mode, count, k
         assert np.array_equal(got, _peaks_by_copies(s, bank))
 
 
+def _picked_peaks_by_copies(s, bank, picked):
+    """The peaks of product rows ``picked`` of ``s`` with every intermediate
+    a new array: fewer rows than every row, whose copy is smaller than the
+    operand, as the B windows of Q compact samples of each row times the
+    screen's stack, in one product; the others as chunks of their windows
+    times the bank's operand. The last row is cut at the output's end."""
+    pair, block, count = bank.pair, bank.block, bank.count
+    used = bank.config.projections_used
+    compact_len = -(-(bank.kernel_len + pair.size - 1) // pair.size)
+    span = block + compact_len - 1
+    out_len = s.shape[0] + bank.kernel_len - 1
+    kept = -(-out_len // pair.size)
+    rows = -(-kept // block)
+    phases = len(bank.config.phases())
+    end = out_len if phases > 1 else kept
+    tail = (rows * block * phases - end) * count if picked[-1] == rows - 1 else 0
+    padded = _padded_by_copy(s, pair, used, compact_len, block, rows, np.float64)
+    total = picked.shape[0]
+    if total < rows and 2 * total * compact_len < span * phases * count:
+        x = np.array([padded[:, n:n + compact_len].reshape(-1)
+                      for j in picked for n in range(j * block, (j + 1) * block)])
+        products = [(total, x @ bank.screen.stack)]
+    else:
+        products = [(hi, np.array([_window_chunk(padded, 0, block, span, j, j + 1)[0]
+                                   for j in picked[lo:hi]]) @ bank.toeplitz)
+                    for lo, hi in _chunk_rows(used, span, total)]
+    peaks = np.zeros(count)
+    for hi, y in products:
+        y = np.abs(y).reshape(-1)
+        if hi == total and tail:
+            y = y[:-tail]
+        peaks = np.maximum(peaks, y.reshape(-1, count).max(axis=0))
+    return peaks
+
+
+@pytest.mark.parametrize("family,size,used,mode,count,klen,slen,block", BITWISE_PEAKS_CASES)
+def test_screened_peaks_equal_copying_pipeline_bitwise(screen_every_call, monkeypatch, family,
+                                                       size, used, mode, count, klen, slen,
+                                                       block):
+    # the row screen on every match, a kernel planted in 10 dB noise: each
+    # product it takes, of the kept rows through the stack or of every row
+    # through the operand, equals its copying pipeline bit for bit. Float32
+    # kernels make a float64 bank too; a float32 operand has no screen, and
+    # multiplies every row
+    pair = random_pair(family, size, 3)
+    cfg = PrecisionConfig(size, used, sample_mode=mode)
+    rng = np.random.default_rng(klen)
+    picks = []
+    bank_peaks = conv._bank_peaks
+    monkeypatch.setattr(conv, "_bank_peaks",
+                        lambda *args: picks.append(args[-1]) or bank_peaks(*args))
+    for dtype in (np.float64, np.float32, None):
+        kernels = rng.standard_normal((count, klen)).astype(dtype or np.float64)
+        s = 0.1 * rng.standard_normal(slen)
+        delay = int(rng.integers(0, slen - klen + 1))
+        s[delay:delay + klen] += kernels[-1, ::-1]
+        bank = project_kernel_bank(kernels, pair, cfg)
+        assert bank.block == block
+        if dtype is None:
+            bank = dataclasses.replace(bank, toeplitz=bank.toeplitz.astype(np.float32))
+        energies = np.sum(kernels.astype(np.float64) ** 2, axis=1)
+        picks.clear()
+        peaks, rows, path = _match_peaks_of(s, bank, energies)
+        assert rows == sum(p.shape[0] for p in picks)
+        want = np.max([_picked_peaks_by_copies(s, bank, p) for p in picks], axis=0)
+        assert np.array_equal(peaks, want)
+        if dtype is None:
+            assert path == "float64-product" and rows == _match_rows(s, bank)
+            assert np.array_equal(peaks, _peaks_by_copies(s, bank))
+        else:
+            assert path == "row-screen" and rows < _match_rows(s, bank)
+
+
 def test_kernels_look_up_project_signal_at_call_time(monkeypatch):
     # span tracers wrap pkscale.conv.project_signal; both fast paths must
     # reach the projection through that name
@@ -1377,6 +1450,60 @@ def test_every_match_path_gives_the_float64_products_peaks():
         winner = np.argmax(want / energies)
         assert peaks[winner] == want[winner]
     assert 0 < paths.count("float64-product") < len(queries)
+
+
+@pytest.mark.parametrize("entry_exp,query_exp", [(140, -100), (-140, 100),
+                                                (-100, 140), (100, -140)])
+def test_screened_peaks_of_scaled_entries_and_queries(screen_every_call, entry_exp, query_exp):
+    # white-noise queries, loud in every window, against entries and queries
+    # scaled by powers of two past float32's range: conv_projected_peaks and
+    # every match path scale exactly, and the match takes the same path
+    # through the same rows
+    bank, signals, rng = _match_db_bank(23)
+    energies = np.sum(signals * signals, axis=1)
+    scaled_bank = project_kernel_bank(np.ldexp(signals[:, ::-1], entry_exp), bank.pair,
+                                      bank.config)
+    scaled_energies = np.sum(np.ldexp(signals, entry_exp) ** 2, axis=1)
+    paths = set()
+    for _ in range(16):
+        query = rng.standard_normal(2048)
+        scaled = np.ldexp(query, query_exp)
+        assert np.array_equal(conv_projected_peaks(scaled, scaled_bank),
+                              np.ldexp(conv_projected_peaks(query, bank), entry_exp + query_exp))
+        plain, rows, path = _match_peaks_of(query, bank, energies)
+        got, scaled_rows, scaled_path = _match_peaks_of(scaled, scaled_bank, scaled_energies)
+        assert (scaled_rows, scaled_path) == (rows, path)
+        assert np.array_equal(got, np.ldexp(plain, entry_exp + query_exp))
+        paths.add(path)
+    assert paths == {"row-screen", "float64-product"}
+
+
+def test_constant_signals_keep_every_full_window_row(monkeypatch):
+    # a constant signal makes every window that lies inside the signal
+    # equal, so each of their rows can reach the loudest row's best score
+    # and is multiplied; the rows left out hold the signal's ends
+    bank, signals, _ = _match_db_bank(41)
+    energies = np.sum(signals * signals, axis=1)
+    s = np.ones(2048)
+    assert conv._screens(s.shape[0], bank)
+    picks = []
+    bank_peaks = conv._bank_peaks
+    monkeypatch.setattr(conv, "_bank_peaks",
+                        lambda *args: picks.append(args[-1]) or bank_peaks(*args))
+    peaks, rows, path = _match_peaks_of(s, bank, energies)
+    multiplied = np.sort(np.concatenate(picks))
+    want = conv_projected_peaks(s, bank)
+    compact_len = bank.toeplitz.shape[0] - bank.block + 1
+    full = np.arange(-(-(compact_len - 1) // bank.block),
+                     (2048 // bank.pair.size - bank.block) // bank.block + 1)
+    assert np.all(np.isin(full, multiplied))
+    assert path == "row-screen" and rows == multiplied.shape[0]
+    assert 0 < multiplied[0] and multiplied[-1] < _match_rows(s, bank) - 1
+    assert np.array_equal(multiplied, np.arange(multiplied[0], multiplied[-1] + 1))
+    ids = range(bank.count)
+    assert _decision(peaks, energies, ids) == _decision(want, energies, ids)
+    winner = np.argmax(want / energies)
+    assert_allclose(peaks[winner], want[winner], rtol=1e-12, atol=0)
 
 
 def test_match_rows_count_the_neighbours_multiplied_at_block_1(screen_every_call,
